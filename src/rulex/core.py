@@ -13,6 +13,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 INVERSE_SUFFIX = "⁻¹"  # superscript -1, appended to generated inverse names
 SELF_INVERSE_MARK = "#self"
 DEFAULT_MAX_RULE_LEN = 3
@@ -243,6 +245,14 @@ def write_rules_file(path, rules: Iterable[tuple[Rule, float] | Rule], vocab: Re
                 fh.write(format_rule(rule, vocab, weight) + "\n")
 
 
+def pad_bodies(bodies: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """Rule bodies as the rows of an int array of shape (len(bodies), width), padded with -1."""
+    table = np.full((len(bodies), width), -1, dtype=np.intp)
+    for i, body in enumerate(bodies):
+        table[i, : len(body)] = body
+    return table
+
+
 class RuleSet:
     """A fixed-size multiset of rules (duplicates permitted)."""
 
@@ -277,7 +287,7 @@ class Document:
     cached, which keeps concurrent reads safe.
     """
 
-    __slots__ = ("doc_id", "entities", "atoms", "gold_facts", "num_relations", "_adjacency", "_rel_matrices")
+    __slots__ = ("doc_id", "entities", "atoms", "gold_facts", "num_relations", "_adjacency", "_atom_array")
 
     def __init__(
         self,
@@ -309,7 +319,7 @@ class Document:
                 raise ValueError(f"doc {doc_id}: id out of range in gold fact ({h}, {r}, {t})")
         self.gold_facts = facts
         self._adjacency = None
-        self._rel_matrices = {}
+        self._atom_array = None
 
     @property
     def num_entities(self) -> int:
@@ -330,21 +340,20 @@ class Document:
             self._adjacency = adj
         return self._adjacency
 
-    def relation_matrix(self, r: int):
-        """Dense confidence matrix for one relation (entities x entities)."""
-        import numpy as np
+    def atom_array(self) -> np.ndarray:
+        """Dense read-only atom confidences, ``[r, h, t]``, shape (relations, entities, entities).
 
-        mat = self._rel_matrices.get(r)
-        if mat is None:
-            if not 0 <= r < self.num_relations:
-                raise ValueError(f"relation id out of range: {r}")
+        Costs ``num_relations * num_entities**2 * 8`` bytes per document.
+        """
+        if self._atom_array is None:
             n = len(self.entities)
-            mat = np.zeros((n, n))
-            for (h, rr, t), c in self.atoms.items():
-                if rr == r:
-                    mat[h, t] = c
-            self._rel_matrices[r] = mat
-        return mat
+            arr = np.zeros((self.num_relations, n, n))
+            if self.atoms:
+                h, r, t = np.array(list(self.atoms), dtype=np.intp).T
+                arr[r, h, t] = list(self.atoms.values())
+            arr.flags.writeable = False
+            self._atom_array = arr
+        return self._atom_array
 
 
 def atom_conf(doc: Document, h: int, r: int, t: int) -> float:

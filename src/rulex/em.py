@@ -5,13 +5,18 @@ set is approximated by softmax-normalized rule quality scores), refits the
 generator toward posterior-favored rules, and retrains the extractor on fresh
 rule sets drawn from the updated generator.  Diagnostics track the two halves
 of the training objective and the training F1 per iteration.
+
+Training grounds rules through one dense atom tensor per corpus
+(``GroundingCache``, which states its memory bounds), built once per
+``run_em``: each step draws every instance's rules first and then grounds all
+of them in one chunked gather.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +28,7 @@ from .core import (
     RelationVocab,
     Rule,
     RuleSet,
+    pad_bodies,
 )
 from .extractor import (
     ExtractorWeights,
@@ -37,9 +43,10 @@ from .extractor import (
 )
 from .generator import ENUM_LIMIT, RuleGenerator
 
-# Grounding entries cached per (doc, body) are dropped wholesale past this
-# size to bound memory; the warm working set repopulates quickly.
-GROUNDING_CACHE_CAP = 800_000
+# Matrix cells per chunk of a batched gather: a length-3 body reads one
+# (N_max, N_max) relation matrix per entry, so a chunk holds
+# GATHER_CELLS // N_max**2 entries and its largest temporary takes 2 MB.
+GATHER_CELLS = 1 << 18
 
 
 @dataclass
@@ -105,45 +112,104 @@ class EMConfig:
 
 
 class GroundingCache:
-    """Grounding values memoized per (doc, body, head, tail).
+    """Batched max-product grounding over one dense atom tensor per corpus.
 
-    Bodies ground independently of the owning rule's head, so entries are
-    shared across heads.  Documents are immutable, so entries never
-    invalidate; the cache is safe to share across E-steps, M-steps, and
-    inference within a run.  All-pairs matrices are cached separately for
-    whole-document scoring.
+    The tensor ``A[row, r, h, t]`` stacks the documents' ``atom_array``
+    views, zero-padded to the largest entity count.  Documents are immutable
+    and key the store by identity, never by ``doc_id``, so rows never
+    invalidate and corpora with colliding ids can share one store.  ``ground``
+    reads many (row, body, head, tail) values in one gather; a length-3 body
+    reads ``max_k (max_j A[d, r1, h, j] * A[d, r2, j, k]) * A[d, r3, k, t]``.
+    Products multiply left to right as in ``ground_body_value`` and max
+    commutes with monotone rounding, so the values agree with it exactly.
+
+    Memory: the tensor takes ``D * V * N_max**2 * 8`` bytes for D documents,
+    V relation ids and N_max entities (1.2 MB for 200 documents, 20 ids, 6
+    entities), and a gather's temporaries stay near ``GATHER_CELLS * 8``
+    bytes (2 MB) however many values it reads.  DocRED-scale corpora are
+    outside this envelope: 3,000 documents with 192 ids and up to 40
+    entities would need a 7.4 GB tensor.
+
+    All-pairs matrices for whole-document scoring are memoized per body for
+    the most recent document only.
     """
 
-    def __init__(self, cap: int = GROUNDING_CACHE_CAP):
-        self._values: dict[tuple, float] = {}
-        self._matrices: dict[tuple, np.ndarray] = {}
-        self.cap = cap
+    def __init__(self):
+        self._rows: dict[Document, int] = {}
+        self._tensor = np.zeros((0, 0, 0, 0))
+        self._matrix_doc: Document | None = None
+        self._matrices: dict[tuple[int, ...], np.ndarray] = {}
+
+    def rows(self, docs: Iterable[Document]) -> np.ndarray:
+        """Tensor rows of ``docs``, stacking the documents the store lacks.
+
+        Stacking rebuilds the whole tensor, so callers pass all the documents
+        they will ground in one call.
+        """
+        docs = list(docs)
+        new = [doc for doc in dict.fromkeys(docs) if doc not in self._rows]
+        if new:
+            stacked = [*self._rows, *new]
+            arrays = [doc.atom_array() for doc in stacked]
+            if len({arr.shape[0] for arr in arrays}) > 1:
+                raise ValueError("documents in one grounding store must share a relation vocabulary")
+            n_max = max(arr.shape[1] for arr in arrays)
+            tensor = np.zeros((len(arrays), arrays[0].shape[0], n_max, n_max))
+            for i, arr in enumerate(arrays):
+                tensor[i, :, : arr.shape[1], : arr.shape[2]] = arr
+            self._rows = {doc: i for i, doc in enumerate(stacked)}
+            self._tensor = tensor
+        return np.array([self._rows[doc] for doc in docs], dtype=np.intp)
+
+    def ground(self, rows: np.ndarray, bodies: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+        """Grounding values of many entries in one chunked gather.
+
+        ``bodies`` holds one body per entry as a row of relation ids padded
+        with -1.  Entity ids outside a document read as 0, as in
+        ``ground_body_value``.
+        """
+        tensor = self._tensor
+        n = tensor.shape[2]
+        values = np.zeros(len(rows))
+        inside = (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n)
+        lengths = np.count_nonzero(bodies >= 0, axis=1)
+        chunk = max(1, GATHER_CELLS // max(1, n * n))
+        for length in range(1, bodies.shape[1] + 1):
+            selected = np.flatnonzero(inside & (lengths == length))
+            for start in range(0, selected.size, chunk):
+                idx = selected[start : start + chunk]
+                d, body, h, t = rows[idx], bodies[idx], heads[idx], tails[idx]
+                if length == 1:
+                    values[idx] = tensor[d, body[:, 0], h, t]
+                    continue
+                # Maxima over the short entity axis run as loops of
+                # elementwise maxima, several times faster than numpy's axis
+                # reductions at this shape.
+                best = tensor[d, body[:, 0], h]  # best product reaching each entity
+                for pos in range(1, length - 1):
+                    step = tensor[d, body[:, pos]]
+                    reach = best[:, :1] * step[:, 0]
+                    for j in range(1, n):
+                        np.maximum(reach, best[:, j : j + 1] * step[:, j], out=reach)
+                    best = reach
+                last = best * tensor[d, body[:, length - 1], :, t]
+                value = last[:, 0].copy()
+                for k in range(1, n):
+                    np.maximum(value, last[:, k], out=value)
+                values[idx] = value
+        return values
 
     def value_body(self, doc: Document, body: tuple[int, ...], h: int, t: int) -> float:
-        key = (doc.doc_id, body, h, t)
-        value = self._values.get(key)
-        if value is None:
-            mat = self._matrices.get((doc.doc_id, body))
-            if mat is not None:
-                value = float(mat[h, t])
-            else:
-                value = ground_body_value(doc, body, h, t)
-            if len(self._values) >= self.cap:
-                self._values.clear()
-            self._values[key] = value
-        return value
-
-    def value(self, doc: Document, rule: Rule, h: int, t: int) -> float:
-        return self.value_body(doc, rule.body, h, t)
+        """Grounding of one body between two entities: a one-entry gather."""
+        return float(self.ground(self.rows([doc]), np.array([body]), np.array([h]), np.array([t]))[0])
 
     def matrix(self, doc: Document, rule: Rule) -> np.ndarray:
-        key = (doc.doc_id, rule.body)
-        mat = self._matrices.get(key)
+        """All-pairs grounding of one rule on one document (see ``ground_rule_all_pairs``)."""
+        if doc is not self._matrix_doc:
+            self._matrix_doc, self._matrices = doc, {}
+        mat = self._matrices.get(rule.body)
         if mat is None:
-            if len(self._matrices) >= self.cap:
-                self._matrices.clear()
-            mat = ground_rule_all_pairs(doc, rule)
-            self._matrices[key] = mat
+            mat = self._matrices[rule.body] = ground_rule_all_pairs(doc, rule)
         return mat
 
 
@@ -222,6 +288,55 @@ def posterior_over_rules(
     return RulePosterior(instance, tuple(rules), np.ones(len(rules), dtype=int), h_values, _softmax(h_values))
 
 
+class Draw(NamedTuple):
+    """One instance's drawn rule multiset, deduplicated.
+
+    ``support`` holds enumeration indices (an int array) when the rule space
+    is enumerable and the unique rules in body order otherwise; ``values``
+    holds each drawn body's grounding at the instance's query once computed.
+    """
+
+    support: np.ndarray | tuple[Rule, ...]
+    counts: np.ndarray
+    log_priors: np.ndarray
+    values: np.ndarray | None = None
+
+
+def draw_rules(model: RuleGenerator, relation: int, n_rules: int, rng: np.random.Generator) -> Draw:
+    """Sample N rules for one head from the generator's prior and deduplicate them."""
+    if model.enumerable_size() <= ENUM_LIMIT:
+        return Draw(*model.sample_unique_indices(relation, n_rules, rng))
+    rules, counts, log_priors = model.sample_unique_rules(relation, n_rules, rng)
+    return Draw(tuple(rules), counts, log_priors)
+
+
+def _ground_draws(
+    cache: GroundingCache,
+    corpus: Corpus,
+    instances: Sequence[LabeledInstance],
+    draws: Sequence[Draw],
+    model: RuleGenerator,
+) -> list[Draw]:
+    """The draws with every drawn body grounded at its instance's query, in one gather."""
+    if not draws:
+        return []
+    sizes = np.array([len(draw.counts) for draw in draws], dtype=np.intp)
+    owner = np.repeat(np.arange(len(draws)), sizes)
+    if isinstance(draws[0].support, np.ndarray):
+        bodies = model.body_table()[np.concatenate([draw.support for draw in draws])]
+    else:
+        bodies = pad_bodies([rule.body for draw in draws for rule in draw.support], model.max_len)
+    values = cache.ground(
+        cache.rows([corpus.docs[inst.doc_id] for inst in instances])[owner],
+        bodies,
+        np.array([inst.head for inst in instances], dtype=np.intp)[owner],
+        np.array([inst.tail for inst in instances], dtype=np.intp)[owner],
+    )
+    ends = np.cumsum(sizes).tolist()
+    return [Draw(draw.support, draw.counts, draw.log_priors, values[end - len(draw.counts) : end])
+            for draw, end in zip(draws, ends)]
+
+
 def e_step(
     instance: LabeledInstance,
     model: RuleGenerator,
@@ -231,7 +346,7 @@ def e_step(
     rng: np.random.Generator,
     cache: GroundingCache | None = None,
     head_weights: np.ndarray | None = None,
-    drawn: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    drawn: Draw | tuple | None = None,
 ) -> RulePosterior:
     """Sample N rules from the prior and weight the unique ones by softmaxed quality.
 
@@ -240,36 +355,32 @@ def e_step(
     optionally supplies the rule weights of the instance's relation as a dense
     vector over the enumeration order, saving per-rule lookups in the
     enumerable fast path.  ``drawn`` supplies an already drawn rule multiset
-    from the same prior as (indices, multiplicities, log-priors), letting the
-    caller share one draw per instance across the steps of an iteration.
+    from the same prior (a ``Draw`` or its first three fields), letting the
+    caller share one draw per instance across the steps of an iteration; its
+    ``values``, when present, are used instead of grounding again.  Without
+    them the rules ground through ``cache``, or through the dynamic program
+    ``ground_body_value`` when no cache is given.
     """
     relation = instance.relation
-    if drawn is not None:
-        uidx, counts, log_priors = drawn
-        rules = model.rules_at(relation, uidx)
-        if head_weights is not None:
-            w = head_weights[uidx]
-        else:
-            w = np.array([weights.get_rule_weight(relation, rule) for rule in rules])
-        indices = uidx
-    elif model.enumerable_size() <= ENUM_LIMIT:
-        uidx, counts, log_priors = model.sample_unique_indices(relation, n_rules, rng)
-        rules = model.rules_at(relation, uidx)
-        if head_weights is not None:
-            w = head_weights[uidx]
-        else:
-            w = np.array([weights.get_rule_weight(relation, rule) for rule in rules])
-        indices = uidx
+    drawn = draw_rules(model, relation, n_rules, rng) if drawn is None else Draw(*drawn)
+    counts, log_priors = drawn.counts, drawn.log_priors
+    if isinstance(drawn.support, np.ndarray):
+        indices = drawn.support
+        rules = model.rules_at(relation, indices)
     else:
-        rule_list, counts, log_priors = model.sample_unique_rules(relation, n_rules, rng)
-        rules = tuple(rule_list)
-        w = np.array([weights.get_rule_weight(relation, rule) for rule in rules])
         indices = None
+        rules = drawn.support
+    if indices is not None and head_weights is not None:
+        w = head_weights[indices]
+    else:
+        w = np.array([weights.get_rule_weight(relation, rule) for rule in rules])
     extract = np.zeros(len(rules))
     nz = np.nonzero(w)[0]
     if nz.size:
         h, t = instance.head, instance.tail
-        if cache is None:
+        if drawn.values is not None:
+            g = drawn.values[nz]
+        elif cache is None:
             g = np.array([ground_body_value(doc, rules[i].body, h, t) for i in nz])
         else:
             g = np.array([cache.value_body(doc, rules[i].body, h, t) for i in nz])
@@ -323,10 +434,10 @@ class MStepResult:
     losses: list[float]
     l_r: float
     train_f1: float
-    # Per-instance (indices, multiplicities, log-priors) of the rule sets this
-    # step trained on, when they were freshly sampled; reusable as the next
-    # E-step's draws from the same prior.
-    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    # Per-instance grounded draws of the rule sets this step trained on, when
+    # they were freshly sampled; reusable as the next E-step's draws from the
+    # same prior.
+    samples: list[Draw] | None = None
 
 
 def m_step_extractor(
@@ -345,16 +456,17 @@ def m_step_extractor(
     """Retrain the extractor on rule sets from the updated generator.
 
     ``mode`` chooses fresh per-instance samples (the default) or the shared
-    deterministic top rules per head.  Groundings are precomputed per unique
-    rule before the descent loop runs.  ``reset`` clears the weights first,
-    turning the step into a from-scratch calibration against the given rule
-    sets instead of a warm continuation.
+    deterministic top rules per head.  Every instance's rule set is drawn
+    first, then all of them ground in one batched gather before the descent
+    loop runs.  ``reset`` clears the weights first, turning the step into a
+    from-scratch calibration against the given rule sets instead of a warm
+    continuation.
     """
     cache = cache or GroundingCache()
     if reset:
         weights.bias.clear()
         weights.rule_weight.clear()
-    samples: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    samples: list[Draw] | None = None
     if model.enumerable_size() <= ENUM_LIMIT:
         samples = [] if mode == "sample" else None
         result = fit_design(
@@ -366,21 +478,20 @@ def m_step_extractor(
             fit_config,
         )
     else:
-        top_sets: dict[int, tuple[list[Rule], np.ndarray]] = {}
+        top_sets: dict[int, Draw] = {}
         if mode == "top":
             for relation in sorted({inst.relation for inst in corpus.instances}):
                 ruleset = model.top_rules(relation, n_rules, beam)
                 items = sorted(ruleset.counts().items(), key=lambda kv: kv[0].body)
-                top_sets[relation] = ([rule for rule, _ in items], np.array([c for _, c in items]))
-        batch = []
-        for instance in corpus.instances:
-            doc = corpus.docs[instance.doc_id]
-            if mode == "top":
-                rules, counts = top_sets[instance.relation]
-            else:
-                rules, counts, _ = model.sample_unique_rules(instance.relation, n_rules, rng)
-            groundings = {rule: cache.value(doc, rule, instance.head, instance.tail) for rule in rules}
-            batch.append((instance, _build_ruleset(rules, counts), groundings))
+                top_sets[relation] = Draw(tuple(rule for rule, _ in items), np.array([c for _, c in items]), None)
+        draws = [
+            top_sets[inst.relation] if mode == "top" else draw_rules(model, inst.relation, n_rules, rng)
+            for inst in corpus.instances
+        ]
+        batch = [
+            (instance, _build_ruleset(draw.support, draw.counts), dict(zip(draw.support, draw.values)))
+            for instance, draw in zip(corpus.instances, _ground_draws(cache, corpus, corpus.instances, draws, model))
+        ]
         result = fit(batch, weights, fit_config)
     predicted = result.final_scores > 0
     actual = result.labels > 0
@@ -405,7 +516,11 @@ def _index_design(
     cache: GroundingCache,
     samples_out: list | None = None,
 ) -> _DesignMatrix:
-    """Feature build over enumeration indices (vectorized column mapping)."""
+    """Feature build over enumeration indices (vectorized column mapping).
+
+    Each instance contributes one entry per unique drawn rule, then one bias
+    entry; the grounding values of all draws come from one gather.
+    """
     keys = _DesignMatrix.stored_keys(weights)
     bias_col: dict[int, int] = {}
     colmaps: dict[int, np.ndarray] = {}
@@ -419,47 +534,51 @@ def _index_design(
                 colmap = np.full(model.enumerable_size(), -1, dtype=np.int64)
                 colmaps[relation] = colmap
             colmap[model.enum_index(relation, rule.body)] = col
-    top_sets: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    top_sets: dict[int, Draw] = {}
     if mode == "top":
         for relation in sorted({inst.relation for inst in corpus.instances}):
             ruleset = model.top_rules(relation, n_rules, beam)
             items = sorted(ruleset.counts().items(), key=lambda kv: kv[0].body)
             idx = np.array([model.enum_index(relation, rule.body) for rule, _ in items], dtype=np.int64)
-            top_sets[relation] = (idx, np.array([c for _, c in items], dtype=float))
-    rows_parts, cols_parts, vals_parts = [], [], []
-    y = np.empty(len(corpus.instances))
-    for i, instance in enumerate(corpus.instances):
+            top_sets[relation] = Draw(idx, np.array([c for _, c in items], dtype=float), None)
+    draws: list[Draw] = []
+    rule_cols, bias_cols = [], []
+    for instance in corpus.instances:
         relation = instance.relation
-        doc = corpus.docs[instance.doc_id]
         if mode == "top":
-            uidx, counts = top_sets[relation]
+            draw = top_sets[relation]
         else:
-            uidx, counts, log_priors = model.sample_unique_indices(relation, n_rules, rng)
-            if samples_out is not None:
-                samples_out.append((uidx, counts, log_priors))
+            draw = draw_rules(model, relation, n_rules, rng)
+        draws.append(draw)
         colmap = colmaps.get(relation)
         if colmap is None:
             colmap = np.full(model.enumerable_size(), -1, dtype=np.int64)
             colmaps[relation] = colmap
-        cols = colmap[uidx]
+        cols = colmap[draw.support]
         for k in np.nonzero(cols < 0)[0]:
-            idx = int(uidx[k])
+            idx = int(draw.support[k])
             colmap[idx] = cols[k] = len(keys)
             keys.append(("rule", relation, model.rule_at(relation, idx)))
         bcol = bias_col.get(relation)
         if bcol is None:
             bcol = bias_col[relation] = len(keys)
             keys.append(("bias", relation))
-        h, t = instance.head, instance.tail
-        value_body = cache.value_body
-        g = np.array([value_body(doc, body, h, t) for body in model.bodies_at(relation, uidx)])
-        rows_parts.append(np.full(len(uidx) + 1, i, dtype=np.intp))
-        cols_parts.append(np.concatenate((cols, [bcol])))
-        vals_parts.append(np.concatenate((counts * g, [1.0])))
-        y[i] = instance.label
-    return _DesignMatrix(
-        keys, np.concatenate(rows_parts), np.concatenate(cols_parts), np.concatenate(vals_parts), y
-    )
+        rule_cols.append(cols)
+        bias_cols.append(bcol)
+    draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
+    if samples_out is not None:
+        samples_out.extend(draws)
+    per_row = np.array([len(draw.counts) + 1 for draw in draws], dtype=np.intp)
+    bias_at = np.cumsum(per_row) - 1
+    is_rule = np.ones(int(per_row.sum()), dtype=bool)
+    is_rule[bias_at] = False
+    cols = np.empty(is_rule.size, dtype=np.intp)
+    cols[is_rule] = np.concatenate(rule_cols)
+    cols[bias_at] = bias_cols
+    vals = np.ones(is_rule.size)
+    vals[is_rule] = np.concatenate([draw.counts * draw.values for draw in draws])
+    y = np.array([instance.label for instance in corpus.instances], dtype=float)
+    return _DesignMatrix(keys, np.repeat(np.arange(len(draws)), per_row), cols, vals, y)
 
 
 def elbo(
@@ -480,19 +599,17 @@ def elbo(
     if samples < 1:
         raise ValueError("samples must be >= 1")
     cache = cache or GroundingCache()
+    instances = list(corpus.instances) * samples
+    draws = [draw_rules(model, inst.relation, n_rules, rng) for inst in instances]
     lg_terms, lr_terms = [], []
-    for _ in range(samples):
-        for instance in corpus.instances:
-            doc = corpus.docs[instance.doc_id]
-            posterior = e_step(instance, model, weights, doc, n_rules, rng, cache)
-            log_priors = model.rule_log_probs(instance.relation, list(posterior.rules))
-            lg_terms.append(n_rules * float(posterior.weights @ log_priors))
-            g = np.array(
-                [cache.value(doc, rule, instance.head, instance.tail) for rule in posterior.rules]
-            )
-            w = np.array([weights.get_rule_weight(instance.relation, rule) for rule in posterior.rules])
-            s = weights.get_bias(instance.relation) + float(posterior.prior_counts @ (w * g))
-            lr_terms.append(-float(np.logaddexp(0.0, -instance.label * s)))
+    for instance, drawn in zip(instances, _ground_draws(cache, corpus, instances, draws, model)):
+        doc = corpus.docs[instance.doc_id]
+        posterior = e_step(instance, model, weights, doc, n_rules, rng, cache, drawn=drawn)
+        log_priors = model.rule_log_probs(instance.relation, list(posterior.rules))
+        lg_terms.append(n_rules * float(posterior.weights @ log_priors))
+        w = np.array([weights.get_rule_weight(instance.relation, rule) for rule in posterior.rules])
+        s = weights.get_bias(instance.relation) + float(posterior.prior_counts @ (w * drawn.values))
+        lr_terms.append(-float(np.logaddexp(0.0, -instance.label * s)))
     return float(np.mean(lg_terms)), float(np.mean(lr_terms))
 
 
@@ -535,7 +652,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
     previous = None
     stopped_early = False
     enumerable = model.enumerable_size() <= ENUM_LIMIT
-    carried: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = None
+    carried: list[Draw] | None = None
     for iteration in range(1, config.iterations + 1):
         final = iteration == config.iterations
         mode = config.inference_mode if final else config.train_ruleset_mode
@@ -554,7 +671,13 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
                     vec[model.enum_index(relation, rule.body)] = value
             # The previous extractor update's freshly sampled rule sets came
             # from the same prior this E-step targets, so they serve as its
-            # draws; groundings for them are already cached.
+            # draws, grounded already.  Fresh draws are all sampled first,
+            # then grounded in one gather unless no rule weight is nonzero.
+            draws = carried
+            if draws is None:
+                draws = [draw_rules(model, inst.relation, config.n_rules, rng) for inst in corpus.instances]
+                if any(weights.rule_weight.values()):
+                    draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
             posteriors = [
                 e_step(
                     inst,
@@ -565,7 +688,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
                     rng,
                     cache,
                     head_weights.get(inst.relation, zero_vec) if enumerable else None,
-                    carried[i] if carried is not None else None,
+                    draws[i],
                 )
                 for i, inst in enumerate(corpus.instances)
             ]

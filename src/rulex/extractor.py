@@ -105,21 +105,21 @@ def ground_body_value(doc: Document, body: tuple[int, ...], h: int, t: int) -> f
     return frontier.get(t, 0.0)
 
 
-def ground_rule_value(doc: Document, rule: Rule, h: int, t: int) -> float:
-    """Value-only variant of ``ground_rule`` without path bookkeeping."""
-    return ground_body_value(doc, rule.body, h, t)
-
-
 def ground_rule_all_pairs(doc: Document, rule: Rule) -> np.ndarray:
     """Grounding values of one rule for every (head, tail) entity pair.
 
-    Chains the per-relation confidence matrices under the max-product
-    composition ``(A * B)[i, j] = max_k A[i, k] * B[k, j]``; agrees with
-    ``ground_rule`` entrywise.
+    Chains the document's per-relation confidence matrices under the
+    max-product composition ``(A * B)[i, j] = max_k A[i, k] * B[k, j]``;
+    agrees with ``ground_rule`` entrywise.  The result may be a read-only
+    view of the document's atom array.
     """
-    mat = doc.relation_matrix(rule.body[0])
+    for r in rule.body:
+        if not 0 <= r < doc.num_relations:
+            raise ValueError(f"relation id out of range: {r}")
+    atoms = doc.atom_array()
+    mat = atoms[rule.body[0]]
     for r in rule.body[1:]:
-        mat = np.max(mat[:, :, None] * doc.relation_matrix(r)[None, :, :], axis=1)
+        mat = np.max(mat[:, :, None] * atoms[r][None, :, :], axis=1)
     return mat
 
 

@@ -10,13 +10,14 @@ non-empty) and forced once the body reaches the maximum rule length.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet
+from .core import DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, pad_bodies
 
 # Above this many enumerable bodies per head, ruleset sampling falls back to
 # token-wise ancestral draws instead of one multinomial over the rule space.
@@ -55,6 +56,7 @@ class RuleGenerator:
         self.counts: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._enum_cache: dict[int, "_EnumeratedHead"] = {}
         self._events_cache: dict[tuple[int, ...], tuple] = {}
+        self._body_table: np.ndarray | None = None
         size = vocab.size
         self._supports = (np.arange(size), np.arange(size + 1))
         self._uniforms = (np.full(size, 1.0 / size), np.full(size + 1, 1.0 / (size + 1)))
@@ -218,6 +220,22 @@ class RuleGenerator:
     def rules_at(self, head: int, indices) -> tuple[Rule, ...]:
         enum = self._enum_or_raise(head)
         return tuple(enum.rule_at(head, int(i)) for i in indices)
+
+    def body_table(self) -> np.ndarray:
+        """Every body in enumeration order, one row of relation ids padded with -1.
+
+        Enumeration order sorts bodies lexicographically whatever the head,
+        so one table serves every head.  Requires an enumerable vocabulary.
+        """
+        if self._body_table is None:
+            if self.enumerable_size() > ENUM_LIMIT:
+                raise ValueError("rule space too large to enumerate")
+            lengths = range(1, self.max_len + 1)
+            bodies = sorted(itertools.chain.from_iterable(
+                itertools.product(range(self.vocab.size), repeat=n) for n in lengths
+            ))
+            self._body_table = pad_bodies(bodies, self.max_len)
+        return self._body_table
 
     def log_probs_by_index(self, head: int, indices: np.ndarray) -> np.ndarray:
         return self._enum_or_raise(head).log_probs[indices]

@@ -119,6 +119,20 @@ class TestAtomConf:
                         assert 0.0 <= atom_conf(doc, h, r, t) <= 1.0
 
 
+    def test_atom_array_is_the_dense_store(self, pair_vocab, rng):
+        for _ in range(20):
+            atoms = {(int(rng.integers(0, 3)), int(rng.integers(0, 4)), int(rng.integers(0, 3))): float(rng.random())
+                     for _ in range(5)}
+            doc = make_doc(atoms, pair_vocab.size, n_entities=3)
+            arr = doc.atom_array()
+            assert arr.shape == (pair_vocab.size, 3, 3)
+            assert not arr.flags.writeable
+            for h in range(3):
+                for t in range(3):
+                    for r in range(pair_vocab.size):
+                        assert arr[r, h, t] == atom_conf(doc, h, r, t)
+
+
 class TestDocumentValidation:
     def test_confidence_out_of_range(self, pair_vocab):
         with pytest.raises(ValueError, match="outside"):

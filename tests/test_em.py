@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from rulex.core import Corpus, LabeledInstance, Rule, build_vocab
+from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, pad_bodies
 from rulex.datagen import SynthConfig, gen_corpus
 from rulex.em import (
     EMConfig,
+    GroundingCache,
     e_step,
     elbo,
     infer,
@@ -20,11 +21,12 @@ from rulex.em import (
     run_em,
     _softmax,
 )
-from rulex.extractor import ExtractorWeights, FitConfig, ground_rule
-from rulex.generator import RuleGenerator
+from rulex.extractor import ExtractorWeights, FitConfig, fit, ground_body_value, ground_rule
+from rulex.generator import ENUM_LIMIT, RuleGenerator
 from rulex.metrics import PredictionSet, f1, gold_by_doc
+from rulex.oracles import enumerate_grounding
 
-from conftest import make_doc
+from conftest import make_doc, random_doc
 
 
 def exact_log_sigmoid(x):
@@ -154,6 +156,87 @@ class TestEStep:
         direct = e_step(instance, model, weights, doc, 40, np.random.default_rng(11))
         assert via_reuse.rules == direct.rules
         assert np.allclose(via_reuse.weights, direct.weights, atol=1e-12)
+
+
+class TestGroundingCache:
+    def test_batched_gather_equals_dp_and_enumeration_exactly(self, rng):
+        # Documents of 2..7 entities in one store exercise the padding; every
+        # document also stores zero-confidence atoms, and every body length
+        # is queried between the first and the last entity.
+        num_relations = 5
+        docs, entries = [], []
+        for i in range(60):
+            doc = random_doc(rng, num_relations, max_entities=7, density=0.3)
+            atoms = dict(doc.atoms)
+            for _ in range(3):
+                h, t = (int(x) for x in rng.integers(0, doc.num_entities, size=2))
+                atoms[(h, int(rng.integers(0, num_relations)), t)] = 0.0
+            doc = make_doc(atoms, num_relations, n_entities=doc.num_entities, doc_id=f"d{i}")
+            docs.append(doc)
+            last = doc.num_entities - 1
+            for length in (1, 2, 3):
+                for _ in range(4):
+                    body = tuple(int(r) for r in rng.integers(0, num_relations, size=length))
+                    for h, t in ((0, last), (last, 0), (0, 0), (last, last)):
+                        entries.append((doc, body, h, t))
+        cache = GroundingCache()
+        values = cache.ground(
+            cache.rows([doc for doc, _, _, _ in entries]),
+            pad_bodies([body for _, body, _, _ in entries], 3),
+            np.array([h for _, _, h, _ in entries]),
+            np.array([t for _, _, _, t in entries]),
+        )
+        assert len({doc.num_entities for doc in docs}) > 1
+        assert any(value > 0.0 for value in values)
+        for (doc, body, h, t), value in zip(entries, values):
+            want, _ = enumerate_grounding(doc, Rule(0, body), h, t)
+            assert value == want
+            assert value == ground_body_value(doc, body, h, t)
+            assert cache.value_body(doc, body, h, t) == want
+
+    def test_documents_with_colliding_ids_keep_their_own_values(self):
+        # Two corpora whose documents share doc_ids but not atoms, run through
+        # one store, give what a fresh store gives each of them.
+        corpora = [tiny_synth(seed=5), tiny_synth(seed=6)]
+        assert set(corpora[0].splits["train"].docs) & set(corpora[1].splits["train"].docs)
+        shared = GroundingCache()
+        for result in corpora:
+            train, vocab = result.splits["train"], result.vocab
+            model = RuleGenerator(vocab)
+            for relation in range(vocab.size):
+                model.fit_weighted(relation, [(Rule(relation, (relation,)), 25.0)])
+            runs = []
+            for cache in (shared, GroundingCache()):
+                weights = ExtractorWeights()
+                m_step_extractor(train, model, weights, FitConfig(lr=1.0, epochs=10), np.random.default_rng(1),
+                                 n_rules=8, mode="top", beam=32, cache=cache)
+                config = EMConfig(n_rules=8, beam=32)
+                predictions = [predict_document(doc, vocab, model, weights, config, cache=cache)
+                               for doc in train.docs.values()]
+                bound = elbo(train, model, weights, 8, np.random.default_rng(2), cache=cache)
+                runs.append((dict(weights.rule_weight), predictions, bound))
+            assert runs[0] == runs[1]
+
+    def test_sparse_m_step_grounds_like_the_dp(self):
+        # 24 base relations give 48 ids, past ENUM_LIMIT: the M-step takes the
+        # rule-object path and grounds its bodies through the store.
+        result = tiny_synth(relations=24, docs=8)
+        train, vocab = result.splits["train"], result.vocab
+        model = RuleGenerator(vocab)
+        assert model.enumerable_size() > ENUM_LIMIT
+        config = FitConfig(lr=0.5, epochs=5)
+        weights = ExtractorWeights()
+        m_step_extractor(train, model, weights, config, np.random.default_rng(0), n_rules=6, mode="top", beam=12)
+        batch = []
+        for instance in train.instances:
+            ruleset = model.top_rules(instance.relation, 6, 12)
+            doc = train.docs[instance.doc_id]
+            groundings = {rule: ground_body_value(doc, rule.body, instance.head, instance.tail)
+                          for rule in ruleset.counts()}
+            batch.append((instance, RuleSet(sorted(ruleset, key=lambda r: r.body)), groundings))
+        reference = fit(batch, ExtractorWeights(), config).weights
+        assert weights.rule_weight and weights.rule_weight == reference.rule_weight
+        assert weights.bias == reference.bias
 
 
 class TestMStepGenerator:

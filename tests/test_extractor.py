@@ -10,9 +10,9 @@ from rulex.extractor import (
     FitDivergenceError,
     fit,
     fit_design,
+    ground_body_value,
     ground_rule,
     ground_rule_all_pairs,
-    ground_rule_value,
     loss_and_grad,
     predict,
     prob,
@@ -80,7 +80,7 @@ class TestGroundRule:
             want, found = enumerate_best_path(doc, rule, h, t)
             assert got.value == want
             assert (got.best_path is not None) == found
-            assert got.value == ground_rule_value(doc, rule, h, t)
+            assert got.value == ground_body_value(doc, rule.body, h, t)
 
     def test_witness_path_product_matches_value(self, rng):
         for _ in range(100):

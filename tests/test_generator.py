@@ -89,6 +89,14 @@ class TestNormalization:
         for body, p in zip(bodies, probs):
             assert p == pytest.approx(math.exp(model.log_prob(1, body)), rel=1e-12)
 
+    def test_body_table_follows_every_heads_enumeration_order(self):
+        model = fresh()
+        model.fit_weighted(1, [(Rule(1, (0, 2)), 2.0), (Rule(1, (3,)), 1.0)])
+        table = model.body_table()
+        for head in (0, 1):
+            bodies = model.bodies_at(head, range(model.enumerable_size()))
+            assert [tuple(int(r) for r in row if r >= 0) for row in table] == bodies
+
 
 class TestSampling:
     def test_degenerate_conditionals_sample_deterministically(self, rng):
