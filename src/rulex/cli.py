@@ -24,16 +24,48 @@ from .generator import RuleGenerator
 LOCK_NAME = ".lock"
 
 
+def _lock_is_stale(lock: Path) -> bool:
+    """Whether a lock file names a process that no longer exists.
+
+    An empty or unreadable lock counts as held: its owner may not have
+    written its pid yet.
+    """
+    try:
+        pid = int(lock.read_text(encoding="ascii").strip())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (PermissionError, OverflowError):
+        pass  # a live process of another user, or no valid pid at all
+    return False
+
+
 @contextmanager
 def _dir_lock(directory: Path):
-    """Exclusive ownership of an output directory for the command's lifetime."""
+    """Exclusive ownership of an output directory for the command's lifetime.
+
+    The lock file holds the owner's pid.  A lock left behind by a command
+    that died is reclaimed once; a live owner's lock makes the command fail.
+    Reclaiming is not atomic: two commands that find the same dead lock at
+    the same moment may both proceed.
+    """
     lock = directory / LOCK_NAME
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(lock):
+                raise ValueError(f"directory {directory} is locked by another command ({lock})") from None
+            lock.unlink(missing_ok=True)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ValueError(f"directory {directory} is locked by another command ({lock})") from None
-    os.close(fd)
-    try:
+        with os.fdopen(fd, "w", encoding="ascii") as fh:
+            fh.write(f"{os.getpid()}\n")
         yield
     finally:
         lock.unlink(missing_ok=True)
@@ -56,18 +88,6 @@ def _load_config_section(path: str | None, section: str) -> dict:
     if not isinstance(value, dict):
         raise ValueError(f"config section {section!r} must be a JSON object")
     return value
-
-
-def _resolve_threads(flag_value: int | None) -> int:
-    if flag_value is not None:
-        return flag_value
-    env = os.environ.get("RULEX_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ValueError(f"RULEX_THREADS must be an integer, got {env!r}") from None
-    return 1
 
 
 def _echo(config: dict) -> None:
@@ -102,12 +122,11 @@ def cmd_train(args) -> int:
     if args.inference_mode is not None:
         section["inference_mode"] = args.inference_mode
     config = em.EMConfig.from_json(section)
-    threads = _resolve_threads(args.threads)
     corpus_dir = Path(args.corpus)
     vocab = core.read_vocab_file(corpus_dir / "vocab.txt")
     corpus = core.load_corpus(corpus_dir / "train.jsonl", vocab)
     out = _prepare_out_dir(args.out)
-    resolved = {"em": config.to_json(), "corpus": str(corpus_dir), "threads": threads}
+    resolved = {"em": config.to_json(), "corpus": str(corpus_dir)}
     _echo(resolved)
     with _dir_lock(out):
         result = em.run_em(corpus, vocab, config)
@@ -131,43 +150,42 @@ def cmd_infer(args) -> int:
     with open(run_dir / "config.json", encoding="utf-8") as fh:
         run_config = json.load(fh)
     config = em.EMConfig.from_json(run_config.get("em", {}))
-    threads = _resolve_threads(args.threads)
     model = RuleGenerator.load(run_dir / "generator.json")
     vocab = model.vocab
     weights = ExtractorWeights.load(run_dir / "extractor.json", vocab)
-    resolved = {"em": config.to_json(), "run": str(run_dir), "documents": args.documents,
-                "out": args.out, "threads": threads}
+    resolved = {"em": config.to_json(), "run": str(run_dir), "documents": args.documents, "out": args.out}
     _echo(resolved)
-    with _dir_lock(run_dir):
-        corpus = core.load_corpus(args.documents, vocab)
-        rng = np.random.default_rng(config.seed)
-        rulesets = em.inference_rulesets(model, vocab, config, rng)
-        predictions = metrics.PredictionSet()
-        explanations: dict[str, dict[tuple[int, int, int], list]] = {}
-        cache = em.GroundingCache()
-        for doc_id, doc in corpus.docs.items():
-            preds = em.predict_document(doc, vocab, model, weights, config, rng, cache, rulesets)
-            predictions.by_doc[doc_id] = preds
-            doc_expl: dict[tuple[int, int, int], list] = {}
-            for (h, relation, t) in sorted(preds):
-                rules = []
-                for (rel, rule), weight in weights.rule_weight.items():
-                    if rel != relation or weight == 0.0:
-                        continue
-                    grounding = ground_rule(doc, rule, h, t)
-                    if grounding.value > 0.0:
-                        rules.append(
-                            {
-                                "rule": core.format_rule(rule, vocab),
-                                "weight": weight,
-                                "grounding": grounding.value,
-                                "path": list(grounding.best_path),
-                            }
-                        )
-                rules.sort(key=lambda item: (-item["weight"] * item["grounding"], item["rule"]))
-                doc_expl[(h, relation, t)] = rules[:5]
-            explanations[doc_id] = doc_expl
-        metrics.write_predictions(args.out, predictions, vocab, explanations)
+    # The run directory is only read, so it is not locked: inferences from
+    # one run may overlap.
+    corpus = core.load_corpus(args.documents, vocab)
+    rng = np.random.default_rng(config.seed)
+    rulesets = em.inference_rulesets(model, vocab, config, rng)
+    predictions = metrics.PredictionSet()
+    explanations: dict[str, dict[tuple[int, int, int], list]] = {}
+    cache = em.GroundingCache()
+    for doc_id, doc in corpus.docs.items():
+        preds = em.predict_document(doc, vocab, model, weights, config, rng, cache, rulesets)
+        predictions.by_doc[doc_id] = preds
+        doc_expl: dict[tuple[int, int, int], list] = {}
+        for (h, relation, t) in sorted(preds):
+            rules = []
+            for (rel, rule), weight in weights.rule_weight.items():
+                if rel != relation or weight == 0.0:
+                    continue
+                grounding = ground_rule(doc, rule, h, t)
+                if grounding.value > 0.0:
+                    rules.append(
+                        {
+                            "rule": core.format_rule(rule, vocab),
+                            "weight": weight,
+                            "grounding": grounding.value,
+                            "path": list(grounding.best_path),
+                        }
+                    )
+            rules.sort(key=lambda item: (-item["weight"] * item["grounding"], item["rule"]))
+            doc_expl[(h, relation, t)] = rules[:5]
+        explanations[doc_id] = doc_expl
+    metrics.write_predictions(args.out, predictions, vocab, explanations)
     return 0
 
 
@@ -238,14 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="JSON config file (em section)")
     p_train.add_argument("--seed", type=int)
     p_train.add_argument("--inference-mode", choices=["sample", "top"])
-    p_train.add_argument("--threads", type=int)
     p_train.set_defaults(func=cmd_train)
 
     p_infer = sub.add_parser("infer", help="predict relations for documents")
     p_infer.add_argument("--run", required=True, help="run directory from train")
     p_infer.add_argument("--documents", required=True, help="JSONL document file")
     p_infer.add_argument("--out", required=True, help="predictions output file")
-    p_infer.add_argument("--threads", type=int)
     p_infer.set_defaults(func=cmd_infer)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")

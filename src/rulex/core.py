@@ -434,7 +434,9 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
     Each line holds one document object; its ``facts`` list carries the
     labeled instances (label +1 entries double as the document's gold facts).
     Atom stores are closed under inversion after ingestion unless ``close``
-    is disabled.
+    is disabled.  Any invalid record, including a fact whose entity ids fall
+    outside the document or whose label is not +1 or -1, fails with the
+    file's path and line number.
     """
     corpus = Corpus()
     with open(path, encoding="utf-8") as fh:
@@ -445,21 +447,27 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
                 obj = json.loads(line)
                 doc_id = obj["doc_id"]
                 entities = obj["entities"]
+                n = len(entities)
                 atoms = {}
                 for h, r_name, t, c in obj["atoms"]:
                     atoms[(h, vocab.id_of(r_name), t)] = c
-                facts = [(h, vocab.id_of(r_name), t, y) for h, r_name, t, y in obj["facts"]]
+                instances, gold = [], []
+                for h, r_name, t, y in obj["facts"]:
+                    if not (0 <= h < n and 0 <= t < n):
+                        raise ValueError(f"entity id out of range in fact [{h}, {r_name!r}, {t}, {y}]")
+                    r = vocab.id_of(r_name)
+                    instances.append(LabeledInstance(doc_id, h, r, t, y))
+                    if y == 1:
+                        gold.append((h, r, t))
+                doc = Document(doc_id, entities, atoms, gold, num_relations=vocab.size)
+                if close:
+                    doc = close_inverses(doc, vocab)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad document record: {exc}") from None
-            gold = [(h, r, t) for h, r, t, y in facts if y == 1]
-            doc = Document(doc_id, entities, atoms, gold, num_relations=vocab.size)
-            if close:
-                doc = close_inverses(doc, vocab)
             if doc_id in corpus.docs:
                 raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             corpus.docs[doc_id] = doc
-            for h, r, t, y in facts:
-                corpus.instances.append(LabeledInstance(doc_id, h, r, t, y))
+            corpus.instances.extend(instances)
     return corpus
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -250,20 +251,40 @@ def _softmax(values: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-@dataclass
 class RulePosterior:
     """Approximate posterior over the unique rules sampled for one instance.
 
     ``indices`` carries the rules' enumeration indices when the rule space is
-    enumerable; index-aware consumers use them to stay vectorized.
+    enumerable; index-aware consumers use them to stay vectorized.  Given
+    indices and their generator instead of ``rules``, the rule objects are
+    built on the first read of ``rules``.
     """
 
-    instance: LabeledInstance
-    rules: tuple[Rule, ...]
-    prior_counts: np.ndarray
-    h_values: np.ndarray
-    weights: np.ndarray
-    indices: np.ndarray | None = None
+    def __init__(
+        self,
+        instance: LabeledInstance,
+        rules: Sequence[Rule] | None,
+        prior_counts: np.ndarray,
+        h_values: np.ndarray,
+        weights: np.ndarray,
+        indices: np.ndarray | None = None,
+        model: RuleGenerator | None = None,
+    ):
+        if rules is None and (indices is None or model is None):
+            raise ValueError("a posterior needs its rules, or their indices and generator")
+        self.instance = instance
+        self._rules = None if rules is None else tuple(rules)
+        self.prior_counts = prior_counts
+        self.h_values = h_values
+        self.weights = weights
+        self.indices = indices
+        self._model = model
+
+    @property
+    def rules(self) -> tuple[Rule, ...]:
+        if self._rules is None:
+            self._rules = tuple(self._model.rule_at(self.relation, i) for i in self.indices.tolist())
+        return self._rules
 
     @property
     def relation(self) -> int:
@@ -308,6 +329,18 @@ def draw_rules(model: RuleGenerator, relation: int, n_rules: int, rng: np.random
         return Draw(*model.sample_unique_indices(relation, n_rules, rng))
     rules, counts, log_priors = model.sample_unique_rules(relation, n_rules, rng)
     return Draw(tuple(rules), counts, log_priors)
+
+
+def draw_all_rules(
+    model: RuleGenerator, relations: Sequence[int], n_rules: int, rng: np.random.Generator
+) -> list[Draw]:
+    """``draw_rules`` for each relation in turn, as one batched draw when the space is enumerable."""
+    if model.enumerable_size() > ENUM_LIMIT:
+        return [draw_rules(model, relation, n_rules, rng) for relation in relations]
+    support, counts, log_priors, sizes = model.sample_unique_index_rows(relations, n_rules, rng)
+    ends = np.cumsum(sizes).tolist()
+    return [Draw(support[start:end], counts[start:end], log_priors[start:end])
+            for start, end in zip([0, *ends], ends)]
 
 
 def _ground_draws(
@@ -363,61 +396,64 @@ def e_step(
     """
     relation = instance.relation
     drawn = draw_rules(model, relation, n_rules, rng) if drawn is None else Draw(*drawn)
-    counts, log_priors = drawn.counts, drawn.log_priors
-    if isinstance(drawn.support, np.ndarray):
-        indices = drawn.support
-        rules = model.rules_at(relation, indices)
-    else:
-        indices = None
-        rules = drawn.support
+    indices = drawn.support if isinstance(drawn.support, np.ndarray) else None
+    rules = None if indices is not None else drawn.support
     if indices is not None and head_weights is not None:
         w = head_weights[indices]
     else:
+        if rules is None:
+            rules = tuple(model.rule_at(relation, i) for i in indices.tolist())
         w = np.array([weights.get_rule_weight(relation, rule) for rule in rules])
-    extract = np.zeros(len(rules))
+    extract = np.zeros(len(drawn.counts))
     nz = np.nonzero(w)[0]
     if nz.size:
         h, t = instance.head, instance.tail
         if drawn.values is not None:
             g = drawn.values[nz]
-        elif cache is None:
-            g = np.array([ground_body_value(doc, rules[i].body, h, t) for i in nz])
         else:
-            g = np.array([cache.value_body(doc, rules[i].body, h, t) for i in nz])
+            bodies = model.bodies_at(relation, indices[nz]) if rules is None else [rules[i].body for i in nz]
+            if cache is None:
+                g = np.array([ground_body_value(doc, body, h, t) for body in bodies])
+            else:
+                g = np.array([cache.value_body(doc, body, h, t) for body in bodies])
         extract[nz] = w[nz] * g
-    h_values = log_priors + (instance.label / 2.0) * (weights.get_bias(relation) / n_rules + extract)
-    return RulePosterior(instance, rules, counts, h_values, _softmax(h_values), indices)
+    h_values = drawn.log_priors + (instance.label / 2.0) * (weights.get_bias(relation) / n_rules + extract)
+    return RulePosterior(instance, rules, drawn.counts, h_values, _softmax(h_values), indices, model)
 
 
 def m_step_generator(posteriors: Sequence[RulePosterior], model: RuleGenerator) -> RuleGenerator:
     """Refit the generator on posterior-weighted rules, grouped by query relation.
 
     Count additivity makes the per-head aggregate equivalent to one
-    ``fit_weighted`` call per instance.
+    ``fit_weighted`` call per instance.  Each head's weights sum per body in
+    posterior order, densely over the enumeration order when the space is
+    enumerable, and the sums refit in body order.
     """
     if not posteriors:
         raise ValueError("no posteriors to fit the generator on")
-    dense: dict[int, np.ndarray] = {}
-    sparse: dict[int, dict[Rule, float]] = {}
+    groups: dict[int, list[RulePosterior]] = {}
     for posterior in posteriors:
-        if posterior.indices is not None:
-            acc = dense.get(posterior.relation)
-            if acc is None:
-                acc = np.zeros(model.enumerable_size())
-                dense[posterior.relation] = acc
-            np.add.at(acc, posterior.indices, posterior.weights)
+        groups.setdefault(posterior.relation, []).append(posterior)
+    enumerable = model.enumerable_size() <= ENUM_LIMIT
+    for head in sorted(groups):
+        group = groups[head]
+        if enumerable:
+            acc = np.zeros(model.enumerable_size())
+            indices = [
+                p.indices if p.indices is not None else [model.enum_index(head, rule.body) for rule in p.rules]
+                for p in group
+            ]
+            np.add.at(acc, np.concatenate(indices), np.concatenate([p.weights for p in group]))
+            nonzero = np.flatnonzero(acc)
+            model.fit_bodies(head, model.body_table()[nonzero], acc[nonzero])
         else:
-            bucket = sparse.setdefault(posterior.relation, {})
-            for rule, weight in zip(posterior.rules, posterior.weights):
-                bucket[rule] = bucket.get(rule, 0.0) + float(weight)
-    for head in sorted(set(dense) | set(sparse)):
-        pairs: dict[Rule, float] = sparse.get(head, {})
-        acc = dense.get(head)
-        if acc is not None:
-            for i in np.nonzero(acc)[0]:
-                rule = model.rule_at(head, int(i))
-                pairs[rule] = pairs.get(rule, 0.0) + float(acc[i])
-        model.fit_weighted(head, sorted(pairs.items(), key=lambda kv: kv[0].body))
+            sums: dict[tuple[int, ...], float] = {}
+            for p in group:
+                for rule, weight in zip(p.rules, p.weights.tolist()):
+                    sums[rule.body] = sums.get(rule.body, 0.0) + weight
+            items = sorted(sums.items())
+            model.fit_bodies(head, pad_bodies([body for body, _ in items], model.max_len),
+                             np.array([weight for _, weight in items]))
     return model
 
 
@@ -504,6 +540,13 @@ def m_step_extractor(
     return MStepResult(result.weights, result.losses, result.data_log_likelihood, f1, samples)
 
 
+def _stored_rule_indices(model: RuleGenerator, keys: Sequence[tuple[int, Rule]]) -> tuple[np.ndarray, np.ndarray]:
+    """(relation, enumeration index) of each rule-weight key."""
+    relations = np.fromiter(map(itemgetter(0), keys), dtype=np.intp, count=len(keys))
+    bodies = map(attrgetter("body"), map(itemgetter(1), keys))
+    return relations, model.enum_indices(bodies)
+
+
 def _index_design(
     corpus: Corpus,
     model: RuleGenerator,
@@ -516,55 +559,38 @@ def _index_design(
     cache: GroundingCache,
     samples_out: list | None = None,
 ) -> _DesignMatrix:
-    """Feature build over enumeration indices (vectorized column mapping).
+    """Feature build over enumeration indices.
 
     Each instance contributes one entry per unique drawn rule, then one bias
-    entry; the grounding values of all draws come from one gather.
+    entry; the grounding values of all draws come from one gather.  Columns
+    follow ``_DesignMatrix.stored_keys``, then the new keys in the order the
+    entries first reach them.  Every key is coded as an int, rule keys as
+    ``relation * E + index`` and bias keys above them, so stored keys sort
+    and match the entries by code.
     """
-    keys = _DesignMatrix.stored_keys(weights)
-    bias_col: dict[int, int] = {}
-    colmaps: dict[int, np.ndarray] = {}
-    for col, key in enumerate(keys):
-        if key[0] == "bias":
-            bias_col[key[1]] = col
-        else:
-            _, relation, rule = key
-            colmap = colmaps.get(relation)
-            if colmap is None:
-                colmap = np.full(model.enumerable_size(), -1, dtype=np.int64)
-                colmaps[relation] = colmap
-            colmap[model.enum_index(relation, rule.body)] = col
-    top_sets: dict[int, Draw] = {}
+    size = model.enumerable_size()
+    bias_base = model.vocab.size * size
+    stored_keys = list(weights.rule_weight)
+    stored_rel, stored_idx = _stored_rule_indices(model, stored_keys)
+    order = np.lexsort((stored_idx, stored_rel))  # (relation, body) order: enumeration sorts bodies
+    keys: list[tuple] = [("bias", r) for r in sorted(weights.bias)]
+    keys += [("rule", *stored_keys[i]) for i in order.tolist()]
+    stored_codes = np.concatenate([
+        (stored_rel * size + stored_idx)[order],
+        bias_base + np.array(sorted(weights.bias), dtype=np.intp),
+    ])
+    stored_cols = np.concatenate([len(weights.bias) + np.arange(len(order)), np.arange(len(weights.bias))])
+    relations = [instance.relation for instance in corpus.instances]
     if mode == "top":
-        for relation in sorted({inst.relation for inst in corpus.instances}):
+        top_sets: dict[int, Draw] = {}
+        for relation in sorted(set(relations)):
             ruleset = model.top_rules(relation, n_rules, beam)
             items = sorted(ruleset.counts().items(), key=lambda kv: kv[0].body)
-            idx = np.array([model.enum_index(relation, rule.body) for rule, _ in items], dtype=np.int64)
+            idx = np.array([model.enum_index(relation, rule.body) for rule, _ in items], dtype=np.intp)
             top_sets[relation] = Draw(idx, np.array([c for _, c in items], dtype=float), None)
-    draws: list[Draw] = []
-    rule_cols, bias_cols = [], []
-    for instance in corpus.instances:
-        relation = instance.relation
-        if mode == "top":
-            draw = top_sets[relation]
-        else:
-            draw = draw_rules(model, relation, n_rules, rng)
-        draws.append(draw)
-        colmap = colmaps.get(relation)
-        if colmap is None:
-            colmap = np.full(model.enumerable_size(), -1, dtype=np.int64)
-            colmaps[relation] = colmap
-        cols = colmap[draw.support]
-        for k in np.nonzero(cols < 0)[0]:
-            idx = int(draw.support[k])
-            colmap[idx] = cols[k] = len(keys)
-            keys.append(("rule", relation, model.rule_at(relation, idx)))
-        bcol = bias_col.get(relation)
-        if bcol is None:
-            bcol = bias_col[relation] = len(keys)
-            keys.append(("bias", relation))
-        rule_cols.append(cols)
-        bias_cols.append(bcol)
+        draws = [top_sets[relation] for relation in relations]
+    else:
+        draws = draw_all_rules(model, relations, n_rules, rng)
     draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
     if samples_out is not None:
         samples_out.extend(draws)
@@ -572,9 +598,26 @@ def _index_design(
     bias_at = np.cumsum(per_row) - 1
     is_rule = np.ones(int(per_row.sum()), dtype=bool)
     is_rule[bias_at] = False
-    cols = np.empty(is_rule.size, dtype=np.intp)
-    cols[is_rule] = np.concatenate(rule_cols)
-    cols[bias_at] = bias_cols
+    rel_codes = np.array(relations, dtype=np.intp)
+    codes = np.empty(is_rule.size, dtype=np.intp)
+    codes[is_rule] = np.repeat(rel_codes * size, per_row - 1) + np.concatenate([draw.support for draw in draws])
+    codes[bias_at] = bias_base + rel_codes
+    at = np.searchsorted(stored_codes, codes)
+    found = at < len(stored_codes)
+    found[found] = stored_codes[at[found]] == codes[found]
+    cols = np.empty(codes.size, dtype=np.intp)
+    cols[found] = stored_cols[at[found]]
+    new_codes, first, inverse = np.unique(codes[~found], return_index=True, return_inverse=True)
+    appearance = np.argsort(first, kind="stable")
+    rank = np.empty(len(new_codes), dtype=np.intp)
+    rank[appearance] = np.arange(len(new_codes))
+    cols[~found] = len(keys) + rank[inverse]
+    for code in new_codes[appearance].tolist():
+        if code >= bias_base:
+            keys.append(("bias", code - bias_base))
+        else:
+            relation, idx = divmod(code, size)
+            keys.append(("rule", relation, model.rule_at(relation, idx)))
     vals = np.ones(is_rule.size)
     vals[is_rule] = np.concatenate([draw.counts * draw.values for draw in draws])
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
@@ -600,7 +643,7 @@ def elbo(
         raise ValueError("samples must be >= 1")
     cache = cache or GroundingCache()
     instances = list(corpus.instances) * samples
-    draws = [draw_rules(model, inst.relation, n_rules, rng) for inst in instances]
+    draws = draw_all_rules(model, [inst.relation for inst in instances], n_rules, rng)
     lg_terms, lr_terms = [], []
     for instance, drawn in zip(instances, _ground_draws(cache, corpus, instances, draws, model)):
         doc = corpus.docs[instance.doc_id]
@@ -661,21 +704,19 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             zero_vec = None
             if enumerable:
                 zero_vec = np.zeros(model.enumerable_size())
-                for (relation, rule), value in weights.rule_weight.items():
-                    if value == 0.0:
-                        continue
-                    vec = head_weights.get(relation)
-                    if vec is None:
-                        vec = np.zeros(model.enumerable_size())
-                        head_weights[relation] = vec
-                    vec[model.enum_index(relation, rule.body)] = value
+                stored_rel, stored_idx = _stored_rule_indices(model, list(weights.rule_weight))
+                values = np.fromiter(weights.rule_weight.values(), dtype=float, count=len(stored_rel))
+                for relation in np.unique(stored_rel[values != 0.0]).tolist():
+                    vec = head_weights[relation] = np.zeros(model.enumerable_size())
+                    selected = (stored_rel == relation) & (values != 0.0)
+                    vec[stored_idx[selected]] = values[selected]
             # The previous extractor update's freshly sampled rule sets came
             # from the same prior this E-step targets, so they serve as its
             # draws, grounded already.  Fresh draws are all sampled first,
             # then grounded in one gather unless no rule weight is nonzero.
             draws = carried
             if draws is None:
-                draws = [draw_rules(model, inst.relation, config.n_rules, rng) for inst in corpus.instances]
+                draws = draw_all_rules(model, [inst.relation for inst in corpus.instances], config.n_rules, rng)
                 if any(weights.rule_weight.values()):
                     draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
             posteriors = [

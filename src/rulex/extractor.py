@@ -305,13 +305,11 @@ class _DesignMatrix:
         return cls(keys, rows, cols, vals, y)
 
     def initial_vector(self, weights: ExtractorWeights) -> np.ndarray:
-        w = np.zeros(len(self.keys))
-        for i, key in enumerate(self.keys):
-            if key[0] == "bias":
-                w[i] = weights.get_bias(key[1])
-            else:
-                w[i] = weights.get_rule_weight(key[1], key[2])
-        return w
+        bias, rule_weight = weights.bias, weights.rule_weight
+        return np.array(
+            [bias.get(key[1], 0.0) if key[0] == "bias" else rule_weight.get(key[1:], 0.0) for key in self.keys],
+            dtype=float,
+        )
 
     def scores(self, w: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows, weights=self.vals * w[self.cols], minlength=self.n_rows)
@@ -327,11 +325,12 @@ class _DesignMatrix:
         return g + l2 * w
 
     def write_back(self, w: np.ndarray, weights: ExtractorWeights) -> None:
-        for i, key in enumerate(self.keys):
+        bias, rule_weight = weights.bias, weights.rule_weight
+        for key, value in zip(self.keys, w.tolist()):
             if key[0] == "bias":
-                weights.bias[key[1]] = float(w[i])
+                bias[key[1]] = value
             else:
-                weights.rule_weight[(key[1], key[2])] = float(w[i])
+                rule_weight[key[1:]] = value
 
 
 def loss_and_grad(batch: Sequence[BatchItem], weights: ExtractorWeights, l2: float = 1e-4) -> tuple[float, Gradient]:

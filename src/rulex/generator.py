@@ -55,8 +55,8 @@ class RuleGenerator:
         # (head, context tuple) -> count vector over relation ids + STOP.
         self.counts: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
         self._enum_cache: dict[int, "_EnumeratedHead"] = {}
-        self._events_cache: dict[tuple[int, ...], tuple] = {}
-        self._body_table: np.ndarray | None = None
+        self._space: _RuleSpace | None = None
+        self._rules: dict[int, dict[int, Rule]] = {}
         size = vocab.size
         self._supports = (np.arange(size), np.arange(size + 1))
         self._uniforms = (np.full(size, 1.0 / size), np.full(size + 1, 1.0 / (size + 1)))
@@ -149,15 +149,8 @@ class RuleGenerator:
         enum = self._enumeration(head)
         if enum is not None:
             idx = np.searchsorted(enum.cdf, rng.random(n), side="right")
-            return RuleSet([enum.rule_at(head, int(i)) for i in idx])
+            return RuleSet([self.rule_at(head, int(i)) for i in idx])
         return RuleSet([self.sample_rule(head, rng) for _ in range(n)])
-
-    def sample_ruleset_indices(self, head: int, n: int, rng: np.random.Generator) -> np.ndarray:
-        """Fast-path variant returning enumeration indices; requires an enumerable vocabulary."""
-        enum = self._enumeration(head)
-        if enum is None:
-            raise ValueError("rule space too large to enumerate; use sample_ruleset")
-        return np.searchsorted(enum.cdf, rng.random(n), side="right")
 
     def sample_unique_indices(
         self, head: int, n: int, rng: np.random.Generator
@@ -167,12 +160,41 @@ class RuleGenerator:
         Returns (sorted unique indices, multiplicities summing to N, log-probs).
         Requires an enumerable vocabulary.
         """
-        enum = self._enumeration(head)
-        if enum is None:
-            raise ValueError("rule space too large to enumerate; use sample_unique_rules")
-        idx = np.searchsorted(enum.cdf, rng.random(n), side="right")
-        uidx, counts = np.unique(idx, return_counts=True)
-        return uidx, counts, enum.log_probs[uidx]
+        uidx, counts, log_probs, _ = self.sample_unique_index_rows([head], n, rng)
+        return uidx, counts, log_probs
+
+    def sample_unique_index_rows(
+        self, heads: Sequence[int], n: int, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``sample_unique_indices(head, n, rng)`` for each head in turn, in one pass.
+
+        Row i draws N indices by inverse-CDF lookup of N uniforms, then
+        deduplicates them after a sort.  The uniforms come from one
+        ``rng.random((len(heads), n))`` call, which reads the same stream as
+        one ``rng.random(n)`` call per head and leaves ``rng`` in the same
+        state.  Returns the rows' unique indices, multiplicities and
+        log-probs concatenated, plus the number of unique indices per row.
+        Requires an enumerable vocabulary.
+        """
+        heads = np.asarray(heads, dtype=np.intp)
+        enums = {int(head): self._enum_or_raise(int(head)) for head in np.unique(heads)}
+        uniforms = rng.random((len(heads), n))
+        idx = np.empty(uniforms.shape, dtype=np.intp)
+        for head, enum in enums.items():
+            rows = heads == head
+            idx[rows] = np.searchsorted(enum.cdf, uniforms[rows], side="right")
+        idx.sort(axis=1)
+        first = np.ones(idx.shape, dtype=bool)
+        first[:, 1:] = idx[:, 1:] != idx[:, :-1]
+        uidx = idx[first]
+        counts = np.diff(np.append(np.flatnonzero(first), idx.size))
+        sizes = np.count_nonzero(first, axis=1)
+        owners = np.repeat(heads, sizes)
+        log_probs = np.empty(len(uidx))
+        for head, enum in enums.items():
+            entries = owners == head
+            log_probs[entries] = enum.log_probs[uidx[entries]]
+        return uidx, counts, log_probs, sizes
 
     def sample_unique_rules(
         self, head: int, n: int, rng: np.random.Generator
@@ -184,11 +206,9 @@ class RuleGenerator:
         """
         if n < 1:
             raise ValueError("ruleset size must be >= 1")
-        enum = self._enumeration(head)
-        if enum is not None:
+        if self._enumeration(head) is not None:
             uidx, counts, log_probs = self.sample_unique_indices(head, n, rng)
-            rules = [enum.rule_at(head, int(i)) for i in uidx]
-            return rules, counts, log_probs
+            return [self.rule_at(head, int(i)) for i in uidx], counts, log_probs
         counts_map: dict[Rule, int] = {}
         for _ in range(n):
             rule = self.sample_rule(head, rng)
@@ -204,22 +224,38 @@ class RuleGenerator:
             raise ValueError("rule space too large to enumerate")
         return enum
 
-    def body_at(self, head: int, index: int) -> tuple[int, ...]:
-        return self._enum_or_raise(head).bodies[index]
+    def _rule_space(self) -> "_RuleSpace":
+        if self._space is None:
+            if self.enumerable_size() > ENUM_LIMIT:
+                raise ValueError("rule space too large to enumerate")
+            self._space = _RuleSpace(self.vocab.size, self.max_len)
+        return self._space
 
     def bodies_at(self, head: int, indices) -> list[tuple[int, ...]]:
-        bodies = self._enum_or_raise(head).bodies
+        bodies = self._rule_space().bodies
         return [bodies[i] for i in indices]
 
     def enum_index(self, head: int, body: tuple[int, ...]) -> int:
-        return self._enum_or_raise(head).index[body]
+        return self._rule_space().index[body]
+
+    def enum_indices(self, bodies: Iterable[tuple[int, ...]]) -> np.ndarray:
+        """Enumeration indices of many bodies; they are the same for every head."""
+        return np.fromiter(map(self._rule_space().index.__getitem__, bodies), dtype=np.intp)
 
     def rule_at(self, head: int, index: int) -> Rule:
-        return self._enum_or_raise(head).rule_at(head, index)
+        """The rule with enumeration index ``index``, built once per head and index.
 
-    def rules_at(self, head: int, indices) -> tuple[Rule, ...]:
-        enum = self._enum_or_raise(head)
-        return tuple(enum.rule_at(head, int(i)) for i in indices)
+        Enumeration indices do not depend on the counts, so one rule object
+        serves the generator's whole lifetime.
+        """
+        rules = self._rules.get(head)
+        if rules is None:
+            self.vocab.check_relation(head)
+            rules = self._rules[head] = {}
+        rule = rules.get(index)
+        if rule is None:
+            rule = rules[index] = Rule(head, self._rule_space().bodies[index])
+        return rule
 
     def body_table(self) -> np.ndarray:
         """Every body in enumeration order, one row of relation ids padded with -1.
@@ -227,15 +263,7 @@ class RuleGenerator:
         Enumeration order sorts bodies lexicographically whatever the head,
         so one table serves every head.  Requires an enumerable vocabulary.
         """
-        if self._body_table is None:
-            if self.enumerable_size() > ENUM_LIMIT:
-                raise ValueError("rule space too large to enumerate")
-            lengths = range(1, self.max_len + 1)
-            bodies = sorted(itertools.chain.from_iterable(
-                itertools.product(range(self.vocab.size), repeat=n) for n in lengths
-            ))
-            self._body_table = pad_bodies(bodies, self.max_len)
-        return self._body_table
+        return self._rule_space().table
 
     def log_probs_by_index(self, head: int, indices: np.ndarray) -> np.ndarray:
         return self._enum_or_raise(head).log_probs[indices]
@@ -276,35 +304,14 @@ class RuleGenerator:
 
     # -- fitting -----------------------------------------------------------
 
-    def _body_events(self, body: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """(context, token) count events for one body.
-
-        The termination event counts only when termination was an actual
-        choice: at maximum length it is forced and carries no information.
-        """
-        events = self._events_cache.get(body)
-        if events is None:
-            positions = list(enumerate(body))
-            if len(body) < self.max_len:
-                positions.append((len(body), self.vocab.stop_id))
-            built = []
-            for position, token in positions:
-                for d in range(min(position, self.order) + 1):
-                    built.append((body[position - d : position], token))
-            events = tuple(built)
-            self._events_cache[body] = events
-        return events
-
     def fit_weighted(self, head: int, weighted_rules: Iterable[tuple[Rule, float]]) -> "RuleGenerator":
         """Add weighted counts for every (context, next-token) event of each rule.
 
-        The termination event is counted too.  Requires at least one strictly
-        positive, finite weight.
+        Rules count in the given order (see ``fit_bodies``).  Requires at
+        least one strictly positive, finite weight.
         """
         self.vocab.check_relation(head)
-        width = self.vocab.size + 1
-        counts = self.counts
-        any_positive = False
+        bodies, weights = [], []
         for rule, weight in weighted_rules:
             if not math.isfinite(weight) or weight < 0:
                 raise ValueError(f"bad rule weight {weight!r}")
@@ -312,18 +319,86 @@ class RuleGenerator:
                 raise ValueError(f"rule head {rule.head} does not match fit head {head}")
             if len(rule.body) > self.max_len:
                 raise ValueError(f"rule body longer than max_len {self.max_len}")
-            if weight == 0.0:
-                continue
-            any_positive = True
-            for ctx, token in self._body_events(rule.body):
-                key = (head, ctx)
-                vec = counts.get(key)
-                if vec is None:
-                    vec = np.zeros(width)
-                    counts[key] = vec
-                vec[token] += weight
-        if not any_positive:
+            bodies.append(rule.body)
+            weights.append(weight)
+        return self.fit_bodies(head, pad_bodies(bodies, self.max_len), np.array(weights, dtype=float))
+
+    def fit_bodies(self, head: int, bodies: np.ndarray, weights: np.ndarray) -> "RuleGenerator":
+        """Add weighted counts for every (context, next-token) event of each body.
+
+        ``bodies`` holds one body per row, relation ids padded with -1, and
+        ``weights`` one finite, non-negative weight per body, at least one of
+        them positive.  The termination event counts only when termination
+        was an actual choice: at maximum length it is forced and carries no
+        information.  Zero-weight bodies add nothing, not even a context.
+
+        All events go through one ``np.add.at`` into the touched contexts'
+        count rows, in body order, so every count receives the same additions
+        in the same order as one scalar update per event.
+        """
+        self.vocab.check_relation(head)
+        size, max_len = self.vocab.size, self.max_len
+        bodies = np.asarray(bodies, dtype=np.intp)
+        weights = np.asarray(weights, dtype=float)
+        if bodies.ndim != 2 or weights.shape != (len(bodies),):
+            raise ValueError("need one weight per body row")
+        bad = ~np.isfinite(weights) | (weights < 0)
+        if bad.any():
+            raise ValueError(f"bad rule weight {float(weights[np.argmax(bad)])!r}")
+        lengths = np.count_nonzero(bodies >= 0, axis=1)
+        padded = np.arange(bodies.shape[1]) >= lengths[:, None]
+        if np.any((bodies < 0) != padded) or np.any(bodies >= size) or np.any(lengths < 1):
+            raise ValueError("bodies must be non-empty rows of relation ids padded with -1")
+        if np.any(lengths > max_len):
+            raise ValueError(f"rule body longer than max_len {max_len}")
+        if not np.any(weights > 0):
             raise ValueError("fit_weighted needs at least one positive weight")
+        keep = weights > 0
+        weights, lengths = weights[keep], lengths[keep]
+        table = np.full((len(weights), max_len), -1, dtype=np.intp)
+        table[:, : min(bodies.shape[1], max_len)] = bodies[keep, :max_len]
+        bodies = table
+        # One slot per (position, depth) event of a body, in the order the
+        # body's events are counted; a context of depth d is coded as
+        # offset[d] + its tokens read as base-``size`` digits.
+        offsets = np.cumsum([0] + [size**d for d in range(self.order)])
+        slots, codes, tokens, valid = [], [], [], []
+        for position in range(max_len):
+            token = np.where(position < lengths, bodies[:, position], self.vocab.stop_id)
+            for d in range(min(position, self.order) + 1):
+                code = np.full(len(bodies), offsets[d])
+                for j in range(position - d, position):
+                    code = code + bodies[:, j] * size ** (position - 1 - j)
+                slots.append((position, d))
+                codes.append(code)
+                tokens.append(token)
+                valid.append(position <= lengths)
+        valid = np.stack(valid, axis=1)
+        events = np.flatnonzero(valid)
+        codes = np.stack(codes, axis=1)[valid]
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        # Count rows follow the contexts' first appearance, which is also the
+        # order a new context enters ``counts``.
+        appearance = np.argsort(first, kind="stable")
+        row_of = np.empty(len(first), dtype=np.intp)
+        row_of[appearance] = np.arange(len(first))
+        keys = []
+        block = np.zeros((len(first), size + 1))
+        for row, event in enumerate(events[first[appearance]].tolist()):
+            body, slot = divmod(event, len(slots))
+            position, d = slots[slot]
+            key = (head, tuple(bodies[body, position - d : position].tolist()))
+            existing = self.counts.get(key)
+            if existing is not None:
+                block[row] = existing
+            keys.append(key)
+        np.add.at(
+            block,
+            (row_of[inverse], np.stack(tokens, axis=1)[valid]),
+            np.broadcast_to(weights[:, None], valid.shape)[valid],
+        )
+        for key, row in zip(keys, block):
+            self.counts[key] = row
         self._enum_cache.pop(head, None)
         return self
 
@@ -346,14 +421,15 @@ class RuleGenerator:
         enum = self._enumeration(head)
         if enum is None:
             return np.array([self.log_prob(head, rule.body) for rule in rules])
-        return np.array([enum.log_probs[enum.index[rule.body]] for rule in rules])
+        index = self._rule_space().index
+        return enum.log_probs[[index[rule.body] for rule in rules]]
 
     def enumerate_rules(self, head: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """All valid bodies for a head with their probabilities (enumerable vocabularies only)."""
         enum = self._enumeration(head)
         if enum is None:
             raise ValueError("rule space too large to enumerate")
-        return enum.bodies, np.exp(enum.log_probs)
+        return self._rule_space().bodies, np.exp(enum.log_probs)
 
     # -- serialization -------------------------------------------------------
 
@@ -397,54 +473,86 @@ class RuleGenerator:
             return cls.from_json(json.load(fh))
 
 
-class _EnumeratedHead:
-    """Full rule-space enumeration for one head: bodies, log-probs, sampling CDF.
+class _RuleSpace:
+    """Every body up to ``max_len`` over ``size`` relation ids, in enumeration order.
 
-    Built level by level: each level's cumulative prefix log-probabilities
-    extend by one vectorized conditional per context, so the cost scales with
-    the number of contexts rather than the number of bodies.
+    Enumeration order sorts bodies lexicographically.  It depends on neither
+    the head nor the counts, so a generator builds it once.  ``levels`` lists
+    the bodies of each length in generation order (each level extends every
+    body of the previous one by each relation id), and ``order`` maps
+    enumeration indices to positions in those levels laid end to end.
     """
 
-    __slots__ = ("bodies", "log_probs", "cdf", "index", "_rules")
+    __slots__ = ("levels", "order", "bodies", "index", "table")
+
+    def __init__(self, size: int, max_len: int):
+        self.levels = [[()]]
+        for _ in range(max_len):
+            self.levels.append([prefix + (x,) for prefix in self.levels[-1] for x in range(size)])
+        generated = list(itertools.chain.from_iterable(self.levels[1:]))
+        self.order = sorted(range(len(generated)), key=generated.__getitem__)
+        self.bodies = [generated[i] for i in self.order]
+        self.index = {body: i for i, body in enumerate(self.bodies)}
+        self.table = pad_bodies(self.bodies, max_len)
+
+
+class _EnumeratedHead:
+    """One head's log-probabilities and sampling CDF over the enumeration order.
+
+    Built level by level: each level's cumulative prefix log-probabilities
+    extend by the next-token conditionals of all its prefixes at once.  A
+    prefix of length p sees its depth-d context as its last d tokens, which
+    is row ``p_index mod size**d`` of level d, so each depth's count rows are
+    looked up once per context rather than once per prefix.  Per element the
+    arithmetic is ``RuleGenerator.conditional``'s, in the same order.
+    """
+
+    __slots__ = ("log_probs", "cdf")
 
     def __init__(self, model: RuleGenerator, head: int):
+        space = model._rule_space()
         size = model.vocab.size
         stop = model.vocab.stop_id
-        bodies: list[tuple[int, ...]] = []
         log_chunks: list[np.ndarray] = []
-        prefixes: list[tuple[int, ...]] = [()]
         prefix_logs = np.zeros(1)
         for level in range(model.max_len):
-            conds = np.empty((len(prefixes), size + 1 if level > 0 else size))
-            for i, prefix in enumerate(prefixes):
-                conds[i] = model.conditional(head, prefix)[1]
+            width = size + 1 if level > 0 else size
+            smoothing = model.alpha * width
+            conds = np.zeros((size**level, width))
+            uniform_mass = np.zeros(size**level)
+            seen = np.zeros(size**level, dtype=bool)
+            for d, w in model._depth_weights[level]:
+                contexts = space.levels[d]
+                rows = np.zeros((len(contexts), width))
+                totals = np.zeros(len(contexts))
+                present = np.zeros(len(contexts), dtype=bool)
+                for j, context in enumerate(contexts):
+                    vec = model.counts.get((head, context))
+                    if vec is not None:
+                        rows[j] = c = vec[:width]
+                        totals[j] = c.sum()
+                        present[j] = True
+                context_of = np.arange(size**level) % size**d
+                hit = present[context_of]
+                terms = w * (rows + model.alpha) / (totals + smoothing)[:, None]
+                conds[hit] += terms[context_of[hit]]
+                uniform_mass[~hit] += w
+                seen |= hit
+            conds[~seen] = 1.0 / width
+            spread = seen & (uniform_mass != 0.0)
+            conds[spread] += (uniform_mass[spread] / width)[:, None]
             with np.errstate(divide="ignore"):
                 log_conds = np.log(conds)
             if level > 0:
-                bodies.extend(prefixes)
                 log_chunks.append(prefix_logs + log_conds[:, stop])
             next_logs = prefix_logs[:, None] + log_conds[:, :size]
-            prefixes = [prefix + (x,) for prefix in prefixes for x in range(size)]
             prefix_logs = next_logs.ravel()
-        bodies.extend(prefixes)  # maximum-length bodies terminate with certainty
-        log_chunks.append(prefix_logs)
-        log_probs = np.concatenate(log_chunks)
-        order = sorted(range(len(bodies)), key=lambda i: bodies[i])
-        self.bodies = [bodies[i] for i in order]
-        self.log_probs = log_probs[order]
+        log_chunks.append(prefix_logs)  # maximum-length bodies terminate with certainty
+        self.log_probs = np.concatenate(log_chunks)[space.order]
         probs = np.exp(self.log_probs)
         cdf = np.cumsum(probs)
         cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
         self.cdf = cdf
-        self.index = {body: i for i, body in enumerate(self.bodies)}
-        self._rules: dict[int, Rule] = {}
-
-    def rule_at(self, head: int, i: int) -> Rule:
-        rule = self._rules.get(i)
-        if rule is None:
-            rule = Rule(head, self.bodies[i])
-            self._rules[i] = rule
-        return rule
 
 
 def dump_top_rules(model: RuleGenerator, per_head: int, beam: int, vocab: RelationVocab) -> str:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -87,6 +90,37 @@ class TestSynth:
         assert cli.main(["synth", "--config", str(config_file), "--out", str(out)]) == 1
         assert "locked" in capsys.readouterr().err
 
+    def test_lock_of_a_live_process_holds(self, tmp_path, config_file, capsys):
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / ".lock").write_text(f"{os.getpid()}\n")
+        assert cli.main(["synth", "--config", str(config_file), "--out", str(out)]) == 1
+        assert "locked" in capsys.readouterr().err
+
+    def test_stale_lock_of_a_dead_process_is_reclaimed(self, tmp_path, config_file):
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        out = tmp_path / "corpus"
+        out.mkdir()
+        (out / ".lock").write_text(f"{finished.pid}\n")
+        assert cli.main(["synth", "--config", str(config_file), "--out", str(out)]) == 0
+        assert (out / "train.jsonl").exists()
+        assert not (out / ".lock").exists()
+
+    def test_lock_names_its_owner_while_held(self, tmp_path, config_file, monkeypatch):
+        out = tmp_path / "corpus"
+        seen = []
+        gen_corpus = cli.datagen.gen_corpus
+
+        def spy(config):
+            seen.append((out / ".lock").read_text())
+            return gen_corpus(config)
+
+        monkeypatch.setattr(cli.datagen, "gen_corpus", spy)
+        assert cli.main(["synth", "--config", str(config_file), "--out", str(out)]) == 0
+        assert seen == [f"{os.getpid()}\n"]
+        assert not (out / ".lock").exists()
+
 
 @pytest.fixture
 def corpus_dir(tmp_path, config_file):
@@ -168,6 +202,17 @@ class TestInfer:
                     assert list(grounded.best_path) == item["path"]
                     explained += 1
         assert explained > 0
+
+    def test_inferences_from_one_run_may_overlap(self, tmp_path, run_dir, corpus_dir):
+        # A live command holding the run directory does not stop inference,
+        # which only reads it; two inferences give the same predictions.
+        (run_dir / ".lock").write_text(f"{os.getpid()}\n")
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for out in (a, b):
+            assert cli.main(["infer", "--run", str(run_dir), "--documents",
+                             str(corpus_dir / "test.jsonl"), "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (run_dir / ".lock").read_text() == f"{os.getpid()}\n"
 
     def test_rerun_identical(self, tmp_path, run_dir, corpus_dir):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

@@ -229,3 +229,20 @@ class TestFiles:
         path.write_text(json.dumps(record) + "\n")
         with pytest.raises(ValueError):
             load_corpus(path, pair_vocab)
+
+    @pytest.mark.parametrize("fact", [[7, "b", 9, -1], [0, "a", 2, 1], [-1, "a", 1, 1]])
+    def test_fact_outside_its_document_names_the_line(self, tmp_path, pair_vocab, fact):
+        good = {"doc_id": "d0", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, 1]]}
+        bad = {"doc_id": "d1", "entities": ["x", "y"], "atoms": [], "facts": [fact]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*entity id out of range in fact"):
+            load_corpus(path, pair_vocab)
+
+    def test_bad_label_names_the_line(self, tmp_path, pair_vocab):
+        good = {"doc_id": "d0", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, 1]]}
+        bad = {"doc_id": "d1", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, 2]]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*label must be \+1 or -1"):
+            load_corpus(path, pair_vocab)

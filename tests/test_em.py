@@ -158,6 +158,25 @@ class TestEStep:
         assert np.allclose(via_reuse.weights, direct.weights, atol=1e-12)
 
 
+    def test_dense_head_weights_match_rule_lookups(self, rng):
+        vocab = build_vocab(["a", "b"])
+        model = RuleGenerator(vocab)
+        doc = make_doc({(0, 1, 1): 0.9, (0, 2, 1): 0.5}, vocab.size, n_entities=2)
+        weights = ExtractorWeights()
+        weights.set_rule_weight(0, Rule(0, (1,)), 2.0)
+        weights.set_rule_weight(0, Rule(0, (2,)), -1.0)
+        dense = np.zeros(model.enumerable_size())
+        for (_, rule), value in weights.rule_weight.items():
+            dense[model.enum_index(0, rule.body)] = value
+        instance = LabeledInstance("d", 0, 0, 1, 1)
+        drawn = model.sample_unique_indices(0, 400, np.random.default_rng(2))
+        via_dense = e_step(instance, model, weights, doc, 400, rng, GroundingCache(), dense, drawn)
+        via_rules = e_step(instance, model, weights, doc, 400, rng, drawn=drawn)
+        assert {Rule(0, (1,)), Rule(0, (2,))} <= set(via_dense.rules)
+        assert via_dense.rules == via_rules.rules
+        assert np.array_equal(via_dense.h_values, via_rules.h_values)
+
+
 class TestGroundingCache:
     def test_batched_gather_equals_dp_and_enumeration_exactly(self, rng):
         # Documents of 2..7 entities in one store exercise the padding; every
@@ -278,6 +297,32 @@ class TestMStepGenerator:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             m_step_generator([], RuleGenerator(build_vocab(["a"])))
+
+    @pytest.mark.parametrize("relations", [4, 24])
+    def test_refit_from_e_step_posteriors_equals_one_fit_per_head(self, relations):
+        # 4 base relations draw enumeration indices; 24 are past ENUM_LIMIT
+        # and draw rule objects.  Either way the counts equal fit_weighted on
+        # each head's summed posterior weights, bit for bit.
+        result = tiny_synth(relations=relations, docs=8)
+        train, vocab = result.splits["train"], result.vocab
+        model, reference = RuleGenerator(vocab), RuleGenerator(vocab)
+        weights = ExtractorWeights()
+        for relation in range(vocab.size):
+            weights.set_rule_weight(relation, Rule(relation, (relation,)), 1.5)
+        rng = np.random.default_rng(5)
+        posteriors = [e_step(inst, model, weights, train.docs[inst.doc_id], 12, rng) for inst in train.instances]
+        assert all((p.indices is not None) == (relations == 4) for p in posteriors)
+        m_step_generator(posteriors, model)
+        for head in sorted({p.relation for p in posteriors}):
+            sums: dict[Rule, float] = {}
+            for p in posteriors:
+                if p.relation == head:
+                    for rule, weight in zip(p.rules, p.weights):
+                        sums[rule] = sums.get(rule, 0.0) + float(weight)
+            reference.fit_weighted(head, sorted(sums.items(), key=lambda kv: kv[0].body))
+        assert list(model.counts) == list(reference.counts)
+        for key, vec in reference.counts.items():
+            assert np.array_equal(model.counts[key], vec)
 
 
 def tiny_synth(seed=5, **overrides):
@@ -416,6 +461,22 @@ class TestRunEm:
         engine = f1(predictions, gold_by_doc(dev.docs))
         # A bias-only extractor on sparse gold predicts nothing: F1 = 0.
         assert engine.f1 > 0.0
+
+    def test_past_enum_limit_runs_deterministically(self):
+        # 24 base relations give 48 ids: sampling is ancestral, and both
+        # M-steps take their rule-object paths.
+        result = tiny_synth(relations=24, docs=3, split=(1.0, 0.0, 0.0))
+        train, vocab = result.splits["train"], result.vocab
+        assert RuleGenerator(vocab).enumerable_size() > ENUM_LIMIT
+        config = EMConfig(n_rules=6, iterations=2, seed=3, fit=FitConfig(lr=0.5, epochs=4),
+                          convergence_eps=0.0, beam=12)
+        a, b = (run_em(train, vocab, config) for _ in range(2))
+        assert a.weights.rule_weight and a.weights.rule_weight == b.weights.rule_weight
+        assert a.weights.bias == b.weights.bias
+        assert a.model.to_json() == b.model.to_json()
+        rows = [[(d.l_g, d.l_r, d.train_f1, d.extractor_losses) for d in out.diagnostics] for out in (a, b)]
+        assert len(rows[0]) == 2 and rows[0] == rows[1]
+        assert all(math.isfinite(d.l_g) and math.isfinite(d.l_r) for d in a.diagnostics)
 
     def test_empty_corpus_rejected(self):
         result = tiny_synth()

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from rulex.core import Rule, build_vocab
+from rulex.core import Rule, build_vocab, pad_bodies
 from rulex.generator import RuleGenerator, dump_top_rules
 
 
@@ -15,6 +15,35 @@ def fresh(names=("a", "b"), self_inverse=(), **kwargs):
 def all_bodies(size, max_len):
     for length in range(1, max_len + 1):
         yield from itertools.product(range(size), repeat=length)
+
+
+def per_event_counts(model, head, weighted_bodies):
+    """Counts after one scalar update per (context, token) event of each body.
+
+    The reference for ``fit_bodies``: termination counts below ``max_len``
+    only, and zero-weight bodies touch nothing.
+    """
+    counts = {key: vec.copy() for key, vec in model.counts.items()}
+    for body, weight in weighted_bodies:
+        if weight == 0.0:
+            continue
+        positions = list(enumerate(body))
+        if len(body) < model.max_len:
+            positions.append((len(body), model.vocab.stop_id))
+        for position, token in positions:
+            for d in range(min(position, model.order) + 1):
+                key = (head, tuple(body[position - d : position]))
+                vec = counts.get(key)
+                if vec is None:
+                    vec = counts[key] = np.zeros(model.vocab.size + 1)
+                vec[token] += weight
+    return counts
+
+
+def assert_same_counts(got, want):
+    assert list(got) == list(want)  # the same contexts, entered in the same order
+    for key, vec in want.items():
+        assert np.array_equal(got[key], vec), key
 
 
 class TestLogProb:
@@ -88,6 +117,35 @@ class TestNormalization:
         bodies, probs = model.enumerate_rules(1)
         for body, p in zip(bodies, probs):
             assert p == pytest.approx(math.exp(model.log_prob(1, body)), rel=1e-12)
+
+    @pytest.mark.parametrize("order,max_len", [(0, 2), (1, 3), (2, 3), (3, 4)])
+    def test_enumeration_equals_per_prefix_conditionals_bit_for_bit(self, order, max_len, rng):
+        # Reference: one ``conditional`` call per prefix, level by level, the
+        # log-probabilities then sorted into lexicographic body order.
+        model = fresh(("a", "b"), order=order, lambdas=[0.4] * (order + 1), max_len=max_len, alpha=0.3)
+        size = model.vocab.size
+        bodies = list(all_bodies(size, max_len))
+        for head in range(size):
+            picks = rng.integers(0, len(bodies), size=6)
+            model.fit_weighted(head, [(Rule(head, bodies[int(i)]), float(rng.random()) + 0.1) for i in picks])
+        for head in (0, 2):
+            generated, chunks, prefixes, prefix_logs = [], [], [()], np.zeros(1)
+            for level in range(max_len):
+                conds = np.array([model.conditional(head, prefix)[1] for prefix in prefixes])
+                log_conds = np.log(conds)
+                if level > 0:
+                    generated.extend(prefixes)
+                    chunks.append(prefix_logs + log_conds[:, size])
+                prefix_logs = (prefix_logs[:, None] + log_conds[:, :size]).ravel()
+                prefixes = [prefix + (x,) for prefix in prefixes for x in range(size)]
+            generated.extend(prefixes)
+            chunks.append(prefix_logs)
+            order_ = sorted(range(len(generated)), key=generated.__getitem__)
+            want = np.concatenate(chunks)[order_]
+            got_bodies, got_probs = model.enumerate_rules(head)
+            assert got_bodies == [generated[i] for i in order_]
+            assert np.array_equal(model.log_probs_by_index(head, np.arange(len(want))), want)
+            assert np.array_equal(got_probs, np.exp(want))
 
     def test_body_table_follows_every_heads_enumeration_order(self):
         model = fresh()
@@ -301,3 +359,117 @@ class TestSerialization:
         text = dump_top_rules(model, per_head=2, beam=8, vocab=model.vocab)
         lines = [line for line in text.strip().splitlines() if line]
         assert lines and all("<-" in line and "[" in line for line in lines)
+
+
+class TestFitBodies:
+    @pytest.mark.parametrize("order,max_len", [(0, 3), (1, 2), (2, 3), (3, 4), (2, 1)])
+    def test_equals_one_update_per_event_bit_for_bit(self, order, max_len):
+        rng = np.random.default_rng(order * 10 + max_len)
+        model = fresh(("a", "b"), order=order, lambdas=[0.5] * (order + 1), max_len=max_len)
+        size = model.vocab.size
+        for round_idx in range(4):  # later rounds add into existing count rows
+            head = int(rng.integers(0, size))
+            weighted = [((1,) * max_len, 0.7), ((1,) * max_len, 0.7), ((1,), 0.3)]  # repeated tokens
+            weighted.append(((2,) * max_len, 0.0))  # zero weight: no event, no context
+            for _ in range(12):
+                body = tuple(int(r) for r in rng.integers(0, size, size=int(rng.integers(1, max_len + 1))))
+                weighted.append((body, 0.0 if rng.random() < 0.2 else float(rng.random()) * 3))
+            want = per_event_counts(model, head, weighted)
+            model.fit_bodies(head, pad_bodies([b for b, _ in weighted], max_len),
+                             np.array([w for _, w in weighted]))
+            assert_same_counts(model.counts, want)
+
+    def test_stop_events_only_below_max_len(self):
+        model = fresh(max_len=2)
+        model.fit_bodies(0, np.array([[1, 2], [3, -1]]), np.array([1.0, 2.0]))
+        stop = model.vocab.stop_id
+        assert model.counts[(0, (1,))][2] == 1.0
+        assert model.counts[(0, (1,))][stop] == 0.0  # (1, 2) ends at max_len: the stop is forced
+        assert model.counts[(0, (3,))][stop] == 2.0
+        assert model.counts[(0, ())][stop] == 2.0
+        assert (0, (1, 2)) not in model.counts
+
+    @pytest.mark.parametrize("bodies", [[[0], [2]], [[0, -1, -1, -1], [2, -1, -1, -1]]])
+    def test_any_padding_width_and_fit_weighted_agree(self, bodies):
+        a, b = fresh(), fresh()
+        a.fit_bodies(1, np.array(bodies), np.array([1.5, 0.5]))
+        b.fit_weighted(1, [(Rule(1, (0,)), 1.5), (Rule(1, (2,)), 0.5)])
+        assert_same_counts(a.counts, b.counts)
+
+    @pytest.mark.parametrize("bodies,weights", [
+        ([[1, -1, -1]], [float("nan")]),
+        ([[1, -1, -1]], [float("inf")]),
+        ([[1, -1, -1], [2, -1, -1]], [1.0, -0.5]),
+        ([[1, -1, -1]], [0.0]),
+        (np.zeros((0, 3), dtype=int), []),
+        ([[1, -1, 2]], [1.0]),  # a hole in the padding
+        ([[-1, -1, -1]], [1.0]),  # empty body
+        ([[4, -1, -1]], [1.0]),  # relation id out of range
+        ([[1, 1, 1, 1]], [1.0]),  # longer than max_len
+        ([[1, -1, -1]], [1.0, 2.0]),  # one weight per body
+    ])
+    def test_rejects_bad_input_and_leaves_counts_alone(self, bodies, weights):
+        model = fresh()
+        model.fit_weighted(0, [(Rule(0, (3,)), 1.0)])
+        before = {key: vec.copy() for key, vec in model.counts.items()}
+        with pytest.raises(ValueError):
+            model.fit_bodies(0, np.array(bodies), np.array(weights))
+        assert_same_counts(model.counts, before)
+
+    def test_rejects_bad_head(self):
+        with pytest.raises(ValueError):
+            fresh().fit_bodies(4, np.array([[1, -1, -1]]), np.array([1.0]))
+
+    def test_fit_weighted_rejects_long_bodies_and_nan(self):
+        with pytest.raises(ValueError):
+            fresh().fit_weighted(0, [(Rule(0, (1, 1, 1, 1)), 1.0)])
+        with pytest.raises(ValueError):
+            fresh().fit_weighted(0, [(Rule(0, (1,)), float("nan"))])
+        with pytest.raises(ValueError):
+            fresh().fit_weighted(0, [])
+
+
+class TestBatchedDraws:
+    def fitted(self):
+        model = fresh()
+        for head in range(model.vocab.size):
+            model.fit_weighted(head, [(Rule(head, (head,)), 5.0 * head + 1.0), (Rule(head, (0, 1)), 2.0)])
+        return model
+
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_equal_one_draw_per_head_and_leave_the_same_rng_state(self, n):
+        model = self.fitted()
+        heads = np.random.default_rng(1).integers(0, model.vocab.size, size=40)
+        batched_rng, reference_rng = np.random.default_rng(4), np.random.default_rng(4)
+        support, counts, log_probs, sizes = model.sample_unique_index_rows(heads, n, batched_rng)
+        assert len(sizes) == len(heads) and int(sizes.sum()) == len(support) == len(counts) == len(log_probs)
+        end = 0
+        for head, size in zip(heads.tolist(), sizes.tolist()):
+            # Reference: one inverse-CDF draw per head, deduplicated by np.unique.
+            everything = np.arange(model.enumerable_size())
+            cdf = np.cumsum(np.exp(model.log_probs_by_index(head, everything)))
+            cdf[-1] = max(cdf[-1], 1.0)
+            idx = np.searchsorted(cdf, reference_rng.random(n), side="right")
+            unique, multiplicity = np.unique(idx, return_counts=True)
+            want = (unique, multiplicity, model.log_probs_by_index(head, unique))
+            got = (support[end : end + size], counts[end : end + size], log_probs[end : end + size])
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+            end += size
+        assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
+        assert batched_rng.random() == reference_rng.random()
+
+    def test_past_enum_limit_raises_before_drawing(self):
+        model = fresh(tuple(f"r{i}" for i in range(24)))
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            model.sample_unique_index_rows([0, 1], 5, rng)
+        assert rng.bit_generator.state == state
+
+    def test_rule_objects_are_built_once(self):
+        model = self.fitted()
+        first = model.rule_at(2, 17)
+        model.fit_weighted(2, [(Rule(2, (3,)), 1.0)])
+        assert model.rule_at(2, 17) is first
+        assert first == Rule(2, model.bodies_at(2, [17])[0])
