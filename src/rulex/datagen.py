@@ -90,13 +90,15 @@ class SynthConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SynthConfig":
+        """Config from its ``to_json`` form; absent keys take their defaults, unknown keys raise."""
         config = cls()
-        for key in config.to_json():
-            if key in obj:
-                value = obj[key]
-                if isinstance(getattr(config, key), tuple):
-                    value = tuple(value)
-                setattr(config, key, value)
+        known = config.to_json()
+        for key, value in obj.items():
+            if key not in known:
+                raise ValueError(f"unknown config key {key!r}")
+            if isinstance(getattr(config, key), tuple):
+                value = tuple(value)
+            setattr(config, key, value)
         config.validate()
         return config
 

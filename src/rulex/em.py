@@ -9,7 +9,10 @@ of the training objective and the training F1 per iteration.
 Training grounds rules through one dense atom tensor per corpus
 (``GroundingCache``, which states its memory bounds), built once per
 ``run_em``: each step draws every instance's rules first and then grounds all
-of them in one chunked gather.
+of them in one chunked gather.  Every step works on integer ids from the
+generator's one rule-id space (``RuleGenerator.rule_ids``), whatever the size
+of the vocabulary; ``Rule`` objects are built only for the weights a step
+stores.
 """
 
 from __future__ import annotations
@@ -29,9 +32,8 @@ from .core import (
     RelationVocab,
     Rule,
     RuleSet,
-    pad_bodies,
 )
-from .extractor import (
+from .extractor import (  # ``fit`` is unused here; perfbench/tracing.py patches ``em.fit``
     ExtractorWeights,
     FitConfig,
     _DesignMatrix,
@@ -42,12 +44,18 @@ from .extractor import (
     ground_rule_all_pairs,
     prob,
 )
-from .generator import ENUM_LIMIT, RuleGenerator
+from .generator import RuleGenerator
 
 # Matrix cells per chunk of a batched gather: a length-3 body reads one
 # (N_max, N_max) relation matrix per entry, so a chunk holds
 # GATHER_CELLS // N_max**2 entries and its largest temporary takes 2 MB.
 GATHER_CELLS = 1 << 18
+
+
+def _reject_unknown(obj: Mapping, known: Mapping, prefix: str = "") -> None:
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"unknown config key '{prefix}{key}'")
 
 
 @dataclass
@@ -92,7 +100,11 @@ class EMConfig:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "EMConfig":
+        """Config from its ``to_json`` form; absent keys take their defaults, unknown keys raise."""
+        known = cls().to_json()
         fit_obj = obj.get("fit", {})
+        _reject_unknown(obj, known)
+        _reject_unknown(fit_obj, known["fit"], "fit.")
         config = cls(
             n_rules=obj.get("n_rules", 50),
             iterations=obj.get("iterations", 10),
@@ -254,31 +266,26 @@ def _softmax(values: np.ndarray) -> np.ndarray:
 class RulePosterior:
     """Approximate posterior over the unique rules sampled for one instance.
 
-    ``indices`` carries the rules' enumeration indices when the rule space is
-    enumerable; index-aware consumers use them to stay vectorized.  Given
-    indices and their generator instead of ``rules``, the rule objects are
-    built on the first read of ``rules``.
+    ``indices`` holds the rules' ids in the generator's rule-id space; the
+    rule objects are built from them on the first read of ``rules``.
     """
 
     def __init__(
         self,
         instance: LabeledInstance,
-        rules: Sequence[Rule] | None,
+        indices: np.ndarray,
         prior_counts: np.ndarray,
         h_values: np.ndarray,
         weights: np.ndarray,
-        indices: np.ndarray | None = None,
-        model: RuleGenerator | None = None,
+        model: RuleGenerator,
     ):
-        if rules is None and (indices is None or model is None):
-            raise ValueError("a posterior needs its rules, or their indices and generator")
         self.instance = instance
-        self._rules = None if rules is None else tuple(rules)
+        self.indices = indices
         self.prior_counts = prior_counts
         self.h_values = h_values
         self.weights = weights
-        self.indices = indices
         self._model = model
+        self._rules: tuple[Rule, ...] | None = None
 
     @property
     def rules(self) -> tuple[Rule, ...]:
@@ -306,37 +313,28 @@ def posterior_over_rules(
     adding any constant to every quality score leaves the weights unchanged.
     """
     h_values = np.array([rule_score_H(instance, rule, model, weights, doc, n_rules) for rule in rules])
-    return RulePosterior(instance, tuple(rules), np.ones(len(rules), dtype=int), h_values, _softmax(h_values))
+    indices = model.rule_ids(rule.body for rule in rules)
+    return RulePosterior(instance, indices, np.ones(len(rules), dtype=int), h_values, _softmax(h_values), model)
 
 
 class Draw(NamedTuple):
     """One instance's drawn rule multiset, deduplicated.
 
-    ``support`` holds enumeration indices (an int array) when the rule space
-    is enumerable and the unique rules in body order otherwise; ``values``
-    holds each drawn body's grounding at the instance's query once computed.
+    ``support`` holds the unique rules' ids (``RuleGenerator.rule_ids``) in
+    body order; ``values`` holds each drawn body's grounding at the
+    instance's query once computed.
     """
 
-    support: np.ndarray | tuple[Rule, ...]
+    support: np.ndarray
     counts: np.ndarray
     log_priors: np.ndarray
     values: np.ndarray | None = None
 
 
-def draw_rules(model: RuleGenerator, relation: int, n_rules: int, rng: np.random.Generator) -> Draw:
-    """Sample N rules for one head from the generator's prior and deduplicate them."""
-    if model.enumerable_size() <= ENUM_LIMIT:
-        return Draw(*model.sample_unique_indices(relation, n_rules, rng))
-    rules, counts, log_priors = model.sample_unique_rules(relation, n_rules, rng)
-    return Draw(tuple(rules), counts, log_priors)
-
-
 def draw_all_rules(
     model: RuleGenerator, relations: Sequence[int], n_rules: int, rng: np.random.Generator
 ) -> list[Draw]:
-    """``draw_rules`` for each relation in turn, as one batched draw when the space is enumerable."""
-    if model.enumerable_size() > ENUM_LIMIT:
-        return [draw_rules(model, relation, n_rules, rng) for relation in relations]
+    """N rules for each relation in turn from the generator's prior, deduplicated, in one batched draw."""
     support, counts, log_priors, sizes = model.sample_unique_index_rows(relations, n_rules, rng)
     ends = np.cumsum(sizes).tolist()
     return [Draw(support[start:end], counts[start:end], log_priors[start:end])
@@ -355,13 +353,9 @@ def _ground_draws(
         return []
     sizes = np.array([len(draw.counts) for draw in draws], dtype=np.intp)
     owner = np.repeat(np.arange(len(draws)), sizes)
-    if isinstance(draws[0].support, np.ndarray):
-        bodies = model.body_table()[np.concatenate([draw.support for draw in draws])]
-    else:
-        bodies = pad_bodies([rule.body for draw in draws for rule in draw.support], model.max_len)
     values = cache.ground(
         cache.rows([corpus.docs[inst.doc_id] for inst in instances])[owner],
-        bodies,
+        model.body_table()[np.concatenate([draw.support for draw in draws])],
         np.array([inst.head for inst in instances], dtype=np.intp)[owner],
         np.array([inst.tail for inst in instances], dtype=np.intp)[owner],
     )
@@ -386,24 +380,20 @@ def e_step(
     Rules whose learned weight is still 0 skip grounding entirely: their
     extractor term vanishes no matter what the document says.  ``head_weights``
     optionally supplies the rule weights of the instance's relation as a dense
-    vector over the enumeration order, saving per-rule lookups in the
-    enumerable fast path.  ``drawn`` supplies an already drawn rule multiset
-    from the same prior (a ``Draw`` or its first three fields), letting the
-    caller share one draw per instance across the steps of an iteration; its
-    ``values``, when present, are used instead of grounding again.  Without
-    them the rules ground through ``cache``, or through the dynamic program
-    ``ground_body_value`` when no cache is given.
+    vector over the rule ids, saving per-rule lookups.  ``drawn`` supplies an
+    already drawn rule multiset from the same prior (a ``Draw`` or its first
+    three fields), letting the caller share one draw per instance across the
+    steps of an iteration; its ``values``, when present, are used instead of
+    grounding again.  Without them the rules ground through ``cache``, or
+    through the dynamic program ``ground_body_value`` when no cache is given.
     """
     relation = instance.relation
-    drawn = draw_rules(model, relation, n_rules, rng) if drawn is None else Draw(*drawn)
-    indices = drawn.support if isinstance(drawn.support, np.ndarray) else None
-    rules = None if indices is not None else drawn.support
-    if indices is not None and head_weights is not None:
+    drawn = Draw(*(model.sample_unique_indices(relation, n_rules, rng) if drawn is None else drawn))
+    indices = drawn.support
+    if head_weights is not None:
         w = head_weights[indices]
     else:
-        if rules is None:
-            rules = tuple(model.rule_at(relation, i) for i in indices.tolist())
-        w = np.array([weights.get_rule_weight(relation, rule) for rule in rules])
+        w = np.array([weights.get_rule_weight(relation, model.rule_at(relation, i)) for i in indices.tolist()])
     extract = np.zeros(len(drawn.counts))
     nz = np.nonzero(w)[0]
     if nz.size:
@@ -411,57 +401,34 @@ def e_step(
         if drawn.values is not None:
             g = drawn.values[nz]
         else:
-            bodies = model.bodies_at(relation, indices[nz]) if rules is None else [rules[i].body for i in nz]
-            if cache is None:
-                g = np.array([ground_body_value(doc, body, h, t) for body in bodies])
-            else:
-                g = np.array([cache.value_body(doc, body, h, t) for body in bodies])
+            ground = ground_body_value if cache is None else cache.value_body
+            g = np.array([ground(doc, body, h, t) for body in model.bodies_at(relation, indices[nz])])
         extract[nz] = w[nz] * g
     h_values = drawn.log_priors + (instance.label / 2.0) * (weights.get_bias(relation) / n_rules + extract)
-    return RulePosterior(instance, rules, drawn.counts, h_values, _softmax(h_values), indices, model)
+    return RulePosterior(instance, indices, drawn.counts, h_values, _softmax(h_values), model)
 
 
 def m_step_generator(posteriors: Sequence[RulePosterior], model: RuleGenerator) -> RuleGenerator:
     """Refit the generator on posterior-weighted rules, grouped by query relation.
 
     Count additivity makes the per-head aggregate equivalent to one
-    ``fit_weighted`` call per instance.  Each head's weights sum per body in
-    posterior order, densely over the enumeration order when the space is
-    enumerable, and the sums refit in body order.
+    ``fit_weighted`` call per instance.  Each head's weights sum per rule id
+    in posterior order, and the nonzero sums refit in body order.
     """
     if not posteriors:
         raise ValueError("no posteriors to fit the generator on")
     groups: dict[int, list[RulePosterior]] = {}
     for posterior in posteriors:
         groups.setdefault(posterior.relation, []).append(posterior)
-    enumerable = model.enumerable_size() <= ENUM_LIMIT
+    table = model.body_table()
     for head in sorted(groups):
         group = groups[head]
-        if enumerable:
-            acc = np.zeros(model.enumerable_size())
-            indices = [
-                p.indices if p.indices is not None else [model.enum_index(head, rule.body) for rule in p.rules]
-                for p in group
-            ]
-            np.add.at(acc, np.concatenate(indices), np.concatenate([p.weights for p in group]))
-            nonzero = np.flatnonzero(acc)
-            model.fit_bodies(head, model.body_table()[nonzero], acc[nonzero])
-        else:
-            sums: dict[tuple[int, ...], float] = {}
-            for p in group:
-                for rule, weight in zip(p.rules, p.weights.tolist()):
-                    sums[rule.body] = sums.get(rule.body, 0.0) + weight
-            items = sorted(sums.items())
-            model.fit_bodies(head, pad_bodies([body for body, _ in items], model.max_len),
-                             np.array([weight for _, weight in items]))
+        acc = np.zeros(len(table))
+        np.add.at(acc, np.concatenate([p.indices for p in group]), np.concatenate([p.weights for p in group]))
+        nonzero = np.flatnonzero(acc)
+        nonzero = nonzero[np.lexsort(table[nonzero].T[::-1])]
+        model.fit_bodies(head, table[nonzero], acc[nonzero])
     return model
-
-
-def _build_ruleset(rules: Sequence[Rule], counts: np.ndarray) -> RuleSet:
-    expanded: list[Rule] = []
-    for rule, count in zip(rules, counts):
-        expanded.extend([rule] * int(count))
-    return RuleSet(expanded)
 
 
 @dataclass
@@ -502,33 +469,11 @@ def m_step_extractor(
     if reset:
         weights.bias.clear()
         weights.rule_weight.clear()
-    samples: list[Draw] | None = None
-    if model.enumerable_size() <= ENUM_LIMIT:
-        samples = [] if mode == "sample" else None
-        result = fit_design(
-            _index_design(
-                corpus, model, weights, rng, n_rules=n_rules, mode=mode, beam=beam, cache=cache,
-                samples_out=samples,
-            ),
-            weights,
-            fit_config,
-        )
-    else:
-        top_sets: dict[int, Draw] = {}
-        if mode == "top":
-            for relation in sorted({inst.relation for inst in corpus.instances}):
-                ruleset = model.top_rules(relation, n_rules, beam)
-                items = sorted(ruleset.counts().items(), key=lambda kv: kv[0].body)
-                top_sets[relation] = Draw(tuple(rule for rule, _ in items), np.array([c for _, c in items]), None)
-        draws = [
-            top_sets[inst.relation] if mode == "top" else draw_rules(model, inst.relation, n_rules, rng)
-            for inst in corpus.instances
-        ]
-        batch = [
-            (instance, _build_ruleset(draw.support, draw.counts), dict(zip(draw.support, draw.values)))
-            for instance, draw in zip(corpus.instances, _ground_draws(cache, corpus, corpus.instances, draws, model))
-        ]
-        result = fit(batch, weights, fit_config)
+    samples: list[Draw] | None = [] if mode == "sample" else None
+    design = _index_design(
+        corpus, model, weights, rng, n_rules=n_rules, mode=mode, beam=beam, cache=cache, samples_out=samples
+    )
+    result = fit_design(design, weights, fit_config)
     predicted = result.final_scores > 0
     actual = result.labels > 0
     tp = int(np.sum(predicted & actual))
@@ -541,10 +486,10 @@ def m_step_extractor(
 
 
 def _stored_rule_indices(model: RuleGenerator, keys: Sequence[tuple[int, Rule]]) -> tuple[np.ndarray, np.ndarray]:
-    """(relation, enumeration index) of each rule-weight key."""
+    """(relation, rule id) of each rule-weight key."""
     relations = np.fromiter(map(itemgetter(0), keys), dtype=np.intp, count=len(keys))
     bodies = map(attrgetter("body"), map(itemgetter(1), keys))
-    return relations, model.enum_indices(bodies)
+    return relations, model.rule_ids(bodies)
 
 
 def _index_design(
@@ -559,34 +504,22 @@ def _index_design(
     cache: GroundingCache,
     samples_out: list | None = None,
 ) -> _DesignMatrix:
-    """Feature build over enumeration indices.
+    """Feature build over rule ids.
 
     Each instance contributes one entry per unique drawn rule, then one bias
     entry; the grounding values of all draws come from one gather.  Columns
     follow ``_DesignMatrix.stored_keys``, then the new keys in the order the
-    entries first reach them.  Every key is coded as an int, rule keys as
-    ``relation * E + index`` and bias keys above them, so stored keys sort
-    and match the entries by code.
+    entries first reach them, so no order depends on id values.  Every key
+    is coded as an int, rule keys as ``relation * E + id`` for E ids and bias
+    keys above them, and entries find their stored column by code.
     """
-    size = model.enumerable_size()
-    bias_base = model.vocab.size * size
-    stored_keys = list(weights.rule_weight)
-    stored_rel, stored_idx = _stored_rule_indices(model, stored_keys)
-    order = np.lexsort((stored_idx, stored_rel))  # (relation, body) order: enumeration sorts bodies
-    keys: list[tuple] = [("bias", r) for r in sorted(weights.bias)]
-    keys += [("rule", *stored_keys[i]) for i in order.tolist()]
-    stored_codes = np.concatenate([
-        (stored_rel * size + stored_idx)[order],
-        bias_base + np.array(sorted(weights.bias), dtype=np.intp),
-    ])
-    stored_cols = np.concatenate([len(weights.bias) + np.arange(len(order)), np.arange(len(weights.bias))])
     relations = [instance.relation for instance in corpus.instances]
     if mode == "top":
         top_sets: dict[int, Draw] = {}
         for relation in sorted(set(relations)):
             ruleset = model.top_rules(relation, n_rules, beam)
             items = sorted(ruleset.counts().items(), key=lambda kv: kv[0].body)
-            idx = np.array([model.enum_index(relation, rule.body) for rule, _ in items], dtype=np.intp)
+            idx = model.rule_ids(rule.body for rule, _ in items)
             top_sets[relation] = Draw(idx, np.array([c for _, c in items], dtype=float), None)
         draws = [top_sets[relation] for relation in relations]
     else:
@@ -594,6 +527,20 @@ def _index_design(
     draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
     if samples_out is not None:
         samples_out.extend(draws)
+    stored_keys = list(weights.rule_weight)
+    stored_rel, stored_idx = _stored_rule_indices(model, stored_keys)
+    table = model.body_table()  # every drawn and stored rule has its id by now
+    size = len(table)
+    bias_base = model.vocab.size * size
+    order = np.lexsort((*table[stored_idx].T[::-1], stored_rel))  # (relation, body) order
+    keys: list[tuple] = [("bias", r) for r in sorted(weights.bias)]
+    keys += [("rule", *stored_keys[i]) for i in order.tolist()]
+    stored_codes = np.concatenate([
+        bias_base + np.array(sorted(weights.bias), dtype=np.intp),
+        (stored_rel * size + stored_idx)[order],
+    ])
+    by_code = np.argsort(stored_codes)
+    stored_codes = stored_codes[by_code]
     per_row = np.array([len(draw.counts) + 1 for draw in draws], dtype=np.intp)
     bias_at = np.cumsum(per_row) - 1
     is_rule = np.ones(int(per_row.sum()), dtype=bool)
@@ -606,7 +553,7 @@ def _index_design(
     found = at < len(stored_codes)
     found[found] = stored_codes[at[found]] == codes[found]
     cols = np.empty(codes.size, dtype=np.intp)
-    cols[found] = stored_cols[at[found]]
+    cols[found] = by_code[at[found]]
     new_codes, first, inverse = np.unique(codes[~found], return_index=True, return_inverse=True)
     appearance = np.argsort(first, kind="stable")
     rank = np.empty(len(new_codes), dtype=np.intp)
@@ -622,38 +569,6 @@ def _index_design(
     vals[is_rule] = np.concatenate([draw.counts * draw.values for draw in draws])
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
     return _DesignMatrix(keys, np.repeat(np.arange(len(draws)), per_row), cols, vals, y)
-
-
-def elbo(
-    corpus: Corpus,
-    model: RuleGenerator,
-    weights: ExtractorWeights,
-    n_rules: int,
-    rng: np.random.Generator,
-    samples: int = 1,
-    cache: GroundingCache | None = None,
-) -> tuple[float, float]:
-    """Monte-Carlo estimate of the two objective halves (generator, extractor).
-
-    The generator half is the posterior-weighted mean rule log-probability
-    scaled by the multiset size; the extractor half is the mean log label
-    probability under sampled rule sets.  Both are non-positive.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    cache = cache or GroundingCache()
-    instances = list(corpus.instances) * samples
-    draws = draw_all_rules(model, [inst.relation for inst in instances], n_rules, rng)
-    lg_terms, lr_terms = [], []
-    for instance, drawn in zip(instances, _ground_draws(cache, corpus, instances, draws, model)):
-        doc = corpus.docs[instance.doc_id]
-        posterior = e_step(instance, model, weights, doc, n_rules, rng, cache, drawn=drawn)
-        log_priors = model.rule_log_probs(instance.relation, list(posterior.rules))
-        lg_terms.append(n_rules * float(posterior.weights @ log_priors))
-        w = np.array([weights.get_rule_weight(instance.relation, rule) for rule in posterior.rules])
-        s = weights.get_bias(instance.relation) + float(posterior.prior_counts @ (w * drawn.values))
-        lr_terms.append(-float(np.logaddexp(0.0, -instance.label * s)))
-    return float(np.mean(lg_terms)), float(np.mean(lr_terms))
 
 
 @dataclass
@@ -694,22 +609,11 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
     diagnostics: list[IterationStats] = []
     previous = None
     stopped_early = False
-    enumerable = model.enumerable_size() <= ENUM_LIMIT
     carried: list[Draw] | None = None
     for iteration in range(1, config.iterations + 1):
         final = iteration == config.iterations
         mode = config.inference_mode if final else config.train_ruleset_mode
         try:
-            head_weights: dict[int, np.ndarray] = {}
-            zero_vec = None
-            if enumerable:
-                zero_vec = np.zeros(model.enumerable_size())
-                stored_rel, stored_idx = _stored_rule_indices(model, list(weights.rule_weight))
-                values = np.fromiter(weights.rule_weight.values(), dtype=float, count=len(stored_rel))
-                for relation in np.unique(stored_rel[values != 0.0]).tolist():
-                    vec = head_weights[relation] = np.zeros(model.enumerable_size())
-                    selected = (stored_rel == relation) & (values != 0.0)
-                    vec[stored_idx[selected]] = values[selected]
             # The previous extractor update's freshly sampled rule sets came
             # from the same prior this E-step targets, so they serve as its
             # draws, grounded already.  Fresh draws are all sampled first,
@@ -719,6 +623,16 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
                 draws = draw_all_rules(model, [inst.relation for inst in corpus.instances], config.n_rules, rng)
                 if any(weights.rule_weight.values()):
                     draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
+            # Dense per-head weight vectors, sized after the draws and the
+            # stored keys have their ids.
+            stored_rel, stored_idx = _stored_rule_indices(model, list(weights.rule_weight))
+            values = np.fromiter(weights.rule_weight.values(), dtype=float, count=len(stored_rel))
+            zero_vec = np.zeros(len(model.body_table()))
+            head_weights: dict[int, np.ndarray] = {}
+            for relation in np.unique(stored_rel[values != 0.0]).tolist():
+                vec = head_weights[relation] = zero_vec.copy()
+                selected = (stored_rel == relation) & (values != 0.0)
+                vec[stored_idx[selected]] = values[selected]
             posteriors = [
                 e_step(
                     inst,
@@ -728,20 +642,16 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
                     config.n_rules,
                     rng,
                     cache,
-                    head_weights.get(inst.relation, zero_vec) if enumerable else None,
+                    head_weights.get(inst.relation, zero_vec),
                     draws[i],
                 )
                 for i, inst in enumerate(corpus.instances)
             ]
             m_step_generator(posteriors, model)
-            l_g_terms = []
-            for p in posteriors:
-                if p.indices is not None:
-                    log_priors = model.log_probs_by_index(p.relation, p.indices)
-                else:
-                    log_priors = model.rule_log_probs(p.relation, list(p.rules))
-                l_g_terms.append(config.n_rules * float(p.weights @ log_priors))
-            l_g = float(np.mean(l_g_terms))
+            l_g = float(np.mean([
+                config.n_rules * float(p.weights @ model.log_probs_by_index(p.relation, p.indices))
+                for p in posteriors
+            ]))
             m_result = m_step_extractor(
                 corpus,
                 model,

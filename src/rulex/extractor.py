@@ -255,6 +255,9 @@ class _DesignMatrix:
 
     Keys are ``("bias", relation)`` or ``("rule", relation, rule)``; rows,
     cols, vals triples describe the feature entries in coordinate form.
+    ``from_batch`` lists each row's rule entries in rule-set order and then
+    its bias entry, as ``em._index_design`` does, so ``fit`` on a batch of
+    the same rule sets is a bit-exact reference for that design path.
     """
 
     def __init__(self, keys: list[tuple], rows, cols, vals, y):
@@ -281,13 +284,6 @@ class _DesignMatrix:
         rows, cols, vals = [], [], []
         for i, (instance, ruleset, groundings) in enumerate(batch):
             relation = instance.relation
-            bias_key = ("bias", relation)
-            if bias_key not in index:
-                index[bias_key] = len(keys)
-                keys.append(bias_key)
-            rows.append(i)
-            cols.append(index[bias_key])
-            vals.append(1.0)
             for rule, multiplicity in ruleset.counts().items():
                 if rule.head != relation:
                     raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
@@ -301,6 +297,13 @@ class _DesignMatrix:
                 rows.append(i)
                 cols.append(index[key])
                 vals.append(multiplicity * g)
+            bias_key = ("bias", relation)
+            if bias_key not in index:
+                index[bias_key] = len(keys)
+                keys.append(bias_key)
+            rows.append(i)
+            cols.append(index[bias_key])
+            vals.append(1.0)
         y = [instance.label for instance, _, _ in batch]
         return cls(keys, rows, cols, vals, y)
 

@@ -20,7 +20,8 @@ import numpy as np
 from .core import DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, pad_bodies
 
 # Above this many enumerable bodies per head, ruleset sampling falls back to
-# token-wise ancestral draws instead of one multinomial over the rule space.
+# token-wise ancestral draws instead of one multinomial over the rule space,
+# and rule ids are interned in first-seen order instead of enumerated.
 ENUM_LIMIT = 100_000
 
 
@@ -155,10 +156,9 @@ class RuleGenerator:
     def sample_unique_indices(
         self, head: int, n: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Draw N rules, deduplicated, as enumeration indices.
+        """Draw N rules, deduplicated, as rule ids (see ``rule_ids``).
 
-        Returns (sorted unique indices, multiplicities summing to N, log-probs).
-        Requires an enumerable vocabulary.
+        Returns (unique ids in body order, multiplicities summing to N, log-probs).
         """
         uidx, counts, log_probs, _ = self.sample_unique_index_rows([head], n, rng)
         return uidx, counts, log_probs
@@ -168,16 +168,25 @@ class RuleGenerator:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``sample_unique_indices(head, n, rng)`` for each head in turn, in one pass.
 
-        Row i draws N indices by inverse-CDF lookup of N uniforms, then
-        deduplicates them after a sort.  The uniforms come from one
+        Returns the rows' unique ids, multiplicities and log-probs
+        concatenated, plus the number of unique ids per row.  When the space
+        is enumerable, row i draws N ids by inverse-CDF lookup of N uniforms,
+        then deduplicates them after a sort.  The uniforms come from one
         ``rng.random((len(heads), n))`` call, which reads the same stream as
         one ``rng.random(n)`` call per head and leaves ``rng`` in the same
-        state.  Returns the rows' unique indices, multiplicities and
-        log-probs concatenated, plus the number of unique indices per row.
-        Requires an enumerable vocabulary.
+        state.  Past ``ENUM_LIMIT`` each row is one ``sample_unique_rules``
+        draw, interned.
         """
         heads = np.asarray(heads, dtype=np.intp)
-        enums = {int(head): self._enum_or_raise(int(head)) for head in np.unique(heads)}
+        if self.enumerable_size() > ENUM_LIMIT:
+            rows = [self.sample_unique_rules(head, n, rng) for head in heads.tolist()]
+            return (
+                self.rule_ids([rule.body for rules, _, _ in rows for rule in rules]),
+                np.array([c for _, counts, _ in rows for c in counts.tolist()], dtype=np.intp),
+                np.array([lp for _, _, log_probs in rows for lp in log_probs.tolist()], dtype=float),
+                np.array([len(rules) for rules, _, _ in rows], dtype=np.intp),
+            )
+        enums = {int(head): self._enumeration(int(head)) for head in np.unique(heads)}
         uniforms = rng.random((len(heads), n))
         idx = np.empty(uniforms.shape, dtype=np.intp)
         for head, enum in enums.items():
@@ -218,35 +227,29 @@ class RuleGenerator:
         log_probs = np.array([self.log_prob(head, rule.body) for rule in rules])
         return rules, counts, log_probs
 
-    def _enum_or_raise(self, head: int) -> "_EnumeratedHead":
-        enum = self._enumeration(head)
-        if enum is None:
-            raise ValueError("rule space too large to enumerate")
-        return enum
-
     def _rule_space(self) -> "_RuleSpace":
         if self._space is None:
-            if self.enumerable_size() > ENUM_LIMIT:
-                raise ValueError("rule space too large to enumerate")
-            self._space = _RuleSpace(self.vocab.size, self.max_len)
+            self._space = _RuleSpace(self.vocab.size, self.max_len, self.enumerable_size() <= ENUM_LIMIT)
         return self._space
+
+    def rule_ids(self, bodies: Iterable[tuple[int, ...]]) -> np.ndarray:
+        """Ids of many bodies in the generator's rule-id space, the same for every head.
+
+        When the space is enumerable the ids are enumeration indices.  Past
+        ``ENUM_LIMIT`` a body not seen before is interned with the next id,
+        so ids follow first-seen order.
+        """
+        return self._rule_space().ids(list(bodies))
 
     def bodies_at(self, head: int, indices) -> list[tuple[int, ...]]:
         bodies = self._rule_space().bodies
         return [bodies[i] for i in indices]
 
-    def enum_index(self, head: int, body: tuple[int, ...]) -> int:
-        return self._rule_space().index[body]
-
-    def enum_indices(self, bodies: Iterable[tuple[int, ...]]) -> np.ndarray:
-        """Enumeration indices of many bodies; they are the same for every head."""
-        return np.fromiter(map(self._rule_space().index.__getitem__, bodies), dtype=np.intp)
-
     def rule_at(self, head: int, index: int) -> Rule:
-        """The rule with enumeration index ``index``, built once per head and index.
+        """The rule with id ``index``, built once per head and id.
 
-        Enumeration indices do not depend on the counts, so one rule object
-        serves the generator's whole lifetime.
+        Ids do not depend on the counts, so one rule object serves the
+        generator's whole lifetime.
         """
         rules = self._rules.get(head)
         if rules is None:
@@ -258,15 +261,19 @@ class RuleGenerator:
         return rule
 
     def body_table(self) -> np.ndarray:
-        """Every body in enumeration order, one row of relation ids padded with -1.
+        """Every body with an id, as row ``id`` of relation ids padded with -1.
 
-        Enumeration order sorts bodies lexicographically whatever the head,
-        so one table serves every head.  Requires an enumerable vocabulary.
+        One table serves every head.  Past ``ENUM_LIMIT`` it grows as bodies
+        are interned.
         """
         return self._rule_space().table
 
     def log_probs_by_index(self, head: int, indices: np.ndarray) -> np.ndarray:
-        return self._enum_or_raise(head).log_probs[indices]
+        """Log-probabilities of the rules with the given ids, per body past ``ENUM_LIMIT``."""
+        enum = self._enumeration(head)
+        if enum is None:
+            return np.array([self.log_prob(head, body) for body in self.bodies_at(head, indices)], dtype=float)
+        return enum.log_probs[indices]
 
     # -- deterministic inference -------------------------------------------
 
@@ -421,8 +428,7 @@ class RuleGenerator:
         enum = self._enumeration(head)
         if enum is None:
             return np.array([self.log_prob(head, rule.body) for rule in rules])
-        index = self._rule_space().index
-        return enum.log_probs[[index[rule.body] for rule in rules]]
+        return enum.log_probs[self.rule_ids(rule.body for rule in rules)]
 
     def enumerate_rules(self, head: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """All valid bodies for a head with their probabilities (enumerable vocabularies only)."""
@@ -474,26 +480,48 @@ class RuleGenerator:
 
 
 class _RuleSpace:
-    """Every body up to ``max_len`` over ``size`` relation ids, in enumeration order.
+    """The rule-id table: one body per id, the same ids for every head.
 
-    Enumeration order sorts bodies lexicographically.  It depends on neither
-    the head nor the counts, so a generator builds it once.  ``levels`` lists
-    the bodies of each length in generation order (each level extends every
-    body of the previous one by each relation id), and ``order`` maps
-    enumeration indices to positions in those levels laid end to end.
+    When the space is enumerable, ids follow the enumeration order, which
+    sorts bodies lexicographically.  It depends on neither the head nor the
+    counts, so a generator builds it once.  ``levels`` lists the bodies of
+    each length in generation order (each level extends every body of the
+    previous one by each relation id), and ``order`` maps ids to positions in
+    those levels laid end to end.  Past ``ENUM_LIMIT`` the table starts empty
+    and ``ids`` interns bodies in first-seen order.
     """
 
-    __slots__ = ("levels", "order", "bodies", "index", "table")
+    __slots__ = ("size", "max_len", "enumerated", "levels", "order", "bodies", "index", "table")
 
-    def __init__(self, size: int, max_len: int):
-        self.levels = [[()]]
-        for _ in range(max_len):
-            self.levels.append([prefix + (x,) for prefix in self.levels[-1] for x in range(size)])
-        generated = list(itertools.chain.from_iterable(self.levels[1:]))
-        self.order = sorted(range(len(generated)), key=generated.__getitem__)
-        self.bodies = [generated[i] for i in self.order]
+    def __init__(self, size: int, max_len: int, enumerated: bool):
+        self.size, self.max_len, self.enumerated = size, max_len, enumerated
+        self.levels: list[list[tuple[int, ...]]] = [[()]]
+        self.order: list[int] = []
+        self.bodies: list[tuple[int, ...]] = []
+        if enumerated:
+            for _ in range(max_len):
+                self.levels.append([prefix + (x,) for prefix in self.levels[-1] for x in range(size)])
+            generated = list(itertools.chain.from_iterable(self.levels[1:]))
+            self.order = sorted(range(len(generated)), key=generated.__getitem__)
+            self.bodies = [generated[i] for i in self.order]
         self.index = {body: i for i, body in enumerate(self.bodies)}
         self.table = pad_bodies(self.bodies, max_len)
+
+    def ids(self, bodies: list[tuple[int, ...]]) -> np.ndarray:
+        index = self.index
+        try:
+            return np.fromiter(map(index.__getitem__, bodies), dtype=np.intp, count=len(bodies))
+        except KeyError as exc:
+            if self.enumerated:
+                raise ValueError(f"rule body {exc.args[0]!r} is not in the enumeration") from None
+        new = [body for body in dict.fromkeys(bodies) if body not in index]
+        for body in new:
+            if not 1 <= len(body) <= self.max_len or not all(0 <= r < self.size for r in body):
+                raise ValueError(f"bad rule body {body!r}")
+        index.update(zip(new, range(len(self.bodies), len(self.bodies) + len(new))))
+        self.bodies.extend(new)
+        self.table = np.concatenate([self.table, pad_bodies(new, self.max_len)])
+        return np.fromiter(map(index.__getitem__, bodies), dtype=np.intp, count=len(bodies))
 
 
 class _EnumeratedHead:

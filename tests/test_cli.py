@@ -78,6 +78,12 @@ class TestSynth:
         cli.main(["synth", "--config", str(echo_file), "--out", str(b)])
         assert read_tree(a) == read_tree(b)
 
+    def test_unknown_config_key_is_an_error(self, tmp_path, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"synth": {**TINY_CONFIG["synth"], "doc": 7}}))
+        assert cli.main(["synth", "--config", str(config), "--out", str(tmp_path / "c")]) == 1
+        assert "error: unknown config key 'doc'" in capsys.readouterr().err
+
     def test_seed_flag_overrides_config(self, tmp_path, config_file, capsys):
         cli.main(["synth", "--config", str(config_file), "--out", str(tmp_path / "c"), "--seed", "99"])
         echo = json.loads(capsys.readouterr().out)
@@ -139,6 +145,14 @@ class TestTrain:
         lines = (run / "diagnostics.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,l_g,l_r,train_f1"
         assert len(lines) == 1 + TINY_CONFIG["em"]["iterations"]
+
+    def test_unknown_config_key_is_an_error(self, tmp_path, corpus_dir, capsys):
+        config = tmp_path / "typo.json"
+        config.write_text(json.dumps({"em": {**TINY_CONFIG["em"], "fit": {"learning_rate": 9}}}))
+        rc = cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert "error: unknown config key 'fit.learning_rate'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
     def test_seeded_rerun_identical(self, tmp_path, config_file, corpus_dir):
         a, b = tmp_path / "run_a", tmp_path / "run_b"

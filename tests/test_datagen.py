@@ -123,6 +123,10 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_rule_len"):
             gen_corpus(config(planted_rules=["r0 <- r1 & r1 & r1 & r1"], max_rule_len=3))
 
+    def test_unknown_key_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'doc'"):
+            SynthConfig.from_json({"doc": 7})
+
     def test_json_round_trip(self):
         original = config(p_flip=0.07)
         rebuilt = SynthConfig.from_json(original.to_json())

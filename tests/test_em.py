@@ -9,7 +9,6 @@ from rulex.em import (
     EMConfig,
     GroundingCache,
     e_step,
-    elbo,
     infer,
     inference_rulesets,
     log_sigmoid_taylor,
@@ -31,6 +30,20 @@ from conftest import make_doc, random_doc
 
 def exact_log_sigmoid(x):
     return -np.logaddexp(0.0, -x)
+
+
+class TestConfig:
+    def test_unknown_key_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="'n_rule'"):
+            EMConfig.from_json({"n_rule": 5})
+
+    def test_unknown_fit_key_is_rejected_by_name(self):
+        with pytest.raises(ValueError, match="learning_rate"):
+            EMConfig.from_json({"fit": {"learning_rate": 9}})
+
+    def test_json_round_trip(self):
+        config = EMConfig(n_rules=7, fit=FitConfig(lr=0.3, epochs=2), beam=9)
+        assert EMConfig.from_json(config.to_json()) == config
 
 
 class TestTaylor:
@@ -165,9 +178,9 @@ class TestEStep:
         weights = ExtractorWeights()
         weights.set_rule_weight(0, Rule(0, (1,)), 2.0)
         weights.set_rule_weight(0, Rule(0, (2,)), -1.0)
-        dense = np.zeros(model.enumerable_size())
+        dense = np.zeros(len(model.body_table()))
         for (_, rule), value in weights.rule_weight.items():
-            dense[model.enum_index(0, rule.body)] = value
+            dense[model.rule_ids([rule.body])[0]] = value
         instance = LabeledInstance("d", 0, 0, 1, 1)
         drawn = model.sample_unique_indices(0, 400, np.random.default_rng(2))
         via_dense = e_step(instance, model, weights, doc, 400, rng, GroundingCache(), dense, drawn)
@@ -232,9 +245,37 @@ class TestGroundingCache:
                 config = EMConfig(n_rules=8, beam=32)
                 predictions = [predict_document(doc, vocab, model, weights, config, cache=cache)
                                for doc in train.docs.values()]
-                bound = elbo(train, model, weights, 8, np.random.default_rng(2), cache=cache)
-                runs.append((dict(weights.rule_weight), predictions, bound))
+                runs.append((dict(weights.rule_weight), predictions))
             assert runs[0] == runs[1]
+
+    def test_sampled_m_step_past_enum_limit_equals_fit_on_the_same_draws(self):
+        # Past ENUM_LIMIT the sampled M-step draws ancestrally and interns
+        # the rules; it must equal ``fit`` on a batch of the same draws,
+        # grounded by the DP, bit for bit.
+        result = tiny_synth(relations=24, docs=8)
+        train, vocab = result.splits["train"], result.vocab
+        model = RuleGenerator(vocab)
+        for relation in range(vocab.size):
+            model.fit_weighted(relation, [(Rule(relation, (relation,)), 3.0)])
+        assert model.enumerable_size() > ENUM_LIMIT
+        config = FitConfig(lr=0.5, epochs=5)
+        weights = ExtractorWeights()
+        m_result = m_step_extractor(train, model, weights, config, np.random.default_rng(4), n_rules=6,
+                                    mode="sample", beam=12)
+        rng = np.random.default_rng(4)
+        batch = []
+        for instance, drawn in zip(train.instances, m_result.samples):
+            rules, counts, _ = model.sample_unique_rules(instance.relation, 6, rng)
+            assert [rule.body for rule in rules] == [tuple(r for r in row if r >= 0)
+                                                    for row in model.body_table()[drawn.support].tolist()]
+            doc = train.docs[instance.doc_id]
+            groundings = {rule: ground_body_value(doc, rule.body, instance.head, instance.tail) for rule in rules}
+            expanded = [rule for rule, count in zip(rules, counts.tolist()) for _ in range(count)]
+            batch.append((instance, RuleSet(expanded), groundings))
+        reference = fit(batch, ExtractorWeights(), config)
+        assert weights.rule_weight and list(weights.rule_weight.items()) == list(reference.weights.rule_weight.items())
+        assert weights.bias == reference.weights.bias
+        assert m_result.losses == reference.losses
 
     def test_sparse_m_step_grounds_like_the_dp(self):
         # 24 base relations give 48 ids, past ENUM_LIMIT: the M-step takes the
@@ -301,8 +342,9 @@ class TestMStepGenerator:
     @pytest.mark.parametrize("relations", [4, 24])
     def test_refit_from_e_step_posteriors_equals_one_fit_per_head(self, relations):
         # 4 base relations draw enumeration indices; 24 are past ENUM_LIMIT
-        # and draw rule objects.  Either way the counts equal fit_weighted on
-        # each head's summed posterior weights, bit for bit.
+        # and intern ancestral draws.  Either way the posteriors carry rule
+        # ids, and the counts equal fit_weighted on each head's summed
+        # posterior weights, bit for bit.
         result = tiny_synth(relations=relations, docs=8)
         train, vocab = result.splits["train"], result.vocab
         model, reference = RuleGenerator(vocab), RuleGenerator(vocab)
@@ -311,7 +353,12 @@ class TestMStepGenerator:
             weights.set_rule_weight(relation, Rule(relation, (relation,)), 1.5)
         rng = np.random.default_rng(5)
         posteriors = [e_step(inst, model, weights, train.docs[inst.doc_id], 12, rng) for inst in train.instances]
-        assert all((p.indices is not None) == (relations == 4) for p in posteriors)
+        assert (model.enumerable_size() > ENUM_LIMIT) == (relations == 24)
+        table = model.body_table()
+        for p in posteriors:
+            assert p.indices.dtype == np.intp
+            assert [rule.body for rule in p.rules] == [tuple(r for r in row if r >= 0)
+                                                       for row in table[p.indices].tolist()]
         m_step_generator(posteriors, model)
         for head in sorted({p.relation for p in posteriors}):
             sums: dict[Rule, float] = {}
@@ -381,45 +428,6 @@ class TestMStepExtractor:
                              np.random.default_rng(3), n_rules=8, mode="sample", beam=32)
             outputs.append((dict(weights.bias), dict(weights.rule_weight)))
         assert outputs[0] == outputs[1]
-
-
-class TestElbo:
-    def test_extractor_half_is_non_positive(self, rng):
-        result = tiny_synth()
-        train = result.splits["train"]
-        model = RuleGenerator(result.vocab)
-        _, l_r = elbo(train, model, ExtractorWeights(), 8, rng, samples=1)
-        assert l_r <= 0.0
-
-    def test_extractor_half_approaches_zero_when_separable(self, rng):
-        result = tiny_synth()
-        train = result.splits["train"]
-        model = RuleGenerator(result.vocab)
-        weights = ExtractorWeights()
-        for relation in range(result.vocab.size):
-            model.fit_weighted(relation, [(Rule(relation, (relation,)), 200.0)])
-            weights.bias[relation] = -12.0
-            weights.set_rule_weight(relation, Rule(relation, (relation,)), 30.0)
-        _, l_r = elbo(train, model, weights, 8, rng, samples=1)
-        assert -0.25 < l_r <= 0.0
-
-    def test_generator_half_matches_brute_force(self, rng):
-        # Two-rule space: the sampled support covers it, so the Monte-Carlo
-        # estimate of the generator half matches full enumeration.
-        vocab = build_vocab(["a"])
-        model = RuleGenerator(vocab, max_len=1)
-        doc = make_doc({(0, 0, 1): 0.9}, vocab.size, n_entities=2, gold=[(0, 0, 1)])
-        corpus = Corpus({"d": doc}, [LabeledInstance("d", 0, 0, 1, 1)])
-        weights = ExtractorWeights()
-        weights.set_rule_weight(0, Rule(0, (0,)), 1.0)
-        n = 40
-        bodies, probs = model.enumerate_rules(0)
-        full = posterior_over_rules(
-            corpus.instances[0], [Rule(0, b) for b in bodies], model, weights, doc, n
-        )
-        expected = n * float(full.weights @ np.log(probs))
-        l_g, _ = elbo(corpus, model, weights, n, rng, samples=40)
-        assert l_g == pytest.approx(expected, rel=0.05)
 
 
 class TestRunEm:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rulex.core import Rule, build_vocab, pad_bodies
-from rulex.generator import RuleGenerator, dump_top_rules
+from rulex.generator import ENUM_LIMIT, RuleGenerator, dump_top_rules
 
 
 def fresh(names=("a", "b"), self_inverse=(), **kwargs):
@@ -429,6 +429,42 @@ class TestFitBodies:
             fresh().fit_weighted(0, [])
 
 
+class TestRuleIds:
+    def test_enumerable_ids_are_enumeration_indices(self):
+        model = fresh()
+        bodies, _ = model.enumerate_rules(0)
+        assert np.array_equal(model.rule_ids(bodies), np.arange(len(bodies)))
+        assert np.array_equal(model.rule_ids(reversed(bodies)), np.arange(len(bodies))[::-1])
+        assert len(model.body_table()) == model.enumerable_size()
+        with pytest.raises(ValueError):
+            model.rule_ids([(1, 1, 1, 1)])
+
+    def test_past_enum_limit_ids_follow_first_seen_order(self):
+        model = fresh(tuple(f"r{i}" for i in range(24)))
+        assert len(model.body_table()) == 0
+        first = [(5, 2), (1,), (5, 2), (0, 47, 3)]
+        assert model.rule_ids(first).tolist() == [0, 1, 0, 2]
+        assert model.rule_ids([(7,), (1,), (7,)]).tolist() == [3, 1, 3]
+        bodies = [(5, 2), (1,), (0, 47, 3), (7,)]
+        assert model.body_table().tolist() == pad_bodies(bodies, 3).tolist()
+        assert model.rule_ids(bodies).tolist() == [0, 1, 2, 3]  # re-interning changes nothing
+        assert model.bodies_at(0, [3, 0]) == [(7,), (5, 2)]
+        assert model.rule_at(9, 2) == Rule(9, (0, 47, 3))
+        for bad in ([()], [(48,)], [(1, 1, 1, 1)]):
+            with pytest.raises(ValueError):
+                model.rule_ids(bad)
+        assert len(model.body_table()) == 4
+
+    def test_body_table_round_trips_ids(self):
+        for names in (("a", "b"), tuple(f"r{i}" for i in range(24))):
+            model = fresh(names)
+            rng = np.random.default_rng(3)
+            bodies = [tuple(int(r) for r in rng.integers(0, model.vocab.size, size=rng.integers(1, 4)))
+                      for _ in range(40)]
+            ids = model.rule_ids(bodies)
+            assert [tuple(r for r in row if r >= 0) for row in model.body_table()[ids].tolist()] == bodies
+
+
 class TestBatchedDraws:
     def fitted(self):
         model = fresh()
@@ -459,13 +495,26 @@ class TestBatchedDraws:
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
         assert batched_rng.random() == reference_rng.random()
 
-    def test_past_enum_limit_raises_before_drawing(self):
+    def test_past_enum_limit_interns_one_ancestral_draw_per_row(self):
         model = fresh(tuple(f"r{i}" for i in range(24)))
-        rng = np.random.default_rng(0)
-        state = rng.bit_generator.state
-        with pytest.raises(ValueError):
-            model.sample_unique_index_rows([0, 1], 5, rng)
-        assert rng.bit_generator.state == state
+        assert model.enumerable_size() > ENUM_LIMIT
+        for head in range(model.vocab.size):
+            model.fit_weighted(head, [(Rule(head, (head,)), 2.0)])
+        heads = [3, 0, 3, 47]
+        batched_rng, reference_rng = np.random.default_rng(6), np.random.default_rng(6)
+        support, counts, log_probs, sizes = model.sample_unique_index_rows(heads, 9, batched_rng)
+        assert support.dtype == counts.dtype == sizes.dtype == np.intp
+        end = 0
+        for head, size in zip(heads, sizes.tolist()):
+            rules, want_counts, want_log_probs = model.sample_unique_rules(head, 9, reference_rng)
+            ids = support[end : end + size]
+            assert [model.rule_at(head, i) for i in ids.tolist()] == rules
+            assert np.array_equal(counts[end : end + size], want_counts)
+            assert np.array_equal(log_probs[end : end + size], want_log_probs)
+            assert np.array_equal(model.log_probs_by_index(head, ids), want_log_probs)
+            end += size
+        assert end == len(support)
+        assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_rule_objects_are_built_once(self):
         model = self.fitted()
