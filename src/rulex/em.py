@@ -431,6 +431,27 @@ def m_step_generator(posteriors: Sequence[RulePosterior], model: RuleGenerator) 
     return model
 
 
+def _generator_log_likelihood(posteriors: Sequence[RulePosterior], model: RuleGenerator, n_rules: int) -> float:
+    """Mean over instances of N times the posterior-weighted log-prior of the instance's rules.
+
+    The log-priors of each head's posteriors come from one
+    ``log_probs_by_index`` call over their concatenated ids; each instance's
+    dot product is then taken on its own slice, as with one call per instance.
+    """
+    groups: dict[int, list[int]] = {}
+    for i, posterior in enumerate(posteriors):
+        groups.setdefault(posterior.relation, []).append(i)
+    terms = [0.0] * len(posteriors)
+    for head, members in groups.items():
+        log_probs = model.log_probs_by_index(head, np.concatenate([posteriors[i].indices for i in members]))
+        end = 0
+        for i in members:
+            p = posteriors[i]
+            start, end = end, end + len(p.indices)
+            terms[i] = n_rules * float(p.weights @ log_probs[start:end])
+    return float(np.mean(terms))
+
+
 @dataclass
 class MStepResult:
     weights: ExtractorWeights
@@ -648,10 +669,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
                 for i, inst in enumerate(corpus.instances)
             ]
             m_step_generator(posteriors, model)
-            l_g = float(np.mean([
-                config.n_rules * float(p.weights @ model.log_probs_by_index(p.relation, p.indices))
-                for p in posteriors
-            ]))
+            l_g = _generator_log_likelihood(posteriors, model, config.n_rules)
             m_result = m_step_extractor(
                 corpus,
                 model,

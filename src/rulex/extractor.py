@@ -267,6 +267,7 @@ class _DesignMatrix:
         self.vals = np.asarray(vals, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.n_rows = len(self.y)
+        self._scored: tuple[np.ndarray, np.ndarray] | None = None  # (w, scores(w)) of the last call
 
     @classmethod
     def stored_keys(cls, weights: ExtractorWeights) -> list[tuple]:
@@ -315,7 +316,16 @@ class _DesignMatrix:
         )
 
     def scores(self, w: np.ndarray) -> np.ndarray:
-        return np.bincount(self.rows, weights=self.vals * w[self.cols], minlength=self.n_rows)
+        """Every row's score at ``w``, which the caller must not change in place afterwards.
+
+        The last array scored and its scores are kept, so ``loss``,
+        ``gradient`` and the caller share one evaluation per weight vector.
+        """
+        if self._scored is not None and self._scored[0] is w:
+            return self._scored[1]
+        s = np.bincount(self.rows, weights=self.vals * w[self.cols], minlength=self.n_rows)
+        self._scored = (w, s)
+        return s
 
     def loss(self, w: np.ndarray, l2: float) -> float:
         margins = self.y * self.scores(w)
@@ -387,7 +397,11 @@ def fit(batch: Sequence[BatchItem], weights: ExtractorWeights, config: FitConfig
 
 
 def fit_design(design: _DesignMatrix, weights: ExtractorWeights, config: FitConfig) -> FitResult:
-    """Descent loop over a prebuilt design matrix (see ``fit``)."""
+    """Descent loop over a prebuilt design matrix (see ``fit``).
+
+    The weight vectors are never changed in place, so the scores of an
+    accepted trial step serve the next epoch's gradient and the final scores.
+    """
     config.validate()
     if design.n_rows == 0:
         raise ValueError("empty training batch")

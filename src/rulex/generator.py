@@ -13,6 +13,8 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -105,6 +107,53 @@ class RuleGenerator:
             probs += uniform_mass / width
         return support, probs
 
+    def conditionals(self, head: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``conditional`` for every row of ``prefixes``, an int array of equal-length prefixes.
+
+        Returns (support ids, probabilities with one row per prefix).  Each
+        depth's context is coded as a base-``size`` int, and each distinct
+        context's count row and its sum are read once.  Per element the
+        arithmetic is ``conditional``'s, in the same order: the depth terms
+        accumulate in depth order, then the uniform mass of the untouched
+        depths is added.
+        """
+        prefixes = np.asarray(prefixes, dtype=np.intp)
+        if prefixes.ndim != 2:
+            raise ValueError("prefixes must be a 2-D array, one prefix per row")
+        n, position = prefixes.shape
+        if position >= self.max_len:
+            return self._stop_dist[0], np.ones((n, 1))
+        first = position == 0
+        support = self._supports[0 if first else 1]
+        width = len(support)
+        size, alpha = self.vocab.size, self.alpha
+        probs = np.zeros((n, width))
+        uniform_mass = np.zeros(n)
+        seen = np.zeros(n, dtype=bool)
+        for d, w in self._depth_weights[position]:
+            contexts = prefixes[:, position - d :]
+            codes = np.zeros(n, dtype=np.intp)
+            for j in range(d):
+                codes = codes * size + contexts[:, j]
+            _, where, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            vecs = [self.counts.get((head, tuple(context))) for context in contexts[where].tolist()]
+            present = np.array([vec is not None for vec in vecs], dtype=bool)
+            rows = np.zeros((len(vecs), width))
+            totals = np.zeros(len(vecs))
+            if present.any():
+                # Row sums along the contiguous axis: each equals ``c.sum()`` of its row.
+                rows[present] = np.array([vec for vec in vecs if vec is not None])[:, :width]
+                totals[present] = rows[present].sum(axis=1)
+            hit = present[inverse]
+            terms = w * (rows + alpha) / (totals + alpha * width)[:, None]
+            probs[hit] += terms[inverse[hit]]
+            uniform_mass[~hit] += w
+            seen |= hit
+        probs[~seen] = 1.0 / width
+        spread = seen & (uniform_mass != 0.0)
+        probs[spread] += (uniform_mass[spread] / width)[:, None]
+        return support, probs
+
     def log_prob(self, head: int, body: Sequence[int]) -> float:
         """Log-probability of a complete rule body, including its termination event."""
         self.vocab.check_relation(head)
@@ -126,17 +175,29 @@ class RuleGenerator:
 
     def sample_rule(self, head: int, rng: np.random.Generator) -> Rule:
         """Draw one rule token by token from the conditionals."""
+        return Rule(head, self._draw_body(head, rng)[0])
+
+    def _draw_body(self, head: int, rng: np.random.Generator) -> tuple[tuple[int, ...], float]:
+        """One body drawn token by token, with its log-probability.
+
+        The draw reads every conditional that ``log_prob`` reads for the body
+        it draws, so it adds ``math.log`` of each drawn probability left to
+        right, termination included, and the total equals ``log_prob``'s.
+        """
         self.vocab.check_relation(head)
         body: list[int] = []
+        total = 0.0
         while True:
             support, probs = self.conditional(head, tuple(body))
-            token = int(support[np.searchsorted(np.cumsum(probs), rng.random(), side="right")])
+            i = np.searchsorted(np.cumsum(probs), rng.random(), side="right")
+            token = int(support[i])
+            total += math.log(probs[i])
             if token == self.vocab.stop_id:
                 break
             body.append(token)
             if len(body) == self.max_len:
                 break
-        return Rule(head, tuple(body))
+        return tuple(body), total
 
     def sample_ruleset(self, head: int, n: int, rng: np.random.Generator) -> RuleSet:
         """Draw N independent rules for one head relation.
@@ -212,20 +273,21 @@ class RuleGenerator:
 
         Multiplicities sum to N.  The unique-rule ordering is canonical
         (lexicographic bodies) so downstream consumers are deterministic.
+        Past ``ENUM_LIMIT`` the draws are ancestral, and each body's
+        log-probability is summed while it is drawn (see ``_draw_body``).
         """
         if n < 1:
             raise ValueError("ruleset size must be >= 1")
         if self._enumeration(head) is not None:
             uidx, counts, log_probs = self.sample_unique_indices(head, n, rng)
             return [self.rule_at(head, int(i)) for i in uidx], counts, log_probs
-        counts_map: dict[Rule, int] = {}
-        for _ in range(n):
-            rule = self.sample_rule(head, rng)
-            counts_map[rule] = counts_map.get(rule, 0) + 1
-        rules = sorted(counts_map, key=lambda rule: rule.body)
-        counts = np.array([counts_map[rule] for rule in rules])
-        log_probs = np.array([self.log_prob(head, rule.body) for rule in rules])
-        return rules, counts, log_probs
+        drawn = [self._draw_body(head, rng) for _ in range(n)]
+        multiplicity = Counter(body for body, _ in drawn)
+        log_prob_of = dict(drawn)
+        bodies = sorted(log_prob_of)
+        counts = np.array([multiplicity[body] for body in bodies])
+        log_probs = np.array([log_prob_of[body] for body in bodies])
+        return [Rule(head, body) for body in bodies], counts, log_probs
 
     def _rule_space(self) -> "_RuleSpace":
         if self._space is None:
@@ -269,11 +331,40 @@ class RuleGenerator:
         return self._rule_space().table
 
     def log_probs_by_index(self, head: int, indices: np.ndarray) -> np.ndarray:
-        """Log-probabilities of the rules with the given ids, per body past ``ENUM_LIMIT``."""
+        """Log-probabilities of the rules with the given ids.
+
+        Past ``ENUM_LIMIT`` each distinct id is scored once, all in one batch.
+        """
         enum = self._enumeration(head)
         if enum is None:
-            return np.array([self.log_prob(head, body) for body in self.bodies_at(head, indices)], dtype=float)
+            unique, inverse = np.unique(np.asarray(indices, dtype=np.intp), return_inverse=True)
+            return self._body_log_probs(head, self.body_table()[unique])[inverse]
         return enum.log_probs[indices]
+
+    def _body_log_probs(self, head: int, bodies: np.ndarray) -> np.ndarray:
+        """``log_prob`` of every row of ``bodies``, bit for bit.
+
+        The rows are valid bodies, relation ids padded with -1 to at most
+        ``max_len`` columns; they are not checked again.  Position by
+        position, one ``conditionals`` call scores the next token of every
+        body still running, or its termination where it ends below
+        ``max_len``, and ``math.log`` of each chosen probability is added to
+        the body's total left to right, as ``log_prob`` adds them.
+        """
+        self.vocab.check_relation(head)
+        padded = np.full((len(bodies), self.max_len + 1), -1, dtype=np.intp)
+        padded[:, : np.shape(bodies)[1]] = bodies
+        lengths = np.count_nonzero(padded >= 0, axis=1)
+        totals = np.zeros(len(padded))
+        for position in range(self.max_len):
+            rows = np.flatnonzero(lengths >= position)
+            if not len(rows):
+                break
+            _, probs = self.conditionals(head, padded[rows, :position])
+            tokens = np.where(lengths[rows] > position, padded[rows, position], self.vocab.stop_id)
+            chosen = probs[np.arange(len(rows)), tokens].tolist()
+            totals[rows] += np.fromiter(map(math.log, chosen), dtype=float, count=len(rows))
+        return totals
 
     # -- deterministic inference -------------------------------------------
 
@@ -282,27 +373,30 @@ class RuleGenerator:
 
         Ties break by lexicographic body order.  When the beam exhausts fewer
         than N distinct rules, the result is padded by repeating the best one
-        so the multiset size stays exactly N.
+        so the multiset size stays exactly N.  The beam is an int array of
+        prefixes, extended through ``conditionals``; each candidate's score is
+        its prefix's score plus ``math.log`` of its probability.
         """
         if beam < n:
             raise ValueError(f"beam width {beam} smaller than requested rule count {n}")
         self.vocab.check_relation(head)
-        frontier: list[tuple[float, tuple[int, ...]]] = [(0.0, ())]
+        frontier = np.zeros((1, 0), dtype=np.intp)  # one prefix per row
+        scores = np.zeros(1)
         completed: list[tuple[float, tuple[int, ...]]] = []
-        for position in range(self.max_len + 1):
-            expansions: list[tuple[float, tuple[int, ...]]] = []
-            for lp, prefix in frontier:
-                support, probs = self.conditional(head, prefix)
-                for sym, p in zip(support, probs):
-                    if sym == self.vocab.stop_id:
-                        if prefix:
-                            completed.append((lp + math.log(p), prefix))
-                    else:
-                        expansions.append((lp + math.log(p), prefix + (int(sym),)))
-            expansions.sort(key=lambda item: (-item[0], item[1]))
-            frontier = expansions[:beam]
-            if not frontier:
+        for _ in range(self.max_len + 1):
+            support, probs = self.conditionals(head, frontier)
+            logs = np.fromiter(map(math.log, probs.ravel().tolist()), dtype=float, count=probs.size)
+            candidates = scores[:, None] + logs.reshape(probs.shape)
+            stops = support == self.vocab.stop_id
+            if stops.any():  # never at position 0, so every completed body is non-empty
+                completed.extend(zip(candidates[:, stops.argmax()].tolist(), map(tuple, frontier.tolist())))
+            tokens = support[~stops]
+            if not len(tokens):
                 break
+            candidates = candidates[:, ~stops].ravel()
+            grown = np.column_stack([np.repeat(frontier, len(tokens), axis=0), np.tile(tokens, len(frontier))])
+            keep = np.lexsort((*grown.T[::-1], -candidates))[:beam]  # by (-score, prefix)
+            frontier, scores = grown[keep], candidates[keep]
         completed.sort(key=lambda item: (-item[0], item[1]))
         best = [Rule(head, body) for _, body in completed[:n]]
         while len(best) < n:
@@ -440,18 +534,21 @@ class RuleGenerator:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        counts = {}
-        for (head, ctx), vec in self.counts.items():
-            key = f"{head}|" + ",".join(str(t) for t in ctx)
-            counts[key] = [float(x) for x in vec]
+        return {**self._settings(), "counts": {key: vec.tolist() for key, vec in self._count_items()}}
+
+    def _settings(self) -> dict:
         return {
             "vocab": self.vocab.to_json(),
             "order": self.order,
             "alpha": self.alpha,
             "lambdas": [self.lambda_by_depth[self.order - i] for i in range(self.order + 1)],
             "max_len": self.max_len,
-            "counts": counts,
         }
+
+    def _count_items(self) -> Iterable[tuple[str, np.ndarray]]:
+        """(JSON key, float count vector) of every count context, in insertion order."""
+        for (head, ctx), vec in self.counts.items():
+            yield f"{head}|" + ",".join(str(t) for t in ctx), np.asarray(vec, dtype=float)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RuleGenerator":
@@ -469,9 +566,25 @@ class RuleGenerator:
         return model
 
     def save(self, path) -> None:
+        """Write ``json.dump(self.to_json(), fh, sort_keys=True)`` and a newline, streamed.
+
+        The same bytes, without building ``to_json()``'s tree of Python
+        floats: the counts are written one context at a time, in sorted key
+        order, each vector through ``json.dumps``.
+        """
+        fields = self._settings()
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+            for i, name in enumerate(sorted([*fields, "counts"])):
+                fh.write(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
+                if name != "counts":
+                    fh.write(json.dumps(fields[name], sort_keys=True))
+                    continue
+                fh.write("{")
+                items = sorted(self._count_items(), key=itemgetter(0))
+                for j, (key, vec) in enumerate(items):
+                    fh.write((", " if j else "") + json.dumps(key) + ": " + json.dumps(vec.tolist()))
+                fh.write("}")
+            fh.write("}\n")
 
     @classmethod
     def load(cls, path) -> "RuleGenerator":
@@ -484,24 +597,24 @@ class _RuleSpace:
 
     When the space is enumerable, ids follow the enumeration order, which
     sorts bodies lexicographically.  It depends on neither the head nor the
-    counts, so a generator builds it once.  ``levels`` lists the bodies of
-    each length in generation order (each level extends every body of the
-    previous one by each relation id), and ``order`` maps ids to positions in
-    those levels laid end to end.  Past ``ENUM_LIMIT`` the table starts empty
-    and ``ids`` interns bodies in first-seen order.
+    counts, so a generator builds it once.  ``order`` maps ids to positions
+    in the generation order: the bodies of each length in turn, each length
+    extending every body of the previous one by each relation id.  Past
+    ``ENUM_LIMIT`` the table starts empty and ``ids`` interns bodies in
+    first-seen order.
     """
 
-    __slots__ = ("size", "max_len", "enumerated", "levels", "order", "bodies", "index", "table")
+    __slots__ = ("size", "max_len", "enumerated", "order", "bodies", "index", "table")
 
     def __init__(self, size: int, max_len: int, enumerated: bool):
         self.size, self.max_len, self.enumerated = size, max_len, enumerated
-        self.levels: list[list[tuple[int, ...]]] = [[()]]
         self.order: list[int] = []
         self.bodies: list[tuple[int, ...]] = []
         if enumerated:
+            levels: list[list[tuple[int, ...]]] = [[()]]
             for _ in range(max_len):
-                self.levels.append([prefix + (x,) for prefix in self.levels[-1] for x in range(size)])
-            generated = list(itertools.chain.from_iterable(self.levels[1:]))
+                levels.append([prefix + (x,) for prefix in levels[-1] for x in range(size)])
+            generated = list(itertools.chain.from_iterable(levels[1:]))
             self.order = sorted(range(len(generated)), key=generated.__getitem__)
             self.bodies = [generated[i] for i in self.order]
         self.index = {body: i for i, body in enumerate(self.bodies)}
@@ -528,11 +641,9 @@ class _EnumeratedHead:
     """One head's log-probabilities and sampling CDF over the enumeration order.
 
     Built level by level: each level's cumulative prefix log-probabilities
-    extend by the next-token conditionals of all its prefixes at once.  A
-    prefix of length p sees its depth-d context as its last d tokens, which
-    is row ``p_index mod size**d`` of level d, so each depth's count rows are
-    looked up once per context rather than once per prefix.  Per element the
-    arithmetic is ``RuleGenerator.conditional``'s, in the same order.
+    extend by the next-token conditionals of all its prefixes at once, from
+    one ``RuleGenerator.conditionals`` call.  A level lists its prefixes in
+    generation order, which is counting in base ``size``.
     """
 
     __slots__ = ("log_probs", "cdf")
@@ -544,31 +655,8 @@ class _EnumeratedHead:
         log_chunks: list[np.ndarray] = []
         prefix_logs = np.zeros(1)
         for level in range(model.max_len):
-            width = size + 1 if level > 0 else size
-            smoothing = model.alpha * width
-            conds = np.zeros((size**level, width))
-            uniform_mass = np.zeros(size**level)
-            seen = np.zeros(size**level, dtype=bool)
-            for d, w in model._depth_weights[level]:
-                contexts = space.levels[d]
-                rows = np.zeros((len(contexts), width))
-                totals = np.zeros(len(contexts))
-                present = np.zeros(len(contexts), dtype=bool)
-                for j, context in enumerate(contexts):
-                    vec = model.counts.get((head, context))
-                    if vec is not None:
-                        rows[j] = c = vec[:width]
-                        totals[j] = c.sum()
-                        present[j] = True
-                context_of = np.arange(size**level) % size**d
-                hit = present[context_of]
-                terms = w * (rows + model.alpha) / (totals + smoothing)[:, None]
-                conds[hit] += terms[context_of[hit]]
-                uniform_mass[~hit] += w
-                seen |= hit
-            conds[~seen] = 1.0 / width
-            spread = seen & (uniform_mass != 0.0)
-            conds[spread] += (uniform_mass[spread] / width)[:, None]
+            digits = size ** np.arange(level - 1, -1, -1)
+            _, conds = model.conditionals(head, np.arange(size**level)[:, None] // digits % size)
             with np.errstate(divide="ignore"):
                 log_conds = np.log(conds)
             if level > 0:

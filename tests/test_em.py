@@ -18,6 +18,7 @@ from rulex.em import (
     predict_document,
     rule_score_H,
     run_em,
+    _generator_log_likelihood,
     _softmax,
 )
 from rulex.extractor import ExtractorWeights, FitConfig, fit, ground_body_value, ground_rule
@@ -278,8 +279,8 @@ class TestGroundingCache:
         assert m_result.losses == reference.losses
 
     def test_sparse_m_step_grounds_like_the_dp(self):
-        # 24 base relations give 48 ids, past ENUM_LIMIT: the M-step takes the
-        # rule-object path and grounds its bodies through the store.
+        # 24 base relations give 48 ids, past ENUM_LIMIT: the M-step grounds
+        # interned rule ids through the store, as below the limit.
         result = tiny_synth(relations=24, docs=8)
         train, vocab = result.splits["train"], result.vocab
         model = RuleGenerator(vocab)
@@ -370,6 +371,23 @@ class TestMStepGenerator:
         assert list(model.counts) == list(reference.counts)
         for key, vec in reference.counts.items():
             assert np.array_equal(model.counts[key], vec)
+
+    @pytest.mark.parametrize("relations", [4, 24])
+    def test_batched_l_g_equals_one_log_prob_call_per_posterior(self, relations):
+        result = tiny_synth(relations=relations, docs=8)
+        train, vocab = result.splits["train"], result.vocab
+        model = RuleGenerator(vocab)
+        rng = np.random.default_rng(2)
+        posteriors = [e_step(inst, model, ExtractorWeights(), train.docs[inst.doc_id], 12, rng)
+                      for inst in train.instances]
+        m_step_generator(posteriors, model)
+        want = float(np.mean([12 * float(p.weights @ model.log_probs_by_index(p.relation, p.indices))
+                              for p in posteriors]))
+        assert _generator_log_likelihood(posteriors, model, 12) == want
+        if relations == 24:  # past the limit both equal the scalar log_prob
+            assert want == float(np.mean([12 * float(p.weights @ np.array([model.log_prob(p.relation, r.body)
+                                                                            for r in p.rules]))
+                                          for p in posteriors]))
 
 
 def tiny_synth(seed=5, **overrides):
@@ -471,8 +489,8 @@ class TestRunEm:
         assert engine.f1 > 0.0
 
     def test_past_enum_limit_runs_deterministically(self):
-        # 24 base relations give 48 ids: sampling is ancestral, and both
-        # M-steps take their rule-object paths.
+        # 24 base relations give 48 ids: sampling is ancestral, rule ids are
+        # interned, and log-priors come from the batched scorer.
         result = tiny_synth(relations=24, docs=3, split=(1.0, 0.0, 0.0))
         train, vocab = result.splits["train"], result.vocab
         assert RuleGenerator(vocab).enumerable_size() > ENUM_LIMIT

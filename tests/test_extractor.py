@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from rulex.core import LabeledInstance, Rule, RuleSet, atom_conf, build_vocab
@@ -336,6 +337,44 @@ class TestFit:
             fit(self.separable_batch(), ExtractorWeights(), FitConfig(lr=0.0))
         with pytest.raises(ValueError):
             fit([], ExtractorWeights(), FitConfig())
+
+    def test_descent_equals_a_loop_that_scores_every_call_afresh(self, rng):
+        # fit_design keeps the accepted trial's scores for the next gradient
+        # and the final scores; recomputing them each time gives the same bits.
+        rules = [Rule(r, (b,)) for r in range(3) for b in range(4)]
+        batch = []
+        for i in range(40):
+            relation = int(rng.integers(0, 3))
+            picks = [rules[4 * relation + int(b)] for b in rng.integers(0, 4, size=3)]
+            batch.append((LabeledInstance("d", 0, relation, 1, 1 if rng.random() < 0.4 else -1),
+                          RuleSet(picks), {rule: float(rng.random()) for rule in picks}))
+        config = FitConfig(lr=2.0, epochs=12, l2=1e-3)  # a large step: some epochs halve it
+        design = _DesignMatrix.from_batch(batch, ExtractorWeights())
+
+        def fresh_scores(w):
+            return np.bincount(design.rows, weights=design.vals * w[design.cols], minlength=design.n_rows)
+
+        def loss(w):
+            return float(np.logaddexp(0.0, -design.y * fresh_scores(w)).sum() + 0.5 * config.l2 * np.dot(w, w))
+
+        w = design.initial_vector(ExtractorWeights())
+        curvature = np.bincount(design.cols, weights=design.vals**2, minlength=len(design.keys))
+        precondition = np.maximum(curvature / 4.0 + config.l2, 1e-9)
+        losses = [loss(w)]
+        for _ in range(config.epochs):
+            coef = -design.y / (1.0 + np.exp(design.y * fresh_scores(w)))
+            gradient = np.bincount(design.cols, weights=coef[design.rows] * design.vals,
+                                   minlength=len(design.keys)) + config.l2 * w
+            step = config.lr
+            while loss(w - step * (gradient / precondition)) > losses[-1]:
+                step /= 2.0
+            w = w - step * (gradient / precondition)
+            losses.append(loss(w))
+        weights = ExtractorWeights()
+        result = fit(batch, weights, config)
+        assert result.losses == losses
+        assert np.array_equal(result.final_scores, fresh_scores(w))
+        assert list(weights.rule_weight.values()) == w[[k[0] == "rule" for k in design.keys]].tolist()
 
     def test_divergence_reported_after_halvings(self):
         design = _DesignMatrix.from_batch(self.separable_batch(), ExtractorWeights())

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 
 import numpy as np
@@ -522,3 +523,164 @@ class TestBatchedDraws:
         model.fit_weighted(2, [(Rule(2, (3,)), 1.0)])
         assert model.rule_at(2, 17) is first
         assert first == Rule(2, model.bodies_at(2, [17])[0])
+
+
+def fitted_model(names=("a", "b"), seed=0, heads=None, picks=6, **kwargs):
+    """A generator fitted on random bodies of the given heads (all heads by default)."""
+    model = fresh(names, **kwargs)
+    rng = np.random.default_rng(seed)
+    size = model.vocab.size
+    for head in range(size) if heads is None else heads:
+        bodies = [tuple(int(r) for r in rng.integers(0, size, size=int(rng.integers(1, model.max_len + 1))))
+                  for _ in range(picks)]
+        model.fit_weighted(head, [(Rule(head, body), float(rng.random()) * 3 + 0.1) for body in bodies])
+    return model
+
+
+def python_beam(model, head, n, beam):
+    """The list-based beam search over ``conditional`` that ``top_rules`` replaced: the reference."""
+    frontier = [(0.0, ())]
+    completed = []
+    for _ in range(model.max_len + 1):
+        expansions = []
+        for lp, prefix in frontier:
+            support, probs = model.conditional(head, prefix)
+            for sym, p in zip(support, probs):
+                if sym == model.vocab.stop_id:
+                    if prefix:
+                        completed.append((lp + math.log(p), prefix))
+                else:
+                    expansions.append((lp + math.log(p), prefix + (int(sym),)))
+        expansions.sort(key=lambda item: (-item[0], item[1]))
+        frontier = expansions[:beam]
+        if not frontier:
+            break
+    completed.sort(key=lambda item: (-item[0], item[1]))
+    best = [Rule(head, body) for _, body in completed[:n]]
+    while len(best) < n:
+        best.append(best[0])
+    return best
+
+
+class TestConditionals:
+    @pytest.mark.parametrize("order,max_len", [(0, 2), (1, 3), (2, 3), (3, 4)])
+    def test_equal_conditional_bit_for_bit(self, order, max_len):
+        # Head 1 is fitted on a few bodies, so its contexts are touched at
+        # some depths and not at others; head 3 is untouched.
+        model = fitted_model(order=order, lambdas=[0.3 + 0.1 * d for d in range(order + 1)],
+                             max_len=max_len, heads=[1], picks=5, seed=order)
+        size = model.vocab.size
+        for head in (1, 3):
+            for position in range(max_len + 1):
+                prefixes = list(itertools.product(range(size), repeat=position))
+                support, probs = model.conditionals(head, np.array(prefixes, dtype=np.intp).reshape(len(prefixes), position))
+                assert probs.shape == (len(prefixes), len(support))
+                for prefix, row in zip(prefixes, probs):
+                    want_support, want = model.conditional(head, prefix)
+                    assert np.array_equal(support, want_support)
+                    assert np.array_equal(row, want), (head, prefix)
+
+    def test_rows_in_any_order_with_repeats(self):
+        model = fitted_model()
+        prefixes = np.array([[3, 1], [0, 0], [3, 1], [2, 3], [0, 0]])
+        _, probs = model.conditionals(2, prefixes)
+        for prefix, row in zip(prefixes.tolist(), probs):
+            assert np.array_equal(row, model.conditional(2, tuple(prefix))[1])
+        _, none = model.conditionals(2, np.zeros((0, 2), dtype=np.intp))
+        assert none.shape == (0, model.vocab.size + 1)
+
+    def test_rejects_a_flat_prefix(self):
+        with pytest.raises(ValueError):
+            fresh().conditionals(0, np.array([1, 2]))
+
+
+class TestArrayBeam:
+    @pytest.mark.parametrize("order,seed", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    def test_fitted_models_equal_the_python_beam(self, order, seed):
+        model = fitted_model(("a", "b", "c"), seed=seed, order=order, lambdas=[0.5] * (order + 1),
+                             max_len=3, picks=4)
+        for head in range(model.vocab.size):
+            for n, beam in ((1, 1), (5, 7), (20, 40)):
+                assert list(model.top_rules(head, n, beam)) == python_beam(model, head, n, beam)
+
+    def test_uniform_model_breaks_every_tie_like_the_python_beam(self):
+        model = fresh(("a", "b"))
+        for n, beam in ((3, 3), (10, 16), (40, 200)):
+            assert list(model.top_rules(0, n, beam)) == python_beam(model, 0, n, beam)
+
+    def test_padding_when_the_beam_runs_out(self):
+        model = fresh(("only",), ("only",), max_len=2)  # bodies (0,) and (0, 0)
+        got = list(model.top_rules(0, 5, beam=6))
+        assert got == python_beam(model, 0, 5, 6)
+        assert len(got) == 5 and len(set(got)) == 2
+
+    def test_past_enum_limit_equals_the_python_beam(self):
+        model = fitted_model(tuple(f"r{i}" for i in range(24)), heads=[0, 5, 47], picks=10)
+        assert model.enumerable_size() > ENUM_LIMIT
+        for head in (0, 5, 30):
+            assert list(model.top_rules(head, 8, 12)) == python_beam(model, head, 8, 12)
+
+
+class TestBatchedLogProbs:
+    @pytest.mark.parametrize("order,max_len", [(0, 2), (1, 3), (2, 3), (3, 4)])
+    def test_enumerable_bodies_equal_log_prob_bit_for_bit(self, order, max_len):
+        model = fitted_model(order=order, lambdas=[0.4] * (order + 1), max_len=max_len, seed=order)
+        bodies = list(all_bodies(model.vocab.size, max_len))
+        for head in (0, 2):
+            want = [model.log_prob(head, body) for body in bodies]
+            assert model._body_log_probs(head, pad_bodies(bodies, max_len)).tolist() == want
+            short = [body for body in bodies if len(body) < max_len]  # padded narrower than max_len
+            assert model._body_log_probs(head, pad_bodies(short, max_len - 1)).tolist() == \
+                [model.log_prob(head, body) for body in short]
+
+    def test_past_enum_limit_log_probs_by_index_equal_log_prob_bit_for_bit(self):
+        model = fitted_model(tuple(f"r{i}" for i in range(24)), heads=[4, 9], picks=30)
+        assert model.enumerable_size() > ENUM_LIMIT
+        rng = np.random.default_rng(2)
+        bodies = [tuple(int(r) for r in rng.integers(0, 12, size=int(rng.integers(1, 4)))) for _ in range(300)]
+        ids = model.rule_ids(bodies)  # small ids: many repeats
+        for head in (4, 9, 20):
+            got = model.log_probs_by_index(head, ids)
+            assert got.dtype == float and got.tolist() == [model.log_prob(head, body) for body in bodies]
+        assert model.log_probs_by_index(4, np.array([], dtype=np.intp)).shape == (0,)
+
+    def test_ancestral_draws_sum_log_prob_while_drawing_bit_for_bit(self):
+        model = fitted_model(tuple(f"r{i}" for i in range(24)), heads=[4, 9], picks=30)
+        for head in (4, 9, 20):
+            rng, reference_rng = np.random.default_rng(head), np.random.default_rng(head)
+            rules, _, log_probs = model.sample_unique_rules(head, 60, rng)
+            assert log_probs.tolist() == [model.log_prob(head, rule.body) for rule in rules]
+            # The draws read the rng as one inverse-CDF lookup per token did before.
+            drawn = []
+            for _ in range(60):
+                body = []
+                while True:
+                    support, probs = model.conditional(head, tuple(body))
+                    token = int(support[np.searchsorted(np.cumsum(probs), reference_rng.random(), side="right")])
+                    if token == model.vocab.stop_id:
+                        break
+                    body.append(token)
+                    if len(body) == model.max_len:
+                        break
+                drawn.append(tuple(body))
+            assert [rule.body for rule in rules] == sorted(set(drawn))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
+    def test_past_enum_limit_rejects_a_bad_head(self):
+        model = fresh(tuple(f"r{i}" for i in range(24)))
+        with pytest.raises(ValueError):
+            model.log_probs_by_index(48, model.rule_ids([(1,)]))
+
+
+class TestStreamedSave:
+    @pytest.mark.parametrize("names", [("a", "b", "c", "d", "e", "f"), tuple(f"r{i}" for i in range(24))])
+    def test_bytes_equal_json_dump_and_load_back(self, names, tmp_path):
+        # 12 or 48 ids: keys "10|..." sort before "2|..." as strings.
+        for model in (fresh(names), fitted_model(names, picks=3)):
+            model.save(tmp_path / "streamed.json")
+            with open(tmp_path / "reference.json", "w", encoding="utf-8") as fh:
+                json.dump(model.to_json(), fh, sort_keys=True)
+                fh.write("\n")
+            assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+            loaded = RuleGenerator.load(tmp_path / "streamed.json")
+            assert loaded.to_json() == model.to_json()
