@@ -21,8 +21,8 @@ from .core import (
     write_corpus,
 )
 from .datagen import SynthConfig, gen_corpus
-from .em import EMConfig, infer, predict_document, run_em
-from .extractor import ExtractorWeights, FitConfig, GroundingResult, ground_rule, predict, prob, score
+from .em import EMConfig, explain, infer, predict_document, run_em
+from .extractor import ExtractorWeights, FitConfig, GroundingResult, ground_rule, prob
 from .generator import RuleGenerator
 
 __all__ = [
@@ -41,17 +41,16 @@ __all__ = [
     "atom_conf",
     "build_vocab",
     "close_inverses",
+    "explain",
     "format_rule",
     "gen_corpus",
     "ground_rule",
     "infer",
     "load_corpus",
     "parse_rule",
-    "predict",
     "predict_document",
     "prob",
     "run_em",
-    "score",
     "write_corpus",
 ]
 

@@ -18,7 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import core, datagen, em, metrics
-from .extractor import ExtractorWeights, ground_rule
+from .extractor import (  # ``ground_rule`` is unused here; perfbench/tracing.py patches ``cli.ground_rule``
+    ExtractorWeights,
+    ground_rule,
+)
 from .generator import RuleGenerator
 
 LOCK_NAME = ".lock"
@@ -166,25 +169,14 @@ def cmd_infer(args) -> int:
     for doc_id, doc in corpus.docs.items():
         preds = em.predict_document(doc, vocab, model, weights, config, rng, cache, rulesets)
         predictions.by_doc[doc_id] = preds
-        doc_expl: dict[tuple[int, int, int], list] = {}
-        for (h, relation, t) in sorted(preds):
-            rules = []
-            for (rel, rule), weight in weights.rule_weight.items():
-                if rel != relation or weight == 0.0:
-                    continue
-                grounding = ground_rule(doc, rule, h, t)
-                if grounding.value > 0.0:
-                    rules.append(
-                        {
-                            "rule": core.format_rule(rule, vocab),
-                            "weight": weight,
-                            "grounding": grounding.value,
-                            "path": list(grounding.best_path),
-                        }
-                    )
-            rules.sort(key=lambda item: (-item["weight"] * item["grounding"], item["rule"]))
-            doc_expl[(h, relation, t)] = rules[:5]
-        explanations[doc_id] = doc_expl
+        explanations[doc_id] = {
+            query: [
+                {"rule": core.format_rule(c.rule, vocab), "weight": c.weight, "grounding": c.grounding,
+                 "path": list(c.best_path)}
+                for c in em.explain(doc, query, rulesets[query[1]], weights, vocab, cache, top=5).contributions
+            ]
+            for query in sorted(preds)
+        }
     metrics.write_predictions(args.out, predictions, vocab, explanations)
     return 0
 

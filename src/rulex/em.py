@@ -12,7 +12,8 @@ Training grounds rules through one dense atom tensor per corpus
 of them in one chunked gather.  Every step works on integer ids from the
 generator's one rule-id space (``RuleGenerator.rule_ids``), whatever the size
 of the vocabulary; ``Rule`` objects are built only for the weights a step
-stores.
+stores.  Inference scores (``predict_document``) and explains (``explain``)
+from the same memoized all-pairs matrices, so explanations sum to the score.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .core import (
     RelationVocab,
     Rule,
     RuleSet,
+    format_rule,
 )
 from .extractor import (  # ``fit`` is unused here; perfbench/tracing.py patches ``em.fit``
     ExtractorWeights,
@@ -723,7 +725,49 @@ class RuleContribution:
 class InferenceResult:
     label: int
     probability: float
+    logit: float
     contributions: tuple[RuleContribution, ...]
+
+
+def explain(
+    doc: Document,
+    query: tuple[int, int, int],
+    ruleset: RuleSet,
+    weights: ExtractorWeights,
+    vocab: RelationVocab,
+    cache: GroundingCache | None = None,
+    top: int | None = None,
+) -> InferenceResult:
+    """Score one query against a rule multiset and explain it by the rules that fired.
+
+    The logit is the bias plus ``multiplicity * weight * grounding`` of every
+    rule with a nonzero weight, added in rule-set order and read from the
+    cache's all-pairs matrices, so it equals ``predict_document``'s score bit
+    for bit.  Contributions list the rules whose term is nonzero, ordered by
+    decreasing contribution and then by rule text; only the first ``top`` of
+    them (all when ``top`` is None) are returned, each with its witness path.
+    """
+    cache = cache or GroundingCache()
+    h, relation, t = query
+    logit = weights.get_bias(relation)
+    fired = []
+    for rule, multiplicity in ruleset.counts().items():
+        if rule.head != relation:
+            raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
+        weight = weights.get_rule_weight(relation, rule)
+        if weight == 0.0:
+            continue
+        grounding = float(cache.matrix(doc, rule)[h, t])
+        contribution = multiplicity * weight * grounding
+        logit += contribution
+        if contribution != 0.0:
+            fired.append((contribution, format_rule(rule, vocab), rule, multiplicity, weight, grounding))
+    fired.sort(key=lambda item: (-item[0], item[1]))
+    contributions = tuple(
+        RuleContribution(rule, weight, grounding, multiplicity, ground_rule(doc, rule, h, t).best_path, contribution)
+        for contribution, _, rule, multiplicity, weight, grounding in fired[:top]
+    )
+    return InferenceResult(1 if logit > 0 else -1, prob(1, logit), logit, contributions)
 
 
 def infer(
@@ -733,33 +777,16 @@ def infer(
     weights: ExtractorWeights,
     config: EMConfig,
     rng: np.random.Generator | None = None,
+    rulesets: Mapping[int, RuleSet] | None = None,
 ) -> InferenceResult:
-    """Score one query and explain it with the rules that actually fired.
+    """``explain`` of one query against its relation's inference rule set.
 
-    Contributions list only rules with a positive grounding, sorted by their
-    weighted share of the score, each with its witness path.
+    Without ``rulesets`` they are drawn as ``predict_document`` draws them, so
+    with the same ``rng`` (or none) the probability equals its score's.
     """
-    h, relation, t = query
-    if config.inference_mode == "top":
-        ruleset = model.top_rules(relation, config.n_rules, config.beam)
-    else:
-        rng = rng if rng is not None else np.random.default_rng(config.seed)
-        ruleset = model.sample_ruleset(relation, config.n_rules, rng)
-    total = weights.get_bias(relation)
-    contributions = []
-    for rule, multiplicity in sorted(ruleset.counts().items(), key=lambda kv: kv[0].body):
-        result = ground_rule(doc, rule, h, t)
-        weight = weights.get_rule_weight(relation, rule)
-        total += multiplicity * weight * result.value
-        if result.value > 0.0:
-            contributions.append(
-                RuleContribution(
-                    rule, weight, result.value, multiplicity, result.best_path,
-                    multiplicity * weight * result.value,
-                )
-            )
-    contributions.sort(key=lambda c: (-c.contribution, c.rule.body))
-    return InferenceResult(1 if total > 0 else -1, prob(1, total), tuple(contributions))
+    if rulesets is None:
+        rulesets = inference_rulesets(model, model.vocab, config, rng)
+    return explain(doc, query, rulesets[query[1]], weights, model.vocab)
 
 
 def inference_rulesets(

@@ -175,24 +175,6 @@ class ExtractorWeights:
             return cls.from_json(json.load(fh), vocab)
 
 
-def score(
-    doc: Document,
-    query: tuple[int, int, int],
-    ruleset: RuleSet,
-    weights: ExtractorWeights,
-    groundings: Mapping[Rule, float] | None = None,
-) -> float:
-    """Disjunction score: bias plus the weighted grounding of every rule (with multiplicity)."""
-    h, relation, t = query
-    total = weights.get_bias(relation)
-    for rule, multiplicity in ruleset.counts().items():
-        if rule.head != relation:
-            raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
-        g = groundings[rule] if groundings is not None else ground_rule(doc, rule, h, t).value
-        total += multiplicity * weights.get_rule_weight(relation, rule) * g
-    return total
-
-
 def prob(y: int, s: float) -> float:
     """Sigmoid label probability, computed on the numerically safe branch."""
     x = y * s
@@ -200,18 +182,6 @@ def prob(y: int, s: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
-
-
-def predict(
-    doc: Document,
-    query: tuple[int, int, int],
-    ruleset: RuleSet,
-    weights: ExtractorWeights,
-    groundings: Mapping[Rule, float] | None = None,
-) -> tuple[int, float]:
-    """Label decision and positive-class probability; a score of exactly 0 predicts negative."""
-    s = score(doc, query, ruleset, weights, groundings)
-    return (1 if s > 0 else -1), prob(1, s)
 
 
 # -- training ----------------------------------------------------------------

@@ -669,18 +669,3 @@ class _EnumeratedHead:
         cdf = np.cumsum(probs)
         cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
         self.cdf = cdf
-
-
-def dump_top_rules(model: RuleGenerator, per_head: int, beam: int, vocab: RelationVocab) -> str:
-    """Text dump of the most probable rules per head, weight field = log-prob."""
-    from .core import format_rule
-
-    lines = []
-    for head in range(vocab.size):
-        seen = set()
-        for rule in model.top_rules(head, per_head, beam):
-            if rule in seen:
-                continue
-            seen.add(rule)
-            lines.append(format_rule(rule, vocab, model.log_prob(head, rule.body)))
-    return "\n".join(lines) + "\n"

@@ -4,10 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rulex import cli
 from rulex.core import load_corpus, parse_rule, read_vocab_file
+from rulex.em import EMConfig, inference_rulesets
 from rulex.extractor import ExtractorWeights, ground_rule
 from rulex.generator import RuleGenerator
 
@@ -235,6 +237,34 @@ class TestInfer:
                              str(corpus_dir / "test.jsonl"), "--out", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+
+    def test_sample_mode_explains_the_sampled_rule_sets(self, tmp_path, config_file, corpus_dir):
+        run = tmp_path / "run"
+        assert cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config_file),
+                         "--inference-mode", "sample", "--out", str(run)]) == 0
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        for out in (a, b):
+            assert cli.main(["infer", "--run", str(run), "--documents", str(corpus_dir / "test.jsonl"),
+                             "--out", str(out)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        config = EMConfig.from_json(json.loads((run / "config.json").read_text())["em"])
+        assert config.inference_mode == "sample"
+        model = RuleGenerator.load(run / "generator.json")
+        vocab = model.vocab
+        rulesets = inference_rulesets(model, vocab, config, np.random.default_rng(config.seed))
+        corpus = load_corpus(corpus_dir / "test.jsonl", vocab)
+        explained = 0
+        for line in a.read_text().splitlines():
+            record = json.loads(line)
+            doc = corpus.docs[record["doc_id"]]
+            for entry in record.get("explanations", []):
+                h, r_name, t = entry["triple"]
+                for item in entry["rules"]:
+                    rule, _ = parse_rule(item["rule"], vocab)
+                    assert rule in rulesets[vocab.id_of(r_name)].counts()
+                    assert list(ground_rule(doc, rule, h, t).best_path) == item["path"]
+                    explained += 1
+        assert explained > 0
 
 class TestEval:
     def test_self_eval_is_perfect(self, tmp_path, run_dir, corpus_dir, capsys):

@@ -504,6 +504,23 @@ class TestRunEm:
         assert len(rows[0]) == 2 and rows[0] == rows[1]
         assert all(math.isfinite(d.l_g) and math.isfinite(d.l_r) for d in a.diagnostics)
 
+    def test_early_stop_still_calibrates_for_inference(self):
+        # Training draws sampled rule sets; stopping early must still end
+        # with the reset calibration against the top rules that inference
+        # scores and explains.
+        result = tiny_synth()
+        train = result.splits["train"]
+        config = EMConfig(n_rules=8, iterations=5, seed=0, fit=FitConfig(lr=0.5, epochs=4),
+                          convergence_eps=1e9, beam=32)
+        out = run_em(train, result.vocab, config)
+        assert len(out.diagnostics) < config.iterations
+        heads = {inst.relation for inst in train.instances}
+        assert set(out.weights.bias) == heads
+        assert {relation for relation, _ in out.weights.rule_weight} == heads
+        for head in heads:
+            stored = {rule for relation, rule in out.weights.rule_weight if relation == head}
+            assert stored == set(out.model.top_rules(head, config.n_rules, config.beam).counts())
+
     def test_empty_corpus_rejected(self):
         result = tiny_synth()
         with pytest.raises(ValueError):
@@ -566,3 +583,24 @@ class TestInfer:
         a = infer(doc, (0, 0, 1), model, weights, config)
         b = infer(doc, (0, 0, 1), model, weights, config)
         assert a == b
+
+    @pytest.mark.parametrize("mode", ["top", "sample"])
+    def test_scores_as_predict_document_and_sums_to_the_logit(self, mode):
+        result = tiny_synth(seed=7, p_hide=0.5, p_flip=0.05, jitter=0.05)
+        config = EMConfig(n_rules=8, iterations=2, seed=0, fit=FitConfig(lr=0.8, epochs=10),
+                          convergence_eps=0.0, beam=32, inference_mode=mode)
+        out = run_em(result.splits["train"], result.vocab, config)
+        rulesets = inference_rulesets(out.model, result.vocab, config)
+        checked = 0
+        for doc in result.splits["dev"].docs.values():
+            predictions = predict_document(doc, result.vocab, out.model, out.weights, config)
+            for query, probability in predictions.items():
+                explained = infer(doc, query, out.model, out.weights, config)
+                assert explained.label == 1 and explained.probability == probability
+                order = list(rulesets[query[1]].counts())
+                total = out.weights.get_bias(query[1])
+                for c in sorted(explained.contributions, key=lambda c: order.index(c.rule)):
+                    total += c.contribution
+                assert total == explained.logit
+                checked += 1
+        assert checked > 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rulex.core import LabeledInstance, Rule, RuleSet, atom_conf, build_vocab
+from rulex.em import explain
 from rulex.extractor import (
     ExtractorWeights,
     FitConfig,
@@ -15,9 +16,7 @@ from rulex.extractor import (
     ground_rule,
     ground_rule_all_pairs,
     loss_and_grad,
-    predict,
     prob,
-    score,
     _DesignMatrix,
 )
 
@@ -129,6 +128,12 @@ class TestGroundRule:
                     assert matrix[h, t] == pytest.approx(ground_rule(doc, rule, h, t).value, abs=1e-12)
 
 
+def score(doc, query, ruleset, weights):
+    """The disjunction score of one query, as ``em.explain`` computes it."""
+    vocab = build_vocab([f"r{i}" for i in range(doc.num_relations // 2)])
+    return explain(doc, query, ruleset, weights, vocab).logit
+
+
 class TestScore:
     def test_bias_only(self):
         doc = make_doc({}, num_relations=4, n_entities=2)
@@ -201,24 +206,26 @@ class TestProb:
 
 
 class TestPredict:
+    """The label and probability that ``em.explain`` gives a query."""
+
     def test_positive_score(self):
         doc = make_doc({}, num_relations=2, n_entities=2)
         weights = ExtractorWeights()
         weights.bias[0] = 0.98
-        label, p = predict(doc, (0, 0, 1), RuleSet([Rule(0, (1,))]), weights)
-        assert label == 1 and p > 0.5
+        result = explain(doc, (0, 0, 1), RuleSet([Rule(0, (1,))]), weights, build_vocab(["a"]))
+        assert result.label == 1 and result.probability > 0.5
 
     def test_zero_score_breaks_negative(self):
         doc = make_doc({}, num_relations=2, n_entities=2)
-        label, p = predict(doc, (0, 0, 1), RuleSet([Rule(0, (1,))]), ExtractorWeights())
-        assert label == -1 and p == 0.5
+        result = explain(doc, (0, 0, 1), RuleSet([Rule(0, (1,))]), ExtractorWeights(), build_vocab(["a"]))
+        assert result.label == -1 and result.probability == 0.5
 
     def test_negative_score(self):
         doc = make_doc({}, num_relations=2, n_entities=2)
         weights = ExtractorWeights()
         weights.bias[0] = -2.0
-        label, _ = predict(doc, (0, 0, 1), RuleSet([Rule(0, (1,))]), weights)
-        assert label == -1
+        result = explain(doc, (0, 0, 1), RuleSet([Rule(0, (1,))]), weights, build_vocab(["a"]))
+        assert result.label == -1
 
 
 def one_rule_batch(label, grounding, relation=0, weights=None):

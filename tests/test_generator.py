@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rulex.core import Rule, build_vocab, pad_bodies
-from rulex.generator import ENUM_LIMIT, RuleGenerator, dump_top_rules
+from rulex.generator import ENUM_LIMIT, RuleGenerator
 
 
 def fresh(names=("a", "b"), self_inverse=(), **kwargs):
@@ -353,13 +353,6 @@ class TestSerialization:
         a = model.sample_ruleset(0, 20, np.random.default_rng(3))
         b = loaded.sample_ruleset(0, 20, np.random.default_rng(3))
         assert list(a) == list(b)
-
-    def test_dump_top_rules_sorted(self):
-        model = fresh()
-        model.fit_weighted(0, [(Rule(0, (1,)), 3.0)])
-        text = dump_top_rules(model, per_head=2, beam=8, vocab=model.vocab)
-        lines = [line for line in text.strip().splitlines() if line]
-        assert lines and all("<-" in line and "[" in line for line in lines)
 
 
 class TestFitBodies:
