@@ -729,6 +729,29 @@ class InferenceResult:
     contributions: tuple[RuleContribution, ...]
 
 
+def _weighted_rules(
+    doc: Document,
+    relation: int,
+    ruleset: RuleSet,
+    weights: ExtractorWeights,
+    cache: GroundingCache,
+) -> list[tuple[Rule, int, float, np.ndarray]]:
+    """The terms that score ``relation`` on one document, in rule-set order.
+
+    One ``(rule, multiplicity, weight, all-pairs matrix)`` per distinct rule
+    with a nonzero weight; the score is the bias plus the sum of
+    ``multiplicity * weight * matrix`` in this order.
+    """
+    terms = []
+    for rule, multiplicity in ruleset.counts().items():
+        if rule.head != relation:
+            raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
+        weight = weights.get_rule_weight(relation, rule)
+        if weight != 0.0:
+            terms.append((rule, multiplicity, weight, cache.matrix(doc, rule)))
+    return terms
+
+
 def explain(
     doc: Document,
     query: tuple[int, int, int],
@@ -747,17 +770,12 @@ def explain(
     decreasing contribution and then by rule text; only the first ``top`` of
     them (all when ``top`` is None) are returned, each with its witness path.
     """
-    cache = cache or GroundingCache()
     h, relation, t = query
+    terms = _weighted_rules(doc, relation, ruleset, weights, cache or GroundingCache())
     logit = weights.get_bias(relation)
     fired = []
-    for rule, multiplicity in ruleset.counts().items():
-        if rule.head != relation:
-            raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
-        weight = weights.get_rule_weight(relation, rule)
-        if weight == 0.0:
-            continue
-        grounding = float(cache.matrix(doc, rule)[h, t])
+    for rule, multiplicity, weight, matrix in terms:
+        grounding = float(matrix[h, t])
         contribution = multiplicity * weight * grounding
         logit += contribution
         if contribution != 0.0:
@@ -777,15 +795,16 @@ def infer(
     weights: ExtractorWeights,
     config: EMConfig,
     rng: np.random.Generator | None = None,
-    rulesets: Mapping[int, RuleSet] | None = None,
 ) -> InferenceResult:
     """``explain`` of one query against its relation's inference rule set.
 
-    Without ``rulesets`` they are drawn as ``predict_document`` draws them, so
-    with the same ``rng`` (or none) the probability equals its score's.
+    The rule sets of every relation are drawn as ``predict_document`` draws
+    them, so with the same ``rng`` (or none) the probability equals its
+    score's.  Each call draws them afresh and grounds on a fresh cache; to
+    explain many queries, draw ``inference_rulesets`` once and call
+    ``explain`` with one shared ``GroundingCache``, as ``rulex infer`` does.
     """
-    if rulesets is None:
-        rulesets = inference_rulesets(model, model.vocab, config, rng)
+    rulesets = inference_rulesets(model, model.vocab, config, rng)
     return explain(doc, query, rulesets[query[1]], weights, model.vocab)
 
 
@@ -825,10 +844,8 @@ def predict_document(
     off_diagonal = ~np.eye(n, dtype=bool)
     for relation in range(vocab.size):
         scores = np.full((n, n), weights.get_bias(relation))
-        for rule, multiplicity in rulesets[relation].counts().items():
-            weight = weights.get_rule_weight(relation, rule)
-            if weight != 0.0:
-                scores += multiplicity * weight * cache.matrix(doc, rule)
+        for _, multiplicity, weight, matrix in _weighted_rules(doc, relation, rulesets[relation], weights, cache):
+            scores += multiplicity * weight * matrix
         for h, t in np.argwhere((scores > 0) & off_diagonal):
             predictions[(int(h), relation, int(t))] = prob(1, float(scores[h, t]))
     return predictions
