@@ -434,9 +434,11 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
     Each line holds one document object; its ``facts`` list carries the
     labeled instances (label +1 entries double as the document's gold facts).
     Atom stores are closed under inversion after ingestion unless ``close``
-    is disabled.  Any invalid record, including a fact whose entity ids fall
-    outside the document or whose label is not +1 or -1, fails with the
-    file's path and line number.
+    is disabled.  Any invalid record fails with the file's path and line
+    number: among others, an entity id that is not a JSON integer or falls
+    outside the document, a confidence that is not a JSON number, an atom
+    listed twice with confidences more than 1e-9 apart (within that, the
+    first is kept), and a label that is not +1 or -1.
     """
     corpus = Corpus()
     with open(path, encoding="utf-8") as fh:
@@ -449,10 +451,21 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
                 entities = obj["entities"]
                 n = len(entities)
                 atoms = {}
-                for h, r_name, t, c in obj["atoms"]:
-                    atoms[(h, vocab.id_of(r_name), t)] = c
+                # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
+                for atom in obj["atoms"]:
+                    h, r_name, t, c = atom
+                    if type(h) is not int or type(t) is not int:
+                        raise ValueError(f"entity ids must be integers in atom {atom}")
+                    if type(c) is not float and type(c) is not int:
+                        raise ValueError(f"confidence is not a number in atom {atom}")
+                    first = atoms.setdefault((h, vocab.id_of(r_name), t), c)
+                    if first is not c and abs(first - c) > 1e-9:
+                        raise ValueError(f"conflicting confidences {first} and {c} for atom {atom}")
                 instances, gold = [], []
-                for h, r_name, t, y in obj["facts"]:
+                for fact in obj["facts"]:
+                    h, r_name, t, y = fact
+                    if type(h) is not int or type(t) is not int:
+                        raise ValueError(f"entity ids must be integers in fact {fact}")
                     if not (0 <= h < n and 0 <= t < n):
                         raise ValueError(f"entity id out of range in fact [{h}, {r_name!r}, {t}, {y}]")
                     r = vocab.id_of(r_name)

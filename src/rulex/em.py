@@ -11,16 +11,17 @@ Training grounds rules through one dense atom tensor per corpus
 ``run_em``: each step draws every instance's rules first and then grounds all
 of them in one chunked gather.  Every step works on integer ids from the
 generator's one rule-id space (``RuleGenerator.rule_ids``), whatever the size
-of the vocabulary; ``Rule`` objects are built only for the weights a step
-stores.  Inference scores (``predict_document``) and explains (``explain``)
-from the same memoized all-pairs matrices, so explanations sum to the score.
+of the vocabulary, and the extractor weights train as arrays over rule ids
+(``TrainingWeights``); ``run_em`` builds ``Rule`` objects once, for the
+weights it returns.  Inference scores (``predict_document``) and explains
+(``explain``) from the same memoized all-pairs matrices, so explanations sum
+to the score.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -319,6 +320,69 @@ def posterior_over_rules(
     return RulePosterior(instance, indices, np.ones(len(rules), dtype=int), h_values, _softmax(h_values), model)
 
 
+class TrainingWeights:
+    """The extractor weights while EM runs: arrays over the stored keys.
+
+    A stored key is any key that has been a design column since the last
+    reset; keys whose weight is exactly 0 stay, because their columns still
+    enter the descent's sums.  ``bias_rel``/``bias_val`` hold the stored
+    biases, sorted by relation.  ``rule_rel``/``rule_id``/``rule_val`` hold
+    the stored rule weights by relation and rule id (``RuleGenerator.rule_ids``)
+    in (relation, body) order, the order of the design's stored columns.
+    Memory: 16 bytes per stored bias and 40 per stored rule weight, the
+    lookup's copy in (relation, id) order included, whatever the number of
+    relations and rule ids.
+    Keys code as ints: a bias as ``-1 - relation``, a rule weight as
+    ``relation * E + id`` for a table of E rule ids.
+    """
+
+    def __init__(self, bias_rel=(), bias_val=(), rule_rel=(), rule_id=(), rule_val=()):
+        self.bias_rel = np.asarray(bias_rel, dtype=np.intp)
+        self.bias_val = np.asarray(bias_val, dtype=float)
+        self.rule_rel = np.asarray(rule_rel, dtype=np.intp)
+        self.rule_id = np.asarray(rule_id, dtype=np.intp)
+        self.rule_val = np.asarray(rule_val, dtype=float)
+        by_id = np.lexsort((self.rule_id, self.rule_rel))  # the same relation slices, ids sorted in each
+        self._ids, self._vals = self.rule_id[by_id], self.rule_val[by_id]
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray, w: np.ndarray, table: np.ndarray) -> "TrainingWeights":
+        """The keys ``codes`` with the weights ``w``, for the rule-id table ``table``."""
+        bias_rel, (rel, ids) = -1 - codes[codes < 0], np.divmod(codes[codes >= 0], len(table))
+        by_rel = np.argsort(bias_rel)
+        order = np.lexsort((*table[ids].T[::-1], rel))  # (relation, body) order
+        return cls(bias_rel[by_rel], w[codes < 0][by_rel], rel[order], ids[order], w[codes >= 0][order])
+
+    def codes(self, size: int) -> np.ndarray:
+        """The stored keys' codes for a table of ``size`` rule ids: biases, then rule weights."""
+        return np.concatenate([-1 - self.bias_rel, self.rule_rel * size + self.rule_id])
+
+    def bias(self, relation: int) -> float:
+        i = int(np.searchsorted(self.bias_rel, relation))
+        return float(self.bias_val[i]) if i < len(self.bias_rel) and self.bias_rel[i] == relation else 0.0
+
+    def rule_weights(self, relation: int, ids: np.ndarray) -> np.ndarray:
+        """Weights of ``relation``'s rules with the given ids; 0 where no key is stored."""
+        lo, hi = np.searchsorted(self.rule_rel, [relation, relation + 1])
+        stored = self._ids[lo:hi]
+        at = np.searchsorted(stored, ids)
+        hit = at < len(stored)
+        hit[hit] = stored[at[hit]] == ids[hit]
+        values = np.zeros(len(ids))
+        values[hit] = self._vals[lo:hi][at[hit]]
+        return values
+
+    def to_extractor(self, model: RuleGenerator) -> ExtractorWeights:
+        """The same keys and weights as ``ExtractorWeights``, one ``Rule`` per stored rule weight."""
+        weights = ExtractorWeights()
+        weights.bias = dict(zip(self.bias_rel.tolist(), self.bias_val.tolist()))
+        weights.rule_weight = {
+            (relation, model.rule_at(relation, i)): value
+            for relation, i, value in zip(self.rule_rel.tolist(), self.rule_id.tolist(), self.rule_val.tolist())
+        }
+        return weights
+
+
 class Draw(NamedTuple):
     """One instance's drawn rule multiset, deduplicated.
 
@@ -369,33 +433,28 @@ def _ground_draws(
 def e_step(
     instance: LabeledInstance,
     model: RuleGenerator,
-    weights: ExtractorWeights,
+    weights: TrainingWeights,
     doc: Document,
     n_rules: int,
     rng: np.random.Generator,
     cache: GroundingCache | None = None,
-    head_weights: np.ndarray | None = None,
     drawn: Draw | tuple | None = None,
 ) -> RulePosterior:
     """Sample N rules from the prior and weight the unique ones by softmaxed quality.
 
     Rules whose learned weight is still 0 skip grounding entirely: their
-    extractor term vanishes no matter what the document says.  ``head_weights``
-    optionally supplies the rule weights of the instance's relation as a dense
-    vector over the rule ids, saving per-rule lookups.  ``drawn`` supplies an
-    already drawn rule multiset from the same prior (a ``Draw`` or its first
-    three fields), letting the caller share one draw per instance across the
-    steps of an iteration; its ``values``, when present, are used instead of
-    grounding again.  Without them the rules ground through ``cache``, or
-    through the dynamic program ``ground_body_value`` when no cache is given.
+    extractor term vanishes no matter what the document says.  ``drawn``
+    supplies an already drawn rule multiset from the same prior (a ``Draw``
+    or its first three fields), letting the caller share one draw per
+    instance across the steps of an iteration; its ``values``, when present,
+    are used instead of grounding again.  Without them the rules ground
+    through ``cache``, or through the dynamic program ``ground_body_value``
+    when no cache is given.
     """
     relation = instance.relation
     drawn = Draw(*(model.sample_unique_indices(relation, n_rules, rng) if drawn is None else drawn))
     indices = drawn.support
-    if head_weights is not None:
-        w = head_weights[indices]
-    else:
-        w = np.array([weights.get_rule_weight(relation, model.rule_at(relation, i)) for i in indices.tolist()])
+    w = weights.rule_weights(relation, indices)
     extract = np.zeros(len(drawn.counts))
     nz = np.nonzero(w)[0]
     if nz.size:
@@ -406,7 +465,7 @@ def e_step(
             ground = ground_body_value if cache is None else cache.value_body
             g = np.array([ground(doc, body, h, t) for body in model.bodies_at(relation, indices[nz])])
         extract[nz] = w[nz] * g
-    h_values = drawn.log_priors + (instance.label / 2.0) * (weights.get_bias(relation) / n_rules + extract)
+    h_values = drawn.log_priors + (instance.label / 2.0) * (weights.bias(relation) / n_rules + extract)
     return RulePosterior(instance, indices, drawn.counts, h_values, _softmax(h_values), model)
 
 
@@ -456,7 +515,7 @@ def _generator_log_likelihood(posteriors: Sequence[RulePosterior], model: RuleGe
 
 @dataclass
 class MStepResult:
-    weights: ExtractorWeights
+    weights: TrainingWeights
     losses: list[float]
     l_r: float
     train_f1: float
@@ -469,7 +528,7 @@ class MStepResult:
 def m_step_extractor(
     corpus: Corpus,
     model: RuleGenerator,
-    weights: ExtractorWeights,
+    weights: TrainingWeights,
     fit_config: FitConfig,
     rng: np.random.Generator,
     *,
@@ -484,19 +543,20 @@ def m_step_extractor(
     ``mode`` chooses fresh per-instance samples (the default) or the shared
     deterministic top rules per head.  Every instance's rule set is drawn
     first, then all of them ground in one batched gather before the descent
-    loop runs.  ``reset`` clears the weights first, turning the step into a
-    from-scratch calibration against the given rule sets instead of a warm
-    continuation.
+    loop runs, warm-started from ``weights``.  ``reset`` starts from no
+    stored weights instead, turning the step into a from-scratch calibration
+    against the given rule sets.  The trained weights come back in the
+    result; ``weights`` is left as it was.
     """
     cache = cache or GroundingCache()
     if reset:
-        weights.bias.clear()
-        weights.rule_weight.clear()
+        weights = TrainingWeights()
     samples: list[Draw] | None = [] if mode == "sample" else None
     design = _index_design(
         corpus, model, weights, rng, n_rules=n_rules, mode=mode, beam=beam, cache=cache, samples_out=samples
     )
-    result = fit_design(design, weights, fit_config)
+    stored = np.concatenate([weights.bias_val, weights.rule_val])
+    result = fit_design(design, np.concatenate([stored, np.zeros(len(design.keys) - len(stored))]), fit_config)
     predicted = result.final_scores > 0
     actual = result.labels > 0
     tp = int(np.sum(predicted & actual))
@@ -505,20 +565,14 @@ def m_step_extractor(
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-    return MStepResult(result.weights, result.losses, result.data_log_likelihood, f1, samples)
-
-
-def _stored_rule_indices(model: RuleGenerator, keys: Sequence[tuple[int, Rule]]) -> tuple[np.ndarray, np.ndarray]:
-    """(relation, rule id) of each rule-weight key."""
-    relations = np.fromiter(map(itemgetter(0), keys), dtype=np.intp, count=len(keys))
-    bodies = map(attrgetter("body"), map(itemgetter(1), keys))
-    return relations, model.rule_ids(bodies)
+    trained = TrainingWeights.from_codes(design.keys, result.w, model.body_table())
+    return MStepResult(trained, result.losses, result.data_log_likelihood, f1, samples)
 
 
 def _index_design(
     corpus: Corpus,
     model: RuleGenerator,
-    weights: ExtractorWeights,
+    weights: TrainingWeights,
     rng: np.random.Generator,
     *,
     n_rules: int,
@@ -527,14 +581,13 @@ def _index_design(
     cache: GroundingCache,
     samples_out: list | None = None,
 ) -> _DesignMatrix:
-    """Feature build over rule ids.
+    """Feature build over rule ids, with the codes of the keys (``TrainingWeights.codes``) as column keys.
 
     Each instance contributes one entry per unique drawn rule, then one bias
     entry; the grounding values of all draws come from one gather.  Columns
-    follow ``_DesignMatrix.stored_keys``, then the new keys in the order the
-    entries first reach them, so no order depends on id values.  Every key
-    is coded as an int, rule keys as ``relation * E + id`` for E ids and bias
-    keys above them, and entries find their stored column by code.
+    are the stored keys in the order ``weights`` keeps them, then the new
+    keys in the order the entries first reach them, so no order depends on
+    id values.  Every entry finds its stored column by its key's code.
     """
     relations = [instance.relation for instance in corpus.instances]
     if mode == "top":
@@ -550,20 +603,7 @@ def _index_design(
     draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
     if samples_out is not None:
         samples_out.extend(draws)
-    stored_keys = list(weights.rule_weight)
-    stored_rel, stored_idx = _stored_rule_indices(model, stored_keys)
-    table = model.body_table()  # every drawn and stored rule has its id by now
-    size = len(table)
-    bias_base = model.vocab.size * size
-    order = np.lexsort((*table[stored_idx].T[::-1], stored_rel))  # (relation, body) order
-    keys: list[tuple] = [("bias", r) for r in sorted(weights.bias)]
-    keys += [("rule", *stored_keys[i]) for i in order.tolist()]
-    stored_codes = np.concatenate([
-        bias_base + np.array(sorted(weights.bias), dtype=np.intp),
-        (stored_rel * size + stored_idx)[order],
-    ])
-    by_code = np.argsort(stored_codes)
-    stored_codes = stored_codes[by_code]
+    size = len(model.body_table())  # every drawn rule has its id by now
     per_row = np.array([len(draw.counts) + 1 for draw in draws], dtype=np.intp)
     bias_at = np.cumsum(per_row) - 1
     is_rule = np.ones(int(per_row.sum()), dtype=bool)
@@ -571,7 +611,10 @@ def _index_design(
     rel_codes = np.array(relations, dtype=np.intp)
     codes = np.empty(is_rule.size, dtype=np.intp)
     codes[is_rule] = np.repeat(rel_codes * size, per_row - 1) + np.concatenate([draw.support for draw in draws])
-    codes[bias_at] = bias_base + rel_codes
+    codes[bias_at] = -1 - rel_codes
+    columns = weights.codes(size)
+    by_code = np.argsort(columns)
+    stored_codes = columns[by_code]
     at = np.searchsorted(stored_codes, codes)
     found = at < len(stored_codes)
     found[found] = stored_codes[at[found]] == codes[found]
@@ -581,17 +624,12 @@ def _index_design(
     appearance = np.argsort(first, kind="stable")
     rank = np.empty(len(new_codes), dtype=np.intp)
     rank[appearance] = np.arange(len(new_codes))
-    cols[~found] = len(keys) + rank[inverse]
-    for code in new_codes[appearance].tolist():
-        if code >= bias_base:
-            keys.append(("bias", code - bias_base))
-        else:
-            relation, idx = divmod(code, size)
-            keys.append(("rule", relation, model.rule_at(relation, idx)))
+    cols[~found] = len(stored_codes) + rank[inverse]
+    columns = np.concatenate([columns, new_codes[appearance]])
     vals = np.ones(is_rule.size)
     vals[is_rule] = np.concatenate([draw.counts * draw.values for draw in draws])
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
-    return _DesignMatrix(keys, np.repeat(np.arange(len(draws)), per_row), cols, vals, y)
+    return _DesignMatrix(columns, np.repeat(np.arange(len(draws)), per_row), cols, vals, y)
 
 
 @dataclass
@@ -627,7 +665,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             raise ValueError(f"instance references missing document {instance.doc_id!r}")
     rng = np.random.default_rng(config.seed)
     model = RuleGenerator(vocab, max_len=config.max_rule_len)
-    weights = ExtractorWeights()
+    weights = TrainingWeights()
     cache = GroundingCache()
     diagnostics: list[IterationStats] = []
     previous = None
@@ -644,30 +682,10 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             draws = carried
             if draws is None:
                 draws = draw_all_rules(model, [inst.relation for inst in corpus.instances], config.n_rules, rng)
-                if any(weights.rule_weight.values()):
+                if np.any(weights.rule_val):
                     draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
-            # Dense per-head weight vectors, sized after the draws and the
-            # stored keys have their ids.
-            stored_rel, stored_idx = _stored_rule_indices(model, list(weights.rule_weight))
-            values = np.fromiter(weights.rule_weight.values(), dtype=float, count=len(stored_rel))
-            zero_vec = np.zeros(len(model.body_table()))
-            head_weights: dict[int, np.ndarray] = {}
-            for relation in np.unique(stored_rel[values != 0.0]).tolist():
-                vec = head_weights[relation] = zero_vec.copy()
-                selected = (stored_rel == relation) & (values != 0.0)
-                vec[stored_idx[selected]] = values[selected]
             posteriors = [
-                e_step(
-                    inst,
-                    model,
-                    weights,
-                    corpus.docs[inst.doc_id],
-                    config.n_rules,
-                    rng,
-                    cache,
-                    head_weights.get(inst.relation, zero_vec),
-                    draws[i],
-                )
+                e_step(inst, model, weights, corpus.docs[inst.doc_id], config.n_rules, rng, cache, draws[i])
                 for i, inst in enumerate(corpus.instances)
             ]
             m_step_generator(posteriors, model)
@@ -684,6 +702,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
                 cache=cache,
                 reset=final and mode != config.train_ruleset_mode,
             )
+            weights = m_result.weights
         except Exception as exc:
             raise RuntimeError(f"EM iteration {iteration} failed: {exc}") from exc
         diagnostics.append(
@@ -696,7 +715,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             break
         previous = current
     if stopped_early:
-        m_step_extractor(
+        weights = m_step_extractor(
             corpus,
             model,
             weights,
@@ -707,8 +726,8 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             beam=config.beam,
             cache=cache,
             reset=config.inference_mode != config.train_ruleset_mode,
-        )
-    return EMResult(model, weights, diagnostics)
+        ).weights
+    return EMResult(model, weights.to_extractor(model), diagnostics)
 
 
 @dataclass

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -206,12 +206,6 @@ class FitConfig:
             raise ValueError("l2 penalty must be >= 0")
 
 
-@dataclass
-class Gradient:
-    bias: dict[int, float] = field(default_factory=dict)
-    rule_weight: dict[tuple[int, Rule], float] = field(default_factory=dict)
-
-
 class FitDivergenceError(RuntimeError):
     def __init__(self, epoch: int, loss: float, tried: float):
         super().__init__(
@@ -223,14 +217,16 @@ class FitDivergenceError(RuntimeError):
 class _DesignMatrix:
     """Sparse feature layout for a batch: one column per touched or stored weight key.
 
-    Keys are ``("bias", relation)`` or ``("rule", relation, rule)``; rows,
-    cols, vals triples describe the feature entries in coordinate form.
-    ``from_batch`` lists each row's rule entries in rule-set order and then
-    its bias entry, as ``em._index_design`` does, so ``fit`` on a batch of
-    the same rule sets is a bit-exact reference for that design path.
+    Rows, cols, vals triples describe the feature entries in coordinate form.
+    ``em._index_design`` keys columns by the int codes of
+    ``em.TrainingWeights``.  ``from_batch`` keys them by ``("bias",
+    relation)`` or ``("rule", relation, rule)``, the keys of
+    ``ExtractorWeights``, and lists each row's rule entries in rule-set order
+    and then its bias entry, as ``_index_design`` does, so ``fit`` on a batch
+    of the same rule sets is a bit-exact reference for that design path.
     """
 
-    def __init__(self, keys: list[tuple], rows, cols, vals, y):
+    def __init__(self, keys: Sequence, rows, cols, vals, y):
         self.keys = keys
         self.rows = np.asarray(rows, dtype=np.intp)
         self.cols = np.asarray(cols, dtype=np.intp)
@@ -316,29 +312,9 @@ class _DesignMatrix:
                 rule_weight[key[1:]] = value
 
 
-def loss_and_grad(batch: Sequence[BatchItem], weights: ExtractorWeights, l2: float = 1e-4) -> tuple[float, Gradient]:
-    """Regularized logistic loss over a batch and its gradient.
-
-    The gradient covers every weight entry that is either stored or touched
-    by the batch; the L2 penalty runs over the same set, so loss and gradient
-    are exactly consistent for finite-difference checks.
-    """
-    design = _DesignMatrix.from_batch(batch, weights)
-    w = design.initial_vector(weights)
-    loss = design.loss(w, l2)
-    g = design.gradient(w, l2)
-    gradient = Gradient()
-    for i, key in enumerate(design.keys):
-        if key[0] == "bias":
-            gradient.bias[key[1]] = float(g[i])
-        else:
-            gradient.rule_weight[(key[1], key[2])] = float(g[i])
-    return loss, gradient
-
-
 @dataclass
 class FitResult:
-    weights: ExtractorWeights
+    w: np.ndarray
     losses: list[float]
     final_scores: np.ndarray
     labels: np.ndarray
@@ -350,7 +326,19 @@ class FitResult:
 
 
 def fit(batch: Sequence[BatchItem], weights: ExtractorWeights, config: FitConfig) -> FitResult:
-    """Full-batch descent with diagonal preconditioning and step halving.
+    """``fit_design`` on the batch's design, written back into ``weights``.
+
+    The reference that EM's array path (``em._index_design``) is tested
+    against: it keys every weight by ``(relation, Rule)``.
+    """
+    design = _DesignMatrix.from_batch(batch, weights)
+    result = fit_design(design, design.initial_vector(weights), config)
+    design.write_back(result.w, weights)
+    return result
+
+
+def fit_design(design: _DesignMatrix, w0: np.ndarray, config: FitConfig) -> FitResult:
+    """Full-batch descent with diagonal preconditioning and step halving, from the weights ``w0``.
 
     The gradient is rescaled per coordinate by an upper bound on the loss
     curvature (sum of squared feature values / 4 plus the L2 strength), so
@@ -358,26 +346,16 @@ def fit(batch: Sequence[BatchItem], weights: ExtractorWeights, config: FitConfig
     sensible rate under one step size.  Each epoch halves the step until the
     loss stops increasing; the recorded loss sequence is therefore
     monotonically non-increasing.  A step that still increases the loss after
-    20 halvings aborts with diagnostics.
-    """
-    config.validate()
-    if not batch:
-        raise ValueError("empty training batch")
-    return fit_design(_DesignMatrix.from_batch(batch, weights), weights, config)
-
-
-def fit_design(design: _DesignMatrix, weights: ExtractorWeights, config: FitConfig) -> FitResult:
-    """Descent loop over a prebuilt design matrix (see ``fit``).
-
-    The weight vectors are never changed in place, so the scores of an
-    accepted trial step serve the next epoch's gradient and the final scores.
+    20 halvings aborts with diagnostics.  The weight vectors are never
+    changed in place, so the scores of an accepted trial step serve the next
+    epoch's gradient and the final scores.
     """
     config.validate()
     if design.n_rows == 0:
         raise ValueError("empty training batch")
     if not np.all(np.isfinite(design.vals)):
         raise ValueError("non-finite feature value in training batch")
-    w = design.initial_vector(weights)
+    w = w0
     curvature = np.bincount(design.cols, weights=design.vals**2, minlength=len(design.keys))
     precondition = np.maximum(curvature / 4.0 + config.l2, 1e-9)
     loss = design.loss(w, config.l2)
@@ -395,5 +373,4 @@ def fit_design(design: _DesignMatrix, weights: ExtractorWeights, config: FitConf
             raise FitDivergenceError(epoch, loss, loss_try)
         w, loss = w_try, loss_try
         losses.append(loss)
-    design.write_back(w, weights)
-    return FitResult(weights, losses, design.scores(w), design.y)
+    return FitResult(w, losses, design.scores(w), design.y)

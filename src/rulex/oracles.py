@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import Document, LabeledInstance, Rule, RuleSet, atom_conf, build_vocab, pad_bodies
 from .em import GroundingCache, posterior_over_rules
-from .extractor import ExtractorWeights, ground_rule, loss_and_grad
+from .extractor import ExtractorWeights, _DesignMatrix, ground_rule
 from .generator import RuleGenerator
 
 
@@ -195,7 +195,11 @@ def posterior_oracle(seed: int = 0) -> OracleReport:
 
 
 def gradient_oracle(cases: int = 100, seed: int = 0) -> OracleReport:
-    """Analytic gradient vs central finite differences on random batches."""
+    """Analytic design gradient vs central finite differences of the design loss on random batches.
+
+    Every column of the batch's design is perturbed: the stored weights and
+    the keys the batch adds.
+    """
     rng = np.random.default_rng(seed)
     vocab = build_vocab(["a", "b"])
     report = OracleReport("gradient vs finite differences", cases)
@@ -222,30 +226,14 @@ def gradient_oracle(cases: int = 100, seed: int = 0) -> OracleReport:
             label = 1 if rng.random() < 0.5 else -1
             batch.append((LabeledInstance("oracle", 0, relation, 1, label), ruleset, groundings))
         l2 = 10.0 ** float(rng.uniform(-5, -2))
-        _, grad = loss_and_grad(batch, weights, l2)
-
-        def loss_at() -> float:
-            return loss_and_grad(batch, weights, l2)[0]
-
+        design = _DesignMatrix.from_batch(batch, weights)
+        w = design.initial_vector(weights)
         ok = True
-        for r, g in grad.bias.items():
-            base = weights.bias.get(r, 0.0)
-            weights.bias[r] = base + step
-            up = loss_at()
-            weights.bias[r] = base - step
-            down = loss_at()
-            weights.bias[r] = base
-            numeric = (up - down) / (2 * step)
-            if abs(g - numeric) / max(1e-8, abs(g), abs(numeric)) > 1e-4 and abs(g - numeric) > 1e-8:
-                ok = False
-        for key, g in grad.rule_weight.items():
-            base = weights.rule_weight.get(key, 0.0)
-            weights.rule_weight[key] = base + step
-            up = loss_at()
-            weights.rule_weight[key] = base - step
-            down = loss_at()
-            weights.rule_weight[key] = base
-            numeric = (up - down) / (2 * step)
+        for col, g in enumerate(design.gradient(w, l2).tolist()):
+            up, down = w.copy(), w.copy()
+            up[col] += step
+            down[col] -= step
+            numeric = (design.loss(up, l2) - design.loss(down, l2)) / (2 * step)
             if abs(g - numeric) / max(1e-8, abs(g), abs(numeric)) > 1e-4 and abs(g - numeric) > 1e-8:
                 ok = False
         if not ok:

@@ -239,6 +239,44 @@ class TestFiles:
         with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*entity id out of range in fact"):
             load_corpus(path, pair_vocab)
 
+    @pytest.mark.parametrize("field, record", [
+        ("atoms", [0, "a", 1.5, 0.9]),
+        ("atoms", [0, "a", True, 0.9]),
+        ("facts", [0, "a", 1.0, 1]),
+        ("facts", [True, "a", 0, 1]),
+    ])
+    def test_non_integer_entity_id_names_the_line(self, tmp_path, pair_vocab, field, record):
+        # 1.5 would ground as 0 through the DP and as entity 1 through the
+        # all-pairs matrices; true would load as entity 1.
+        good = {"doc_id": "d0", "entities": ["x", "y", "z"], "atoms": [], "facts": [[0, "a", 1, 1]]}
+        bad = {"doc_id": "d1", "entities": ["x", "y", "z"], "atoms": [], "facts": [], field: [record]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*entity ids must be integers"):
+            load_corpus(path, pair_vocab)
+
+    @pytest.mark.parametrize("confidence", ["0.7", True])
+    def test_non_numeric_confidence_names_the_line(self, tmp_path, pair_vocab, confidence):
+        good = {"doc_id": "d0", "entities": ["x", "y"], "atoms": [[0, "a", 1, 0.5]], "facts": []}
+        bad = {"doc_id": "d1", "entities": ["x", "y"], "atoms": [[0, "b", 1, confidence]], "facts": []}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*confidence is not a number"):
+            load_corpus(path, pair_vocab)
+
+    def test_conflicting_duplicate_atom_names_the_line(self, tmp_path, pair_vocab):
+        # Within 1e-9 a duplicate is the same atom; beyond it, it contradicts.
+        same = {"doc_id": "d0", "entities": ["x", "y", "z"], "facts": [],
+                "atoms": [[1, "b", 2, 0.8], [0, "a", 1, 0.5], [1, "b", 2, 0.8 + 1e-12]]}
+        clash = {"doc_id": "d1", "entities": ["x", "y", "z"], "facts": [],
+                 "atoms": [[1, "b", 2, 0.8], [1, "b", 2, 0.7]]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(same) + "\n")
+        assert load_corpus(path, pair_vocab).docs["d0"].atoms[(1, pair_vocab.id_of("b"), 2)] == pytest.approx(0.8)
+        path.write_text(json.dumps(same) + "\n" + json.dumps(clash) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*conflicting confidences 0\.8 and 0\.7"):
+            load_corpus(path, pair_vocab)
+
     def test_bad_label_names_the_line(self, tmp_path, pair_vocab):
         good = {"doc_id": "d0", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, 1]]}
         bad = {"doc_id": "d1", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, 2]]}

@@ -5,9 +5,11 @@ import pytest
 
 from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, pad_bodies
 from rulex.datagen import SynthConfig, gen_corpus
+import rulex.em
 from rulex.em import (
     EMConfig,
     GroundingCache,
+    TrainingWeights,
     e_step,
     infer,
     inference_rulesets,
@@ -21,7 +23,15 @@ from rulex.em import (
     _generator_log_likelihood,
     _softmax,
 )
-from rulex.extractor import ExtractorWeights, FitConfig, fit, ground_body_value, ground_rule
+from rulex.extractor import (
+    ExtractorWeights,
+    FitConfig,
+    _DesignMatrix,
+    fit,
+    fit_design,
+    ground_body_value,
+    ground_rule,
+)
 from rulex.generator import ENUM_LIMIT, RuleGenerator
 from rulex.metrics import PredictionSet, f1, gold_by_doc
 from rulex.oracles import enumerate_grounding
@@ -145,7 +155,7 @@ class TestEStep:
         model = RuleGenerator(vocab, max_len=1)
         doc = make_doc({}, vocab.size, n_entities=2)
         instance = LabeledInstance("d", 0, 0, 1, 1)
-        posterior = e_step(instance, model, ExtractorWeights(), doc, 64, rng)
+        posterior = e_step(instance, model, TrainingWeights(), doc, 64, rng)
         assert len(posterior.rules) == 2
         assert np.allclose(posterior.weights, 0.5, atol=1e-12)
 
@@ -153,7 +163,7 @@ class TestEStep:
         vocab = build_vocab(["a", "b"])
         model = RuleGenerator(vocab)
         doc = make_doc({}, vocab.size, n_entities=2)
-        posterior = e_step(LabeledInstance("d", 0, 1, 1, 1), model, ExtractorWeights(), doc, 50, rng)
+        posterior = e_step(LabeledInstance("d", 0, 1, 1, 1), model, TrainingWeights(), doc, 50, rng)
         assert int(posterior.prior_counts.sum()) == 50
         assert posterior.weights.sum() == pytest.approx(1.0, abs=1e-9)
         assert all(rule.head == 1 for rule in posterior.rules)
@@ -162,8 +172,7 @@ class TestEStep:
         vocab = build_vocab(["a", "b"])
         model = RuleGenerator(vocab)
         doc = make_doc({(0, 1, 1): 0.9}, vocab.size, n_entities=2)
-        weights = ExtractorWeights()
-        weights.set_rule_weight(0, Rule(0, (1,)), 2.0)
+        weights = TrainingWeights(rule_rel=[0], rule_id=model.rule_ids([(1,)]), rule_val=[2.0])
         instance = LabeledInstance("d", 0, 0, 1, 1)
         drawn = model.sample_unique_indices(0, 40, np.random.default_rng(11))
         via_reuse = e_step(instance, model, weights, doc, 40, rng, drawn=drawn)
@@ -171,24 +180,23 @@ class TestEStep:
         assert via_reuse.rules == direct.rules
         assert np.allclose(via_reuse.weights, direct.weights, atol=1e-12)
 
-
-    def test_dense_head_weights_match_rule_lookups(self, rng):
+    def test_h_values_equal_rule_score_H_on_the_same_draws(self, rng):
+        # e_step reads the training arrays and the draw's log-priors;
+        # rule_score_H reads ExtractorWeights, log_prob and the DP.  The
+        # log-priors come from different arithmetic, hence the tolerance.
         vocab = build_vocab(["a", "b"])
         model = RuleGenerator(vocab)
-        doc = make_doc({(0, 1, 1): 0.9, (0, 2, 1): 0.5}, vocab.size, n_entities=2)
-        weights = ExtractorWeights()
-        weights.set_rule_weight(0, Rule(0, (1,)), 2.0)
-        weights.set_rule_weight(0, Rule(0, (2,)), -1.0)
-        dense = np.zeros(len(model.body_table()))
-        for (_, rule), value in weights.rule_weight.items():
-            dense[model.rule_ids([rule.body])[0]] = value
-        instance = LabeledInstance("d", 0, 0, 1, 1)
+        doc = make_doc({(0, 1, 1): 0.9, (0, 2, 1): 0.5, (1, 1, 1): 0.7}, vocab.size, n_entities=2)
+        bodies = [(1,), (1, 1), (2,), (3,)]  # (relation, body) order; (3,) stores an exact 0
+        weights = TrainingWeights([0, 2], [0.75, -0.5], [0] * 4, model.rule_ids(bodies), [2.0, 0.25, -1.0, 0.0])
+        reference = weights.to_extractor(model)
         drawn = model.sample_unique_indices(0, 400, np.random.default_rng(2))
-        via_dense = e_step(instance, model, weights, doc, 400, rng, GroundingCache(), dense, drawn)
-        via_rules = e_step(instance, model, weights, doc, 400, rng, drawn=drawn)
-        assert {Rule(0, (1,)), Rule(0, (2,))} <= set(via_dense.rules)
-        assert via_dense.rules == via_rules.rules
-        assert np.array_equal(via_dense.h_values, via_rules.h_values)
+        for label in (1, -1):
+            instance = LabeledInstance("d", 0, 0, 1, label)
+            posterior = e_step(instance, model, weights, doc, 400, rng, GroundingCache(), drawn)
+            assert {Rule(0, body) for body in bodies} < set(posterior.rules)
+            want = [rule_score_H(instance, rule, model, reference, doc, 400) for rule in posterior.rules]
+            assert np.allclose(posterior.h_values, want, rtol=0.0, atol=1e-12)
 
 
 class TestGroundingCache:
@@ -240,9 +248,9 @@ class TestGroundingCache:
                 model.fit_weighted(relation, [(Rule(relation, (relation,)), 25.0)])
             runs = []
             for cache in (shared, GroundingCache()):
-                weights = ExtractorWeights()
-                m_step_extractor(train, model, weights, FitConfig(lr=1.0, epochs=10), np.random.default_rng(1),
-                                 n_rules=8, mode="top", beam=32, cache=cache)
+                m_result = m_step_extractor(train, model, TrainingWeights(), FitConfig(lr=1.0, epochs=10),
+                                            np.random.default_rng(1), n_rules=8, mode="top", beam=32, cache=cache)
+                weights = m_result.weights.to_extractor(model)
                 config = EMConfig(n_rules=8, beam=32)
                 predictions = [predict_document(doc, vocab, model, weights, config, cache=cache)
                                for doc in train.docs.values()]
@@ -260,8 +268,7 @@ class TestGroundingCache:
             model.fit_weighted(relation, [(Rule(relation, (relation,)), 3.0)])
         assert model.enumerable_size() > ENUM_LIMIT
         config = FitConfig(lr=0.5, epochs=5)
-        weights = ExtractorWeights()
-        m_result = m_step_extractor(train, model, weights, config, np.random.default_rng(4), n_rules=6,
+        m_result = m_step_extractor(train, model, TrainingWeights(), config, np.random.default_rng(4), n_rules=6,
                                     mode="sample", beam=12)
         rng = np.random.default_rng(4)
         batch = []
@@ -273,10 +280,13 @@ class TestGroundingCache:
             groundings = {rule: ground_body_value(doc, rule.body, instance.head, instance.tail) for rule in rules}
             expanded = [rule for rule, count in zip(rules, counts.tolist()) for _ in range(count)]
             batch.append((instance, RuleSet(expanded), groundings))
-        reference = fit(batch, ExtractorWeights(), config)
-        assert weights.rule_weight and list(weights.rule_weight.items()) == list(reference.weights.rule_weight.items())
-        assert weights.bias == reference.weights.bias
-        assert m_result.losses == reference.losses
+        reference = ExtractorWeights()
+        fitted = fit(batch, reference, config)
+        weights = m_result.weights.to_extractor(model)
+        assert weights.rule_weight and weights.rule_weight == reference.rule_weight
+        assert list(weights.rule_weight) == sorted(reference.rule_weight, key=lambda key: (key[0], key[1].body))
+        assert weights.bias == reference.bias
+        assert m_result.losses == fitted.losses
 
     def test_sparse_m_step_grounds_like_the_dp(self):
         # 24 base relations give 48 ids, past ENUM_LIMIT: the M-step grounds
@@ -286,8 +296,9 @@ class TestGroundingCache:
         model = RuleGenerator(vocab)
         assert model.enumerable_size() > ENUM_LIMIT
         config = FitConfig(lr=0.5, epochs=5)
-        weights = ExtractorWeights()
-        m_step_extractor(train, model, weights, config, np.random.default_rng(0), n_rules=6, mode="top", beam=12)
+        m_result = m_step_extractor(train, model, TrainingWeights(), config, np.random.default_rng(0), n_rules=6,
+                                    mode="top", beam=12)
+        weights = m_result.weights.to_extractor(model)
         batch = []
         for instance in train.instances:
             ruleset = model.top_rules(instance.relation, 6, 12)
@@ -295,7 +306,8 @@ class TestGroundingCache:
             groundings = {rule: ground_body_value(doc, rule.body, instance.head, instance.tail)
                           for rule in ruleset.counts()}
             batch.append((instance, RuleSet(sorted(ruleset, key=lambda r: r.body)), groundings))
-        reference = fit(batch, ExtractorWeights(), config).weights
+        reference = ExtractorWeights()
+        fit(batch, reference, config)
         assert weights.rule_weight and weights.rule_weight == reference.rule_weight
         assert weights.bias == reference.bias
 
@@ -349,9 +361,8 @@ class TestMStepGenerator:
         result = tiny_synth(relations=relations, docs=8)
         train, vocab = result.splits["train"], result.vocab
         model, reference = RuleGenerator(vocab), RuleGenerator(vocab)
-        weights = ExtractorWeights()
-        for relation in range(vocab.size):
-            weights.set_rule_weight(relation, Rule(relation, (relation,)), 1.5)
+        ids = model.rule_ids((relation,) for relation in range(vocab.size))
+        weights = TrainingWeights(rule_rel=range(vocab.size), rule_id=ids, rule_val=[1.5] * vocab.size)
         rng = np.random.default_rng(5)
         posteriors = [e_step(inst, model, weights, train.docs[inst.doc_id], 12, rng) for inst in train.instances]
         assert (model.enumerable_size() > ENUM_LIMIT) == (relations == 24)
@@ -378,7 +389,7 @@ class TestMStepGenerator:
         train, vocab = result.splits["train"], result.vocab
         model = RuleGenerator(vocab)
         rng = np.random.default_rng(2)
-        posteriors = [e_step(inst, model, ExtractorWeights(), train.docs[inst.doc_id], 12, rng)
+        posteriors = [e_step(inst, model, TrainingWeights(), train.docs[inst.doc_id], 12, rng)
                       for inst in train.instances]
         m_step_generator(posteriors, model)
         want = float(np.mean([12 * float(p.weights @ model.log_probs_by_index(p.relation, p.indices))
@@ -418,9 +429,8 @@ class TestMStepExtractor:
         model = RuleGenerator(result.vocab)
         for relation in range(result.vocab.size):
             model.fit_weighted(relation, [(Rule(relation, (relation,)), 25.0)])
-        weights = ExtractorWeights()
         m_result = m_step_extractor(
-            train, model, weights, FitConfig(lr=1.0, epochs=60), rng,
+            train, model, TrainingWeights(), FitConfig(lr=1.0, epochs=60), rng,
             n_rules=8, mode="top", beam=32,
         )
         assert m_result.train_f1 == pytest.approx(1.0)
@@ -429,11 +439,10 @@ class TestMStepExtractor:
         result = tiny_synth()
         train = result.splits["train"]
         model = RuleGenerator(result.vocab)
-        weights = ExtractorWeights()
-        weights.bias[0] = 0.125
-        m_step_extractor(train, model, weights, FitConfig(lr=1.0, epochs=0), rng,
-                         n_rules=4, mode="top", beam=16)
-        assert weights.bias[0] == 0.125
+        weights = TrainingWeights([0], [0.125])
+        m_result = m_step_extractor(train, model, weights, FitConfig(lr=1.0, epochs=0), rng,
+                                    n_rules=4, mode="top", beam=16)
+        assert m_result.weights.bias(0) == 0.125 and weights.bias(0) == 0.125
 
     def test_deterministic_under_fixed_seed(self):
         result = tiny_synth()
@@ -441,11 +450,54 @@ class TestMStepExtractor:
         outputs = []
         for _ in range(2):
             model = RuleGenerator(result.vocab)
-            weights = ExtractorWeights()
-            m_step_extractor(train, model, weights, FitConfig(lr=0.5, epochs=5),
-                             np.random.default_rng(3), n_rules=8, mode="sample", beam=32)
+            m_result = m_step_extractor(train, model, TrainingWeights(), FitConfig(lr=0.5, epochs=5),
+                                        np.random.default_rng(3), n_rules=8, mode="sample", beam=32)
+            weights = m_result.weights.to_extractor(model)
             outputs.append((dict(weights.bias), dict(weights.rule_weight)))
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("relations", [4, 24])
+    def test_two_warm_sampled_steps_equal_two_fits_on_the_same_draws(self, relations, monkeypatch):
+        # The second step starts from the first one's stored weights, exact
+        # zeros included.  Each step must build the design that from_batch
+        # builds on the same grounded draws, column for column (stored
+        # biases by relation, stored rules in (relation, body) order, then
+        # new keys by first appearance), and train the same weights bit for
+        # bit.  24 base relations are past ENUM_LIMIT.
+        result = tiny_synth(relations=relations, docs=8)
+        train, vocab = result.splits["train"], result.vocab
+        model = RuleGenerator(vocab)
+        for relation in range(vocab.size):
+            model.fit_weighted(relation, [(Rule(relation, (relation,)), 3.0)])
+        assert (model.enumerable_size() > ENUM_LIMIT) == (relations == 24)
+        designs = []
+        monkeypatch.setattr(rulex.em, "fit_design",
+                            lambda design, *args: designs.append(design) or fit_design(design, *args))
+        config = FitConfig(lr=0.5, epochs=5)
+        rng = np.random.default_rng(4)
+        weights, reference = TrainingWeights(), ExtractorWeights()
+        for step in range(2):
+            m_result = m_step_extractor(train, model, weights, config, rng, n_rules=6, mode="sample", beam=12)
+            batch = []
+            for instance, drawn in zip(train.instances, m_result.samples):
+                rules = [model.rule_at(instance.relation, i) for i in drawn.support.tolist()]
+                expanded = [rule for rule, count in zip(rules, drawn.counts.tolist()) for _ in range(count)]
+                batch.append((instance, RuleSet(expanded), dict(zip(rules, drawn.values.tolist()))))
+            want = _DesignMatrix.from_batch(batch, reference)
+            fitted = fit(batch, reference, config)
+            got = designs[-1]
+            assert len(got.keys) == len(want.keys) > len(weights.bias_val) + len(weights.rule_val)
+            assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
+            assert np.array_equal(got.vals, want.vals)
+            assert m_result.losses == fitted.losses
+            weights = m_result.weights
+            trained = weights.to_extractor(model)
+            assert trained.bias == reference.bias
+            assert trained.rule_weight == reference.rule_weight
+            assert list(trained.rule_weight) == sorted(reference.rule_weight, key=lambda k: (k[0], k[1].body))
+            if step == 0:
+                assert np.any(weights.rule_val == 0.0) and np.any(weights.rule_val != 0.0)
+        assert len(designs) == 2
 
 
 class TestRunEm:

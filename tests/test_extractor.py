@@ -15,7 +15,6 @@ from rulex.extractor import (
     ground_body_value,
     ground_rule,
     ground_rule_all_pairs,
-    loss_and_grad,
     prob,
     _DesignMatrix,
 )
@@ -234,35 +233,41 @@ def one_rule_batch(label, grounding, relation=0, weights=None):
     return [(instance, RuleSet([rule]), {rule: grounding})]
 
 
+def gradient_by_key(batch, l2):
+    """The gradient of a batch's design at zero stored weights, by weight key."""
+    weights = ExtractorWeights()
+    design = _DesignMatrix.from_batch(batch, weights)
+    return dict(zip(design.keys, design.gradient(design.initial_vector(weights), l2).tolist()))
+
+
 class TestLossAndGrad:
     def test_balanced_pair_has_zero_bias_gradient(self):
         rule = Rule(0, (1,))
         pos = (LabeledInstance("d", 0, 0, 1, 1), RuleSet([rule]), {rule: 0.5})
         neg = (LabeledInstance("d", 1, 0, 0, -1), RuleSet([rule]), {rule: 0.5})
-        _, grad = loss_and_grad([pos, neg], ExtractorWeights(), l2=0.0)
-        assert grad.bias[0] == pytest.approx(0.0, abs=1e-15)
+        grad = gradient_by_key([pos, neg], l2=0.0)
+        assert grad[("bias", 0)] == pytest.approx(0.0, abs=1e-15)
 
     def test_single_positive_at_zero_score(self):
-        _, grad = loss_and_grad(one_rule_batch(1, 0.9), ExtractorWeights(), l2=1e-4)
-        assert grad.bias[0] == pytest.approx(-0.5)
-        assert grad.rule_weight[(0, Rule(0, (0,)))] == pytest.approx(-0.5 * 0.9)
+        grad = gradient_by_key(one_rule_batch(1, 0.9), l2=1e-4)
+        assert grad[("bias", 0)] == pytest.approx(-0.5)
+        assert grad[("rule", 0, Rule(0, (0,)))] == pytest.approx(-0.5 * 0.9)
 
     def test_multiplicity_scales_rule_gradient(self):
         rule = Rule(0, (1,))
         instance = LabeledInstance("d", 0, 0, 1, 1)
         single = [(instance, RuleSet([rule]), {rule: 0.5})]
         double = [(instance, RuleSet([rule, rule]), {rule: 0.5})]
-        _, g1 = loss_and_grad(single, ExtractorWeights(), l2=0.0)
-        _, g2 = loss_and_grad(double, ExtractorWeights(), l2=0.0)
-        assert g2.rule_weight[(0, rule)] == pytest.approx(2 * g1.rule_weight[(0, rule)])
+        g1 = gradient_by_key(single, l2=0.0)
+        g2 = gradient_by_key(double, l2=0.0)
+        assert g2[("rule", 0, rule)] == pytest.approx(2 * g1[("rule", 0, rule)])
 
     def test_non_finite_grounding_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            loss_and_grad(one_rule_batch(1, float("nan")), ExtractorWeights())
+            _DesignMatrix.from_batch(one_rule_batch(1, float("nan")), ExtractorWeights())
 
     def test_matches_finite_differences(self, rng):
-        # Central differences over every touched coordinate.
-        vocab = build_vocab(["a", "b"])
+        # Central differences of the loss over every column of the design.
         for _ in range(20):
             weights = ExtractorWeights()
             rules = [Rule(int(r), tuple(int(x) for x in rng.integers(0, 4, size=2))) for r in rng.integers(0, 4, size=3)]
@@ -279,23 +284,14 @@ class TestLossAndGrad:
                     )
                 )
             l2 = 1e-3
-            loss, grad = loss_and_grad(batch, weights, l2)
             step = 1e-5
-
-            def numeric(get, setter, base):
-                setter(base + step)
-                up, _ = loss_and_grad(batch, weights, l2)
-                setter(base - step)
-                down, _ = loss_and_grad(batch, weights, l2)
-                setter(base)
-                return (up - down) / (2 * step)
-
-            for r, g in grad.bias.items():
-                n = numeric(None, lambda v, r=r: weights.bias.__setitem__(r, v), weights.bias.get(r, 0.0))
-                assert abs(g - n) <= 1e-4 * max(1.0, abs(g))
-            for key, g in grad.rule_weight.items():
-                n = numeric(None, lambda v, k=key: weights.rule_weight.__setitem__(k, v),
-                            weights.rule_weight.get(key, 0.0))
+            design = _DesignMatrix.from_batch(batch, weights)
+            w = design.initial_vector(weights)
+            for col, g in enumerate(design.gradient(w, l2).tolist()):
+                up, down = w.copy(), w.copy()
+                up[col] += step
+                down[col] -= step
+                n = (design.loss(up, l2) - design.loss(down, l2)) / (2 * step)
                 assert abs(g - n) <= 1e-4 * max(1.0, abs(g))
 
 
@@ -381,6 +377,7 @@ class TestFit:
         result = fit(batch, weights, config)
         assert result.losses == losses
         assert np.array_equal(result.final_scores, fresh_scores(w))
+        assert np.array_equal(result.w, w)
         assert list(weights.rule_weight.values()) == w[[k[0] == "rule" for k in design.keys]].tolist()
 
     def test_divergence_reported_after_halvings(self):
@@ -393,7 +390,7 @@ class TestFit:
 
         design.loss = rising_loss
         with pytest.raises(FitDivergenceError):
-            fit_design(design, ExtractorWeights(), FitConfig(lr=0.5, epochs=3))
+            fit_design(design, np.zeros(len(design.keys)), FitConfig(lr=0.5, epochs=3))
 
 
 class TestCheckpoint:
