@@ -438,7 +438,8 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
     number: among others, an entity id that is not a JSON integer or falls
     outside the document, a confidence that is not a JSON number, an atom
     listed twice with confidences more than 1e-9 apart (within that, the
-    first is kept), and a label that is not +1 or -1.
+    first is kept), a label that is not the JSON integer 1 or -1, and a fact
+    listed twice with different labels (an exact repeat loads once).
     """
     corpus = Corpus()
     with open(path, encoding="utf-8") as fh:
@@ -461,17 +462,20 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
                     first = atoms.setdefault((h, vocab.id_of(r_name), t), c)
                     if first is not c and abs(first - c) > 1e-9:
                         raise ValueError(f"conflicting confidences {first} and {c} for atom {atom}")
-                instances, gold = [], []
+                labels = {}
                 for fact in obj["facts"]:
                     h, r_name, t, y = fact
                     if type(h) is not int or type(t) is not int:
                         raise ValueError(f"entity ids must be integers in fact {fact}")
                     if not (0 <= h < n and 0 <= t < n):
                         raise ValueError(f"entity id out of range in fact [{h}, {r_name!r}, {t}, {y}]")
-                    r = vocab.id_of(r_name)
-                    instances.append(LabeledInstance(doc_id, h, r, t, y))
-                    if y == 1:
-                        gold.append((h, r, t))
+                    if type(y) is not int or y not in (-1, 1):
+                        raise ValueError(f"label must be +1 or -1 as a JSON integer in fact {fact}")
+                    first = labels.setdefault((h, vocab.id_of(r_name), t), y)
+                    if first != y:
+                        raise ValueError(f"conflicting labels {first} and {y} for fact {fact}")
+                instances = [LabeledInstance(doc_id, h, r, t, y) for (h, r, t), y in labels.items()]
+                gold = [key for key, y in labels.items() if y == 1]
                 doc = Document(doc_id, entities, atoms, gold, num_relations=vocab.size)
                 if close:
                     doc = close_inverses(doc, vocab)

@@ -9,13 +9,15 @@ of the training objective and the training F1 per iteration.
 Training grounds rules through one dense atom tensor per corpus
 (``GroundingCache``, which states its memory bounds), built once per
 ``run_em``: each step draws every instance's rules first and then grounds all
-of them in one chunked gather.  Every step works on integer ids from the
-generator's one rule-id space (``RuleGenerator.rule_ids``), whatever the size
-of the vocabulary, and the extractor weights train as arrays over rule ids
-(``TrainingWeights``); ``run_em`` builds ``Rule`` objects once, for the
-weights it returns.  Inference scores (``predict_document``) and explains
-(``explain``) from the same memoized all-pairs matrices, so explanations sum
-to the score.
+of them in one chunked gather.  A step's draws (``Draws``) and posteriors
+(``Posteriors``) are flat arrays, one row per instance with the rows
+concatenated, and ``e_step`` scores all the instances in one pass.  Every
+step works on integer ids from the generator's one rule-id space
+(``RuleGenerator.rule_ids``), whatever the size of the vocabulary, and the
+extractor weights train as arrays over rule ids (``TrainingWeights``);
+``run_em`` builds ``Rule`` objects once, for the weights it returns.
+Inference scores (``predict_document``) and explains (``explain``) from the
+same memoized all-pairs matrices, so explanations sum to the score.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .core import (
     RuleSet,
     format_rule,
 )
-from .extractor import (  # ``fit`` is unused here; perfbench/tracing.py patches ``em.fit``
+from .extractor import (  # ``fit`` and ``ground_body_value`` are unused here; perfbench/tracing.py patches both
     ExtractorWeights,
     FitConfig,
     _DesignMatrix,
@@ -266,39 +268,43 @@ def _softmax(values: np.ndarray) -> np.ndarray:
     return e / e.sum()
 
 
-class RulePosterior:
-    """Approximate posterior over the unique rules sampled for one instance.
+def _row_blocks(sizes: np.ndarray):
+    """The rows of each length, and their flat positions as one (rows, length) array, length by length."""
+    starts = np.cumsum(sizes) - sizes
+    for length in np.unique(sizes).tolist():
+        rows = np.flatnonzero(sizes == length)
+        yield rows, starts[rows, None] + np.arange(length)
 
-    ``indices`` holds the rules' ids in the generator's rule-id space; the
-    rule objects are built from them on the first read of ``rules``.
+
+def _row_softmax(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``_softmax`` of each row of concatenated rows, bit for bit.
+
+    Rows of one length softmax as one block: each row's sum is a ``sum`` over
+    one contiguous row of the block, the pairwise sum ``_softmax`` takes.  A
+    segmented sum such as ``np.add.reduceat`` adds in another order.
+    """
+    weights = np.empty_like(values)
+    for _, idx in _row_blocks(sizes):
+        block = values[idx]
+        e = np.exp(block - block.max(axis=1, keepdims=True))
+        weights[idx] = e / e.sum(axis=1, keepdims=True)
+    return weights
+
+
+class Posteriors(NamedTuple):
+    """Approximate posteriors over the unique rules drawn for many instances, rows concatenated.
+
+    Row i has ``sizes[i]`` entries and the query relation ``relations[i]``.
+    ``indices`` holds the entries' rule ids (``RuleGenerator.rule_ids``),
+    ``h_values`` their quality scores and ``weights`` their softmaxed
+    weights, which sum to 1 in each row.
     """
 
-    def __init__(
-        self,
-        instance: LabeledInstance,
-        indices: np.ndarray,
-        prior_counts: np.ndarray,
-        h_values: np.ndarray,
-        weights: np.ndarray,
-        model: RuleGenerator,
-    ):
-        self.instance = instance
-        self.indices = indices
-        self.prior_counts = prior_counts
-        self.h_values = h_values
-        self.weights = weights
-        self._model = model
-        self._rules: tuple[Rule, ...] | None = None
-
-    @property
-    def rules(self) -> tuple[Rule, ...]:
-        if self._rules is None:
-            self._rules = tuple(self._model.rule_at(self.relation, i) for i in self.indices.tolist())
-        return self._rules
-
-    @property
-    def relation(self) -> int:
-        return self.instance.relation
+    relations: np.ndarray
+    sizes: np.ndarray
+    indices: np.ndarray
+    h_values: np.ndarray
+    weights: np.ndarray
 
 
 def posterior_over_rules(
@@ -308,8 +314,8 @@ def posterior_over_rules(
     weights: ExtractorWeights,
     doc: Document,
     n_rules: int,
-) -> RulePosterior:
-    """Softmax-normalized rule quality over an explicit rule list.
+) -> Posteriors:
+    """Softmax-normalized rule quality over an explicit rule list, as a one-row ``Posteriors``.
 
     This is the posterior computation of the E-step applied to a caller-chosen
     support (for example the fully enumerated rule space in oracle checks);
@@ -317,7 +323,7 @@ def posterior_over_rules(
     """
     h_values = np.array([rule_score_H(instance, rule, model, weights, doc, n_rules) for rule in rules])
     indices = model.rule_ids(rule.body for rule in rules)
-    return RulePosterior(instance, indices, np.ones(len(rules), dtype=int), h_values, _softmax(h_values), model)
+    return Posteriors(np.array([instance.relation]), np.array([len(rules)]), indices, h_values, _softmax(h_values))
 
 
 class TrainingWeights:
@@ -329,9 +335,8 @@ class TrainingWeights:
     biases, sorted by relation.  ``rule_rel``/``rule_id``/``rule_val`` hold
     the stored rule weights by relation and rule id (``RuleGenerator.rule_ids``)
     in (relation, body) order, the order of the design's stored columns.
-    Memory: 16 bytes per stored bias and 40 per stored rule weight, the
-    lookup's copy in (relation, id) order included, whatever the number of
-    relations and rule ids.
+    Memory: 16 bytes per stored bias and 24 per stored rule weight, whatever
+    the number of relations and rule ids.
     Keys code as ints: a bias as ``-1 - relation``, a rule weight as
     ``relation * E + id`` for a table of E rule ids.
     """
@@ -342,8 +347,6 @@ class TrainingWeights:
         self.rule_rel = np.asarray(rule_rel, dtype=np.intp)
         self.rule_id = np.asarray(rule_id, dtype=np.intp)
         self.rule_val = np.asarray(rule_val, dtype=float)
-        by_id = np.lexsort((self.rule_id, self.rule_rel))  # the same relation slices, ids sorted in each
-        self._ids, self._vals = self.rule_id[by_id], self.rule_val[by_id]
 
     @classmethod
     def from_codes(cls, codes: np.ndarray, w: np.ndarray, table: np.ndarray) -> "TrainingWeights":
@@ -357,20 +360,21 @@ class TrainingWeights:
         """The stored keys' codes for a table of ``size`` rule ids: biases, then rule weights."""
         return np.concatenate([-1 - self.bias_rel, self.rule_rel * size + self.rule_id])
 
-    def bias(self, relation: int) -> float:
-        i = int(np.searchsorted(self.bias_rel, relation))
-        return float(self.bias_val[i]) if i < len(self.bias_rel) and self.bias_rel[i] == relation else 0.0
+    def values(self) -> np.ndarray:
+        """The stored weights in the order of ``codes``."""
+        return np.concatenate([self.bias_val, self.rule_val])
 
-    def rule_weights(self, relation: int, ids: np.ndarray) -> np.ndarray:
-        """Weights of ``relation``'s rules with the given ids; 0 where no key is stored."""
-        lo, hi = np.searchsorted(self.rule_rel, [relation, relation + 1])
-        stored = self._ids[lo:hi]
-        at = np.searchsorted(stored, ids)
-        hit = at < len(stored)
-        hit[hit] = stored[at[hit]] == ids[hit]
-        values = np.zeros(len(ids))
-        values[hit] = self._vals[lo:hi][at[hit]]
-        return values
+    def find(self, keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the codes ``keys`` are stored, and where each stored one sits in ``codes(size)``."""
+        columns = self.codes(size)
+        by_code = np.argsort(columns)
+        stored = columns[by_code]
+        at = np.searchsorted(stored, keys)
+        found = at < len(stored)
+        found[found] = stored[at[found]] == keys[found]
+        positions = np.zeros(len(keys), dtype=np.intp)
+        positions[found] = by_code[at[found]]
+        return found, positions
 
     def to_extractor(self, model: RuleGenerator) -> ExtractorWeights:
         """The same keys and weights as ``ExtractorWeights``, one ``Rule`` per stored rule weight."""
@@ -383,134 +387,122 @@ class TrainingWeights:
         return weights
 
 
-class Draw(NamedTuple):
-    """One instance's drawn rule multiset, deduplicated.
+class Draws(NamedTuple):
+    """A step's drawn rule multisets, one deduplicated row per instance, rows concatenated.
 
-    ``support`` holds the unique rules' ids (``RuleGenerator.rule_ids``) in
-    body order; ``values`` holds each drawn body's grounding at the
-    instance's query once computed.
+    Row i has ``sizes[i]`` entries: the unique rules' ids
+    (``RuleGenerator.rule_ids``) in body order, their multiplicities, and
+    their log-priors (None for a deterministic rule set).  ``values`` holds
+    each entry's grounding at its instance's query once computed.
     """
 
+    sizes: np.ndarray
     support: np.ndarray
     counts: np.ndarray
-    log_priors: np.ndarray
+    log_priors: np.ndarray | None
     values: np.ndarray | None = None
 
 
 def draw_all_rules(
     model: RuleGenerator, relations: Sequence[int], n_rules: int, rng: np.random.Generator
-) -> list[Draw]:
+) -> Draws:
     """N rules for each relation in turn from the generator's prior, deduplicated, in one batched draw."""
     support, counts, log_priors, sizes = model.sample_unique_index_rows(relations, n_rules, rng)
-    ends = np.cumsum(sizes).tolist()
-    return [Draw(support[start:end], counts[start:end], log_priors[start:end])
-            for start, end in zip([0, *ends], ends)]
+    return Draws(sizes, support, counts, log_priors)
 
 
 def _ground_draws(
-    cache: GroundingCache,
-    corpus: Corpus,
-    instances: Sequence[LabeledInstance],
-    draws: Sequence[Draw],
-    model: RuleGenerator,
-) -> list[Draw]:
-    """The draws with every drawn body grounded at its instance's query, in one gather."""
-    if not draws:
-        return []
-    sizes = np.array([len(draw.counts) for draw in draws], dtype=np.intp)
-    owner = np.repeat(np.arange(len(draws)), sizes)
-    values = cache.ground(
+    cache: GroundingCache, corpus: Corpus, draws: Draws, model: RuleGenerator, entries=slice(None)
+) -> np.ndarray:
+    """Grounding values of the draws' ``entries`` at their instances' queries, in one gather.
+
+    Row i of ``draws`` belongs to ``corpus.instances[i]``.
+    """
+    instances = corpus.instances
+    owner = np.repeat(np.arange(len(instances)), draws.sizes)[entries]
+    return cache.ground(
         cache.rows([corpus.docs[inst.doc_id] for inst in instances])[owner],
-        model.body_table()[np.concatenate([draw.support for draw in draws])],
+        model.body_table()[draws.support[entries]],
         np.array([inst.head for inst in instances], dtype=np.intp)[owner],
         np.array([inst.tail for inst in instances], dtype=np.intp)[owner],
     )
-    ends = np.cumsum(sizes).tolist()
-    return [Draw(draw.support, draw.counts, draw.log_priors, values[end - len(draw.counts) : end])
-            for draw, end in zip(draws, ends)]
 
 
 def e_step(
-    instance: LabeledInstance,
+    corpus: Corpus,
+    draws: Draws,
     model: RuleGenerator,
     weights: TrainingWeights,
-    doc: Document,
     n_rules: int,
-    rng: np.random.Generator,
-    cache: GroundingCache | None = None,
-    drawn: Draw | tuple | None = None,
-) -> RulePosterior:
-    """Sample N rules from the prior and weight the unique ones by softmaxed quality.
+    cache: GroundingCache,
+) -> Posteriors:
+    """Weight the unique drawn rules of every instance by softmaxed quality, in one pass.
 
-    Rules whose learned weight is still 0 skip grounding entirely: their
-    extractor term vanishes no matter what the document says.  ``drawn``
-    supplies an already drawn rule multiset from the same prior (a ``Draw``
-    or its first three fields), letting the caller share one draw per
-    instance across the steps of an iteration; its ``values``, when present,
-    are used instead of grounding again.  Without them the rules ground
-    through ``cache``, or through the dynamic program ``ground_body_value``
-    when no cache is given.
+    Row i of ``draws`` and of the result belongs to ``corpus.instances[i]``.
+    One lookup reads every row's bias and every entry's rule weight.  Rules
+    whose weight is 0 skip grounding: their extractor term vanishes whatever
+    the document says.  The others read the draws' ``values``, or ground in
+    one gather through ``cache`` when the draws carry none.  Each quality
+    score takes the same per-entry arithmetic as a per-instance
+    ``log_prior + label / 2 * (bias / N + weight * value)``, and each row
+    softmaxes as ``_softmax`` does, bit for bit.
     """
-    relation = instance.relation
-    drawn = Draw(*(model.sample_unique_indices(relation, n_rules, rng) if drawn is None else drawn))
-    indices = drawn.support
-    w = weights.rule_weights(relation, indices)
-    extract = np.zeros(len(drawn.counts))
-    nz = np.nonzero(w)[0]
+    instances = corpus.instances
+    relations = np.array([inst.relation for inst in instances], dtype=np.intp)
+    labels = np.array([inst.label for inst in instances], dtype=float)
+    owner = np.repeat(np.arange(len(instances)), draws.sizes)
+    size = len(model.body_table())
+    keys = np.concatenate([-1 - relations, relations[owner] * size + draws.support])
+    found, at = weights.find(keys, size)
+    stored = np.zeros(len(keys))
+    stored[found] = weights.values()[at[found]]
+    bias, w = stored[: len(instances)], stored[len(instances) :]
+    extract = np.zeros(len(w))
+    nz = np.flatnonzero(w)
     if nz.size:
-        h, t = instance.head, instance.tail
-        if drawn.values is not None:
-            g = drawn.values[nz]
-        else:
-            ground = ground_body_value if cache is None else cache.value_body
-            g = np.array([ground(doc, body, h, t) for body in model.bodies_at(relation, indices[nz])])
-        extract[nz] = w[nz] * g
-    h_values = drawn.log_priors + (instance.label / 2.0) * (weights.bias(relation) / n_rules + extract)
-    return RulePosterior(instance, indices, drawn.counts, h_values, _softmax(h_values), model)
+        values = draws.values[nz] if draws.values is not None else _ground_draws(cache, corpus, draws, model, nz)
+        extract[nz] = w[nz] * values
+    h_values = draws.log_priors + (labels / 2.0)[owner] * ((bias / n_rules)[owner] + extract)
+    return Posteriors(relations, draws.sizes, draws.support, h_values, _row_softmax(h_values, draws.sizes))
 
 
-def m_step_generator(posteriors: Sequence[RulePosterior], model: RuleGenerator) -> RuleGenerator:
+def m_step_generator(posteriors: Posteriors, model: RuleGenerator) -> RuleGenerator:
     """Refit the generator on posterior-weighted rules, grouped by query relation.
 
     Count additivity makes the per-head aggregate equivalent to one
     ``fit_weighted`` call per instance.  Each head's weights sum per rule id
-    in posterior order, and the nonzero sums refit in body order.
+    in row order, and the nonzero sums refit in body order.
     """
-    if not posteriors:
+    if not len(posteriors.sizes):
         raise ValueError("no posteriors to fit the generator on")
-    groups: dict[int, list[RulePosterior]] = {}
-    for posterior in posteriors:
-        groups.setdefault(posterior.relation, []).append(posterior)
+    heads = np.repeat(posteriors.relations, posteriors.sizes)
     table = model.body_table()
-    for head in sorted(groups):
-        group = groups[head]
+    for head in np.unique(posteriors.relations).tolist():
+        mine = heads == head
         acc = np.zeros(len(table))
-        np.add.at(acc, np.concatenate([p.indices for p in group]), np.concatenate([p.weights for p in group]))
+        np.add.at(acc, posteriors.indices[mine], posteriors.weights[mine])
         nonzero = np.flatnonzero(acc)
         nonzero = nonzero[np.lexsort(table[nonzero].T[::-1])]
         model.fit_bodies(head, table[nonzero], acc[nonzero])
     return model
 
 
-def _generator_log_likelihood(posteriors: Sequence[RulePosterior], model: RuleGenerator, n_rules: int) -> float:
+def _generator_log_likelihood(posteriors: Posteriors, model: RuleGenerator, n_rules: int) -> float:
     """Mean over instances of N times the posterior-weighted log-prior of the instance's rules.
 
-    The log-priors of each head's posteriors come from one
-    ``log_probs_by_index`` call over their concatenated ids; each instance's
-    dot product is then taken on its own slice, as with one call per instance.
+    Each head's log-priors come from one ``log_probs_by_index`` call.  The
+    rows' dot products run as one stacked ``matmul`` per row length, each
+    row's equal to its own ``weights @ log_probs``.
     """
-    groups: dict[int, list[int]] = {}
-    for i, posterior in enumerate(posteriors):
-        groups.setdefault(posterior.relation, []).append(i)
-    terms = [0.0] * len(posteriors)
-    for head, members in groups.items():
-        log_probs = model.log_probs_by_index(head, np.concatenate([posteriors[i].indices for i in members]))
-        end = 0
-        for i in members:
-            p = posteriors[i]
-            start, end = end, end + len(p.indices)
-            terms[i] = n_rules * float(p.weights @ log_probs[start:end])
-    return float(np.mean(terms))
+    heads = np.repeat(posteriors.relations, posteriors.sizes)
+    log_probs = np.empty(len(heads))
+    for head in np.unique(posteriors.relations).tolist():
+        mine = heads == head
+        log_probs[mine] = model.log_probs_by_index(head, posteriors.indices[mine])
+    dots = np.empty(len(posteriors.sizes))
+    for rows, idx in _row_blocks(posteriors.sizes):
+        dots[rows] = (posteriors.weights[idx][:, None, :] @ log_probs[idx][:, :, None])[:, 0, 0]
+    return float(np.mean(n_rules * dots))
 
 
 @dataclass
@@ -519,10 +511,10 @@ class MStepResult:
     losses: list[float]
     l_r: float
     train_f1: float
-    # Per-instance grounded draws of the rule sets this step trained on, when
-    # they were freshly sampled; reusable as the next E-step's draws from the
+    # The grounded draws of the rule sets this step trained on, when they
+    # were freshly sampled; reusable as the next E-step's draws from the
     # same prior.
-    samples: list[Draw] | None = None
+    samples: Draws | None = None
 
 
 def m_step_extractor(
@@ -551,11 +543,8 @@ def m_step_extractor(
     cache = cache or GroundingCache()
     if reset:
         weights = TrainingWeights()
-    samples: list[Draw] | None = [] if mode == "sample" else None
-    design = _index_design(
-        corpus, model, weights, rng, n_rules=n_rules, mode=mode, beam=beam, cache=cache, samples_out=samples
-    )
-    stored = np.concatenate([weights.bias_val, weights.rule_val])
+    design, draws = _index_design(corpus, model, weights, rng, n_rules=n_rules, mode=mode, beam=beam, cache=cache)
+    stored = weights.values()
     result = fit_design(design, np.concatenate([stored, np.zeros(len(design.keys) - len(stored))]), fit_config)
     predicted = result.final_scores > 0
     actual = result.labels > 0
@@ -566,7 +555,7 @@ def m_step_extractor(
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     trained = TrainingWeights.from_codes(design.keys, result.w, model.body_table())
-    return MStepResult(trained, result.losses, result.data_log_likelihood, f1, samples)
+    return MStepResult(trained, result.losses, result.data_log_likelihood, f1, draws if mode == "sample" else None)
 
 
 def _index_design(
@@ -579,57 +568,50 @@ def _index_design(
     mode: str,
     beam: int,
     cache: GroundingCache,
-    samples_out: list | None = None,
-) -> _DesignMatrix:
+) -> tuple[_DesignMatrix, Draws]:
     """Feature build over rule ids, with the codes of the keys (``TrainingWeights.codes``) as column keys.
 
-    Each instance contributes one entry per unique drawn rule, then one bias
+    Returns the design and the grounded draws it was built from.  Each
+    instance contributes one entry per unique drawn rule, then one bias
     entry; the grounding values of all draws come from one gather.  Columns
     are the stored keys in the order ``weights`` keeps them, then the new
     keys in the order the entries first reach them, so no order depends on
     id values.  Every entry finds its stored column by its key's code.
     """
-    relations = [instance.relation for instance in corpus.instances]
+    relations = np.array([instance.relation for instance in corpus.instances], dtype=np.intp)
     if mode == "top":
-        top_sets: dict[int, Draw] = {}
-        for relation in sorted(set(relations)):
+        top_sets = {}
+        for relation in np.unique(relations).tolist():
             ruleset = model.top_rules(relation, n_rules, beam)
             items = sorted(ruleset.counts().items(), key=lambda kv: kv[0].body)
-            idx = model.rule_ids(rule.body for rule, _ in items)
-            top_sets[relation] = Draw(idx, np.array([c for _, c in items], dtype=float), None)
-        draws = [top_sets[relation] for relation in relations]
+            ids = model.rule_ids(rule.body for rule, _ in items)
+            top_sets[relation] = (ids, np.array([c for _, c in items], dtype=float))
+        ids, counts = zip(*(top_sets[relation] for relation in relations.tolist()))
+        sizes = np.array([len(row) for row in ids], dtype=np.intp)
+        draws = Draws(sizes, np.concatenate(ids), np.concatenate(counts), None)
     else:
         draws = draw_all_rules(model, relations, n_rules, rng)
-    draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
-    if samples_out is not None:
-        samples_out.extend(draws)
+    draws = draws._replace(values=_ground_draws(cache, corpus, draws, model))
     size = len(model.body_table())  # every drawn rule has its id by now
-    per_row = np.array([len(draw.counts) + 1 for draw in draws], dtype=np.intp)
+    per_row = draws.sizes + 1
     bias_at = np.cumsum(per_row) - 1
     is_rule = np.ones(int(per_row.sum()), dtype=bool)
     is_rule[bias_at] = False
-    rel_codes = np.array(relations, dtype=np.intp)
     codes = np.empty(is_rule.size, dtype=np.intp)
-    codes[is_rule] = np.repeat(rel_codes * size, per_row - 1) + np.concatenate([draw.support for draw in draws])
-    codes[bias_at] = -1 - rel_codes
-    columns = weights.codes(size)
-    by_code = np.argsort(columns)
-    stored_codes = columns[by_code]
-    at = np.searchsorted(stored_codes, codes)
-    found = at < len(stored_codes)
-    found[found] = stored_codes[at[found]] == codes[found]
-    cols = np.empty(codes.size, dtype=np.intp)
-    cols[found] = by_code[at[found]]
+    codes[is_rule] = np.repeat(relations * size, draws.sizes) + draws.support
+    codes[bias_at] = -1 - relations
+    found, cols = weights.find(codes, size)
     new_codes, first, inverse = np.unique(codes[~found], return_index=True, return_inverse=True)
     appearance = np.argsort(first, kind="stable")
     rank = np.empty(len(new_codes), dtype=np.intp)
     rank[appearance] = np.arange(len(new_codes))
-    cols[~found] = len(stored_codes) + rank[inverse]
+    columns = weights.codes(size)
+    cols[~found] = len(columns) + rank[inverse]
     columns = np.concatenate([columns, new_codes[appearance]])
     vals = np.ones(is_rule.size)
-    vals[is_rule] = np.concatenate([draw.counts * draw.values for draw in draws])
+    vals[is_rule] = draws.counts * draws.values
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
-    return _DesignMatrix(columns, np.repeat(np.arange(len(draws)), per_row), cols, vals, y)
+    return _DesignMatrix(columns, np.repeat(np.arange(len(relations)), per_row), cols, vals, y), draws
 
 
 @dataclass
@@ -670,24 +652,17 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
     diagnostics: list[IterationStats] = []
     previous = None
     stopped_early = False
-    carried: list[Draw] | None = None
+    relations = [inst.relation for inst in corpus.instances]
+    carried: Draws | None = None
     for iteration in range(1, config.iterations + 1):
         final = iteration == config.iterations
         mode = config.inference_mode if final else config.train_ruleset_mode
         try:
             # The previous extractor update's freshly sampled rule sets came
             # from the same prior this E-step targets, so they serve as its
-            # draws, grounded already.  Fresh draws are all sampled first,
-            # then grounded in one gather unless no rule weight is nonzero.
-            draws = carried
-            if draws is None:
-                draws = draw_all_rules(model, [inst.relation for inst in corpus.instances], config.n_rules, rng)
-                if np.any(weights.rule_val):
-                    draws = _ground_draws(cache, corpus, corpus.instances, draws, model)
-            posteriors = [
-                e_step(inst, model, weights, corpus.docs[inst.doc_id], config.n_rules, rng, cache, draws[i])
-                for i, inst in enumerate(corpus.instances)
-            ]
+            # draws, grounded already.
+            draws = carried if carried is not None else draw_all_rules(model, relations, config.n_rules, rng)
+            posteriors = e_step(corpus, draws, model, weights, config.n_rules, cache)
             m_step_generator(posteriors, model)
             l_g = _generator_log_likelihood(posteriors, model, config.n_rules)
             m_result = m_step_extractor(

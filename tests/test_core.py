@@ -284,3 +284,31 @@ class TestFiles:
         path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
         with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*label must be \+1 or -1"):
             load_corpus(path, pair_vocab)
+
+    @pytest.mark.parametrize("label", [True, -1.0, 1.0, "1"])
+    def test_non_integer_label_names_the_line(self, tmp_path, pair_vocab, label):
+        # true and -1.0 pass a ``label in (-1, 1)`` check; true would also
+        # enter the gold facts.
+        good = {"doc_id": "d0", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, 1]]}
+        bad = {"doc_id": "d1", "entities": ["x", "y"], "atoms": [], "facts": [[0, "a", 1, label]]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*label must be \+1 or -1 as a JSON integer"):
+            load_corpus(path, pair_vocab)
+
+    def test_conflicting_duplicate_fact_names_the_line(self, tmp_path, pair_vocab):
+        # An exact repeat is one query, as write_corpus writes it; the same
+        # query with the other label contradicts itself.
+        same = {"doc_id": "d0", "entities": ["x", "y", "z"], "atoms": [],
+                "facts": [[0, "a", 1, 1], [1, "b", 2, -1], [0, "a", 1, 1]]}
+        clash = {"doc_id": "d1", "entities": ["x", "y", "z"], "atoms": [],
+                 "facts": [[1, "b", 2, -1], [0, "a", 1, 1], [1, "b", 2, 1]]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(same) + "\n")
+        a, b = pair_vocab.id_of("a"), pair_vocab.id_of("b")
+        loaded = load_corpus(path, pair_vocab)
+        assert loaded.instances == [LabeledInstance("d0", 0, a, 1, 1), LabeledInstance("d0", 1, b, 2, -1)]
+        assert list(loaded.docs["d0"].gold_facts) == [(0, a, 1)]
+        path.write_text(json.dumps(same) + "\n" + json.dumps(clash) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*conflicting labels -1 and 1 for fact"):
+            load_corpus(path, pair_vocab)

@@ -7,9 +7,12 @@ from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, pad_
 from rulex.datagen import SynthConfig, gen_corpus
 import rulex.em
 from rulex.em import (
+    Draws,
     EMConfig,
     GroundingCache,
+    Posteriors,
     TrainingWeights,
+    draw_all_rules,
     e_step,
     infer,
     inference_rulesets,
@@ -146,6 +149,39 @@ class TestSoftmaxPosterior:
         assert posterior.weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def row_slices(sizes):
+    """The flat positions of each row of concatenated rows."""
+    ends = np.cumsum(sizes).tolist()
+    return [slice(start, end) for start, end in zip([0, *ends], ends)]
+
+
+def one_instance(doc, instance):
+    return Corpus({doc.doc_id: doc}, [instance])
+
+
+def per_row_e_step(corpus, draws, model, weights, n_rules):
+    """The E-step one instance at a time, with scalar lookups and the DP."""
+    extractor = weights.to_extractor(model)
+    h_rows, weight_rows = [], []
+    for instance, row in zip(corpus.instances, row_slices(draws.sizes)):
+        doc, relation = corpus.docs[instance.doc_id], instance.relation
+        extract = np.zeros(row.stop - row.start)
+        for j, i in enumerate(draws.support[row].tolist()):
+            rule = model.rule_at(relation, i)
+            w = extractor.get_rule_weight(relation, rule)
+            if w != 0.0:
+                extract[j] = w * ground_body_value(doc, rule.body, instance.head, instance.tail)
+        h_values = draws.log_priors[row] + (instance.label / 2.0) * (extractor.get_bias(relation) / n_rules + extract)
+        h_rows.append(h_values)
+        weight_rows.append(_softmax(h_values))
+    return np.concatenate(h_rows), np.concatenate(weight_rows)
+
+
+class NoGather(GroundingCache):
+    def ground(self, *args):
+        raise AssertionError("grounded draws whose rules all weigh 0")
+
+
 class TestEStep:
     def test_equal_quality_gives_uniform_weights(self, rng):
         # One relation pair, bodies of length 1 only: both rules equally
@@ -154,31 +190,23 @@ class TestEStep:
         vocab = build_vocab(["a"])
         model = RuleGenerator(vocab, max_len=1)
         doc = make_doc({}, vocab.size, n_entities=2)
-        instance = LabeledInstance("d", 0, 0, 1, 1)
-        posterior = e_step(instance, model, TrainingWeights(), doc, 64, rng)
-        assert len(posterior.rules) == 2
-        assert np.allclose(posterior.weights, 0.5, atol=1e-12)
+        draws = draw_all_rules(model, [0], 64, rng)
+        posteriors = e_step(one_instance(doc, LabeledInstance("d", 0, 0, 1, 1)), draws, model, TrainingWeights(),
+                            64, GroundingCache())
+        assert posteriors.sizes.tolist() == [2]
+        assert np.allclose(posteriors.weights, 0.5, atol=1e-12)
 
     def test_multiplicities_sum_to_n(self, rng):
         vocab = build_vocab(["a", "b"])
         model = RuleGenerator(vocab)
         doc = make_doc({}, vocab.size, n_entities=2)
-        posterior = e_step(LabeledInstance("d", 0, 1, 1, 1), model, TrainingWeights(), doc, 50, rng)
-        assert int(posterior.prior_counts.sum()) == 50
-        assert posterior.weights.sum() == pytest.approx(1.0, abs=1e-9)
-        assert all(rule.head == 1 for rule in posterior.rules)
-
-    def test_reused_draw_matches_fresh_computation(self, rng):
-        vocab = build_vocab(["a", "b"])
-        model = RuleGenerator(vocab)
-        doc = make_doc({(0, 1, 1): 0.9}, vocab.size, n_entities=2)
-        weights = TrainingWeights(rule_rel=[0], rule_id=model.rule_ids([(1,)]), rule_val=[2.0])
-        instance = LabeledInstance("d", 0, 0, 1, 1)
-        drawn = model.sample_unique_indices(0, 40, np.random.default_rng(11))
-        via_reuse = e_step(instance, model, weights, doc, 40, rng, drawn=drawn)
-        direct = e_step(instance, model, weights, doc, 40, np.random.default_rng(11))
-        assert via_reuse.rules == direct.rules
-        assert np.allclose(via_reuse.weights, direct.weights, atol=1e-12)
+        draws = draw_all_rules(model, [1], 50, rng)
+        posteriors = e_step(one_instance(doc, LabeledInstance("d", 0, 1, 1, 1)), draws, model, TrainingWeights(),
+                            50, GroundingCache())
+        assert int(draws.counts.sum()) == 50
+        assert posteriors.weights.sum() == pytest.approx(1.0, abs=1e-9)
+        assert posteriors.relations.tolist() == [1]
+        assert np.array_equal(posteriors.indices, draws.support)
 
     def test_h_values_equal_rule_score_H_on_the_same_draws(self, rng):
         # e_step reads the training arrays and the draw's log-priors;
@@ -190,13 +218,53 @@ class TestEStep:
         bodies = [(1,), (1, 1), (2,), (3,)]  # (relation, body) order; (3,) stores an exact 0
         weights = TrainingWeights([0, 2], [0.75, -0.5], [0] * 4, model.rule_ids(bodies), [2.0, 0.25, -1.0, 0.0])
         reference = weights.to_extractor(model)
-        drawn = model.sample_unique_indices(0, 400, np.random.default_rng(2))
+        draws = draw_all_rules(model, [0], 400, np.random.default_rng(2))
         for label in (1, -1):
             instance = LabeledInstance("d", 0, 0, 1, label)
-            posterior = e_step(instance, model, weights, doc, 400, rng, GroundingCache(), drawn)
-            assert {Rule(0, body) for body in bodies} < set(posterior.rules)
-            want = [rule_score_H(instance, rule, model, reference, doc, 400) for rule in posterior.rules]
-            assert np.allclose(posterior.h_values, want, rtol=0.0, atol=1e-12)
+            posteriors = e_step(one_instance(doc, instance), draws, model, weights, 400, GroundingCache())
+            rules = [model.rule_at(0, i) for i in posteriors.indices.tolist()]
+            assert {Rule(0, body) for body in bodies} < set(rules)
+            want = [rule_score_H(instance, rule, model, reference, doc, 400) for rule in rules]
+            assert np.allclose(posteriors.h_values, want, rtol=0.0, atol=1e-12)
+
+    def test_batched_e_step_equals_a_per_row_reference_bit_for_bit(self):
+        # Rows of many lengths above 8 (below 8 unique rules every sum order
+        # agrees), several relations, both labels.  A third of the drawn keys
+        # are stored, an eighth of those as exact zeros; the rest are drawn
+        # but unstored.  The draws ground inside the E-step, or come with
+        # their values; with every rule weight 0 they must not ground at all.
+        result = tiny_synth(docs=12)
+        train, vocab = result.splits["train"], result.vocab
+        model = RuleGenerator(vocab)
+        for relation in range(vocab.size):
+            model.fit_weighted(relation, [(Rule(relation, (relation,)), 2.0)])
+        relations = [instance.relation for instance in train.instances]
+        assert len(set(relations)) > 2 and {instance.label for instance in train.instances} == {1, -1}
+        draws = draw_all_rules(model, relations, 60, np.random.default_rng(8))
+        assert draws.sizes.min() > 8 and len(np.unique(draws.sizes)) > 4
+        size = len(model.body_table())
+        codes = np.unique(np.repeat(relations, draws.sizes) * size + draws.support)[::3]
+        rng = np.random.default_rng(9)
+        w = np.where(np.arange(len(codes)) % 8 == 0, 0.0, rng.normal(size=len(codes)))
+        bias_codes = -1 - np.unique(relations)
+        weights = TrainingWeights.from_codes(np.concatenate([bias_codes, codes]),
+                                             np.concatenate([rng.normal(size=len(bias_codes)), w]),
+                                             model.body_table())
+        cache = GroundingCache()
+        grounded = draws._replace(values=rulex.em._ground_draws(cache, train, draws, model))
+        assert np.any(grounded.values[np.isin(np.repeat(relations, draws.sizes) * size + draws.support,
+                                              codes[w != 0.0])] > 0.0)
+        zero_rules = TrainingWeights(weights.bias_rel, weights.bias_val, weights.rule_rel, weights.rule_id,
+                                     np.zeros(len(weights.rule_val)))
+        for given, trained, store in ((draws, weights, cache), (grounded, weights, NoGather()),
+                                      (draws, zero_rules, NoGather()), (draws, TrainingWeights(), NoGather())):
+            posteriors = e_step(train, given, model, trained, 60, store)
+            h_values, posterior = per_row_e_step(train, given, model, trained, 60)
+            assert np.array_equal(posteriors.h_values, h_values)
+            assert np.array_equal(posteriors.weights, posterior)
+            assert posteriors.relations.tolist() == relations
+            assert np.array_equal(posteriors.sizes, draws.sizes)
+            assert np.array_equal(posteriors.indices, draws.support)
 
 
 class TestGroundingCache:
@@ -272,10 +340,11 @@ class TestGroundingCache:
                                     mode="sample", beam=12)
         rng = np.random.default_rng(4)
         batch = []
-        for instance, drawn in zip(train.instances, m_result.samples):
+        samples = m_result.samples
+        for instance, row in zip(train.instances, row_slices(samples.sizes)):
             rules, counts, _ = model.sample_unique_rules(instance.relation, 6, rng)
             assert [rule.body for rule in rules] == [tuple(r for r in row if r >= 0)
-                                                    for row in model.body_table()[drawn.support].tolist()]
+                                                    for row in model.body_table()[samples.support[row]].tolist()]
             doc = train.docs[instance.doc_id]
             groundings = {rule: ground_body_value(doc, rule.body, instance.head, instance.tail) for rule in rules}
             expanded = [rule for rule, count in zip(rules, counts.tolist()) for _ in range(count)]
@@ -321,7 +390,7 @@ class TestMStepGenerator:
         rule = Rule(0, (1, 2))
         posterior = posterior_over_rules(instance, [rule], model, ExtractorWeights(), doc, 50)
         before = model.log_prob(0, rule.body)
-        m_step_generator([posterior], model)
+        m_step_generator(posterior, model)
         assert model.log_prob(0, rule.body) > before
 
     def test_two_identical_posteriors_equal_one_with_doubled_weights(self, rng):
@@ -332,8 +401,8 @@ class TestMStepGenerator:
         model_a = RuleGenerator(vocab)
         model_b = RuleGenerator(vocab)
         posterior = posterior_over_rules(instance, rules, model_a, ExtractorWeights(), doc, 50)
-        m_step_generator([posterior, posterior], model_a)
-        model_b.fit_weighted(0, [(rule, 2 * float(w)) for rule, w in zip(posterior.rules, posterior.weights)])
+        m_step_generator(Posteriors(*(np.concatenate([field, field]) for field in posterior)), model_a)
+        model_b.fit_weighted(0, [(rule, 2 * float(w)) for rule, w in zip(rules, posterior.weights)])
         for key in model_a.counts:
             assert np.allclose(model_a.counts[key], model_b.counts[key], atol=1e-12)
 
@@ -350,7 +419,7 @@ class TestMStepGenerator:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            m_step_generator([], RuleGenerator(build_vocab(["a"])))
+            m_step_generator(Posteriors(*[np.zeros(0, dtype=np.intp)] * 5), RuleGenerator(build_vocab(["a"])))
 
     @pytest.mark.parametrize("relations", [4, 24])
     def test_refit_from_e_step_posteriors_equals_one_fit_per_head(self, relations):
@@ -363,20 +432,22 @@ class TestMStepGenerator:
         model, reference = RuleGenerator(vocab), RuleGenerator(vocab)
         ids = model.rule_ids((relation,) for relation in range(vocab.size))
         weights = TrainingWeights(rule_rel=range(vocab.size), rule_id=ids, rule_val=[1.5] * vocab.size)
-        rng = np.random.default_rng(5)
-        posteriors = [e_step(inst, model, weights, train.docs[inst.doc_id], 12, rng) for inst in train.instances]
+        draws = draw_all_rules(model, [inst.relation for inst in train.instances], 12, np.random.default_rng(5))
+        posteriors = e_step(train, draws, model, weights, 12, GroundingCache())
         assert (model.enumerable_size() > ENUM_LIMIT) == (relations == 24)
+        assert posteriors.indices.dtype == np.intp
+        rows = [(relation, [model.rule_at(relation, i) for i in posteriors.indices[row].tolist()],
+                 posteriors.weights[row])
+                for relation, row in zip(posteriors.relations.tolist(), row_slices(posteriors.sizes))]
         table = model.body_table()
-        for p in posteriors:
-            assert p.indices.dtype == np.intp
-            assert [rule.body for rule in p.rules] == [tuple(r for r in row if r >= 0)
-                                                       for row in table[p.indices].tolist()]
+        assert [rule.body for _, rules, _ in rows for rule in rules] == [
+            tuple(r for r in row if r >= 0) for row in table[posteriors.indices].tolist()]
         m_step_generator(posteriors, model)
-        for head in sorted({p.relation for p in posteriors}):
+        for head in sorted(set(posteriors.relations.tolist())):
             sums: dict[Rule, float] = {}
-            for p in posteriors:
-                if p.relation == head:
-                    for rule, weight in zip(p.rules, p.weights):
+            for relation, rules, row_weights in rows:
+                if relation == head:
+                    for rule, weight in zip(rules, row_weights):
                         sums[rule] = sums.get(rule, 0.0) + float(weight)
             reference.fit_weighted(head, sorted(sums.items(), key=lambda kv: kv[0].body))
         assert list(model.counts) == list(reference.counts)
@@ -388,17 +459,21 @@ class TestMStepGenerator:
         result = tiny_synth(relations=relations, docs=8)
         train, vocab = result.splits["train"], result.vocab
         model = RuleGenerator(vocab)
-        rng = np.random.default_rng(2)
-        posteriors = [e_step(inst, model, TrainingWeights(), train.docs[inst.doc_id], 12, rng)
-                      for inst in train.instances]
+        draws = draw_all_rules(model, [inst.relation for inst in train.instances], 40, np.random.default_rng(2))
+        posteriors = e_step(train, draws, model, TrainingWeights(), 40, GroundingCache())
         m_step_generator(posteriors, model)
-        want = float(np.mean([12 * float(p.weights @ model.log_probs_by_index(p.relation, p.indices))
-                              for p in posteriors]))
-        assert _generator_log_likelihood(posteriors, model, 12) == want
+        rows = [(relation, posteriors.indices[row], posteriors.weights[row])
+                for relation, row in zip(posteriors.relations.tolist(), row_slices(posteriors.sizes))]
+        # Rows longer than 8 and of several lengths make several stacked
+        # products that a pairwise sum would not match.
+        assert len({len(ids) for _, ids, _ in rows}) > 1 and min(len(ids) for _, ids, _ in rows) > 8
+        want = float(np.mean([40 * float(weights @ model.log_probs_by_index(relation, ids))
+                              for relation, ids, weights in rows]))
+        assert _generator_log_likelihood(posteriors, model, 40) == want
         if relations == 24:  # past the limit both equal the scalar log_prob
-            assert want == float(np.mean([12 * float(p.weights @ np.array([model.log_prob(p.relation, r.body)
-                                                                            for r in p.rules]))
-                                          for p in posteriors]))
+            assert want == float(np.mean([40 * float(weights @ np.array([model.log_prob(relation, body)
+                                                                          for body in model.bodies_at(relation, ids)]))
+                                          for relation, ids, weights in rows]))
 
 
 def tiny_synth(seed=5, **overrides):
@@ -442,7 +517,8 @@ class TestMStepExtractor:
         weights = TrainingWeights([0], [0.125])
         m_result = m_step_extractor(train, model, weights, FitConfig(lr=1.0, epochs=0), rng,
                                     n_rules=4, mode="top", beam=16)
-        assert m_result.weights.bias(0) == 0.125 and weights.bias(0) == 0.125
+        assert m_result.weights.to_extractor(model).bias[0] == 0.125
+        assert weights.bias_rel.tolist() == [0] and weights.bias_val.tolist() == [0.125]
 
     def test_deterministic_under_fixed_seed(self):
         result = tiny_synth()
@@ -479,10 +555,11 @@ class TestMStepExtractor:
         for step in range(2):
             m_result = m_step_extractor(train, model, weights, config, rng, n_rules=6, mode="sample", beam=12)
             batch = []
-            for instance, drawn in zip(train.instances, m_result.samples):
-                rules = [model.rule_at(instance.relation, i) for i in drawn.support.tolist()]
-                expanded = [rule for rule, count in zip(rules, drawn.counts.tolist()) for _ in range(count)]
-                batch.append((instance, RuleSet(expanded), dict(zip(rules, drawn.values.tolist()))))
+            samples = m_result.samples
+            for instance, row in zip(train.instances, row_slices(samples.sizes)):
+                rules = [model.rule_at(instance.relation, i) for i in samples.support[row].tolist()]
+                expanded = [rule for rule, count in zip(rules, samples.counts[row].tolist()) for _ in range(count)]
+                batch.append((instance, RuleSet(expanded), dict(zip(rules, samples.values[row].tolist()))))
             want = _DesignMatrix.from_batch(batch, reference)
             fitted = fit(batch, reference, config)
             got = designs[-1]
