@@ -162,20 +162,20 @@ def cmd_infer(args) -> int:
     # one run may overlap.
     corpus = core.load_corpus(args.documents, vocab)
     rng = np.random.default_rng(config.seed)
-    rulesets = em.inference_rulesets(model, vocab, config, rng)
+    terms = em.inference_terms(em.inference_rulesets(model, vocab, config, rng), weights, vocab)
     predictions = metrics.PredictionSet()
     explanations: dict[str, dict[tuple[int, int, int], list]] = {}
-    cache = em.GroundingCache()
+    text_of = dict(zip(terms.rules, terms.texts))
     for doc_id, doc in corpus.docs.items():
-        preds = em.predict_document(doc, vocab, model, weights, config, rng, cache, rulesets)
-        predictions.by_doc[doc_id] = preds
+        results = em.explain_document(doc, terms, top=5)
+        predictions.by_doc[doc_id] = {query: result.probability for query, result in results.items()}
         explanations[doc_id] = {
             query: [
-                {"rule": core.format_rule(c.rule, vocab), "weight": c.weight, "grounding": c.grounding,
+                {"rule": text_of[c.rule], "weight": c.weight, "grounding": c.grounding,
                  "path": list(c.best_path)}
-                for c in em.explain(doc, query, rulesets[query[1]], weights, vocab, cache, top=5).contributions
+                for c in result.contributions
             ]
-            for query in sorted(preds)
+            for query, result in results.items()
         }
     metrics.write_predictions(args.out, predictions, vocab, explanations)
     return 0

@@ -16,8 +16,11 @@ step works on integer ids from the generator's one rule-id space
 (``RuleGenerator.rule_ids``), whatever the size of the vocabulary, and the
 extractor weights train as arrays over rule ids (``TrainingWeights``);
 ``run_em`` builds ``Rule`` objects once, for the weights it returns.
-Inference scores (``predict_document``) and explains (``explain``) from the
-same memoized all-pairs matrices, so explanations sum to the score.
+Inference reads the rule sets and the weights once per run, as flat term
+arrays (``inference_terms``), and scores and explains each document in one
+pass (``explain_document``) over one stack of all-pairs grounding matrices;
+``predict_document``, ``explain`` and ``infer`` call the same code, so an
+explanation's contributions sum to the score bit for bit.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ from .core import (
     Rule,
     RuleSet,
     format_rule,
+    pad_bodies,
 )
-from .extractor import (  # ``fit`` and ``ground_body_value`` are unused here; perfbench/tracing.py patches both
+# ``fit``, ``ground_body_value`` and ``ground_rule_all_pairs`` are unused here;
+# perfbench/tracing.py patches all three.
+from .extractor import (
     ExtractorWeights,
     FitConfig,
     _DesignMatrix,
@@ -147,16 +153,11 @@ class GroundingCache:
     bytes (2 MB) however many values it reads.  DocRED-scale corpora are
     outside this envelope: 3,000 documents with 192 ids and up to 40
     entities would need a 7.4 GB tensor.
-
-    All-pairs matrices for whole-document scoring are memoized per body for
-    the most recent document only.
     """
 
     def __init__(self):
         self._rows: dict[Document, int] = {}
         self._tensor = np.zeros((0, 0, 0, 0))
-        self._matrix_doc: Document | None = None
-        self._matrices: dict[tuple[int, ...], np.ndarray] = {}
 
     def rows(self, docs: Iterable[Document]) -> np.ndarray:
         """Tensor rows of ``docs``, stacking the documents the store lacks.
@@ -220,15 +221,6 @@ class GroundingCache:
     def value_body(self, doc: Document, body: tuple[int, ...], h: int, t: int) -> float:
         """Grounding of one body between two entities: a one-entry gather."""
         return float(self.ground(self.rows([doc]), np.array([body]), np.array([h]), np.array([t]))[0])
-
-    def matrix(self, doc: Document, rule: Rule) -> np.ndarray:
-        """All-pairs grounding of one rule on one document (see ``ground_rule_all_pairs``)."""
-        if doc is not self._matrix_doc:
-            self._matrix_doc, self._matrices = doc, {}
-        mat = self._matrices.get(rule.body)
-        if mat is None:
-            mat = self._matrices[rule.body] = ground_rule_all_pairs(doc, rule)
-        return mat
 
 
 def log_sigmoid_taylor(x: float) -> float:
@@ -723,27 +715,193 @@ class InferenceResult:
     contributions: tuple[RuleContribution, ...]
 
 
-def _weighted_rules(
-    doc: Document,
-    relation: int,
-    ruleset: RuleSet,
-    weights: ExtractorWeights,
-    cache: GroundingCache,
-) -> list[tuple[Rule, int, float, np.ndarray]]:
-    """The terms that score ``relation`` on one document, in rule-set order.
+class InferenceTerms(NamedTuple):
+    """The terms that score some head relations, read once from their rule sets and the weights.
 
-    One ``(rule, multiplicity, weight, all-pairs matrix)`` per distinct rule
-    with a nonzero weight; the score is the bias plus the sum of
-    ``multiplicity * weight * matrix`` in this order.
+    Head ``heads[i]`` has the bias ``bias[i]`` and the terms
+    ``starts[i]:starts[i + 1]``: one per distinct rule of its rule set with a
+    nonzero weight, in rule-set order.  Term k is ``rules[k]`` with
+    ``multiplicity[k]`` and ``weight[k]``, the coefficient ``coef[k]`` (their
+    product), the row ``body[k]`` of the distinct-body table ``bodies``
+    (relation ids padded with -1), its text ``texts[k]`` (``format_rule``)
+    and the rank ``rank[k]`` of that text among all the terms' texts.
     """
-    terms = []
-    for rule, multiplicity in ruleset.counts().items():
-        if rule.head != relation:
-            raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
-        weight = weights.get_rule_weight(relation, rule)
-        if weight != 0.0:
-            terms.append((rule, multiplicity, weight, cache.matrix(doc, rule)))
-    return terms
+
+    heads: np.ndarray
+    bias: np.ndarray
+    starts: np.ndarray
+    rules: tuple[Rule, ...]
+    multiplicity: tuple[int, ...]
+    weight: tuple[float, ...]
+    coef: np.ndarray
+    body: np.ndarray
+    texts: tuple[str, ...]
+    rank: np.ndarray
+    bodies: np.ndarray
+
+
+def inference_terms(
+    rulesets: Mapping[int, RuleSet], weights: ExtractorWeights, vocab: RelationVocab
+) -> InferenceTerms:
+    """The scoring terms of each head relation's rule set, one weight lookup per distinct rule."""
+    heads, bias, starts = [], [], [0]
+    rules, multiplicity, weight, body = [], [], [], []
+    row_of: dict[tuple[int, ...], int] = {}
+    for relation, ruleset in rulesets.items():
+        for rule, count in ruleset.counts().items():
+            if rule.head != relation:
+                raise ValueError(f"rule head {rule.head} does not match query relation {relation}")
+            value = weights.get_rule_weight(relation, rule)
+            if value != 0.0:
+                rules.append(rule)
+                multiplicity.append(count)
+                weight.append(value)
+                body.append(row_of.setdefault(rule.body, len(row_of)))
+        heads.append(relation)
+        bias.append(weights.get_bias(relation))
+        starts.append(len(rules))
+    texts = [format_rule(rule, vocab) for rule in rules]
+    rank = np.empty(len(texts), dtype=np.intp)
+    rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    return InferenceTerms(
+        np.array(heads, dtype=np.intp),
+        np.array(bias, dtype=float),
+        np.array(starts, dtype=np.intp),
+        tuple(rules),
+        tuple(multiplicity),
+        tuple(weight),
+        np.array([m * w for m, w in zip(multiplicity, weight)], dtype=float),
+        np.array(body, dtype=np.intp),
+        tuple(texts),
+        rank,
+        pad_bodies(list(row_of), max((len(b) for b in row_of), default=1)),
+    )
+
+
+def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
+    """All-pairs groundings of many bodies on one document, shape ``(len(bodies), n, n)``.
+
+    ``bodies`` holds one body per row, relation ids padded with -1.  Row k
+    equals ``ground_rule_all_pairs`` of body k bit for bit: the bodies of one
+    length chain their relation matrices together, left to right, under the
+    same max-product composition, with temporaries near ``GATHER_CELLS * 8``
+    bytes.
+    """
+    atoms = doc.atom_array()
+    n = atoms.shape[1]
+    if bodies.size and bodies.max() >= atoms.shape[0]:
+        raise ValueError(f"relation id out of range: {int(bodies.max())}")
+    stack = np.empty((len(bodies), n, n))
+    lengths = np.count_nonzero(bodies >= 0, axis=1)
+    chunk = max(1, GATHER_CELLS // max(1, n * n))
+    for length in np.unique(lengths).tolist():
+        selected = np.flatnonzero(lengths == length)
+        for start in range(0, selected.size, chunk):
+            idx = selected[start : start + chunk]
+            mats = atoms[bodies[idx, 0]]
+            for pos in range(1, length):
+                # A loop of elementwise maxima over the middle entity, as in
+                # ``GroundingCache.ground``: faster than an axis reduction.
+                step = atoms[bodies[idx, pos]]
+                composed = mats[:, :, :1] * step[:, None, 0]
+                for j in range(1, n):
+                    np.maximum(composed, mats[:, :, j : j + 1] * step[:, None, j], out=composed)
+                mats = composed
+            stack[idx] = mats
+    return stack
+
+
+class DocumentScores(NamedTuple):
+    """One document scored against ``InferenceTerms``.
+
+    ``stack`` holds the all-pairs groundings of the terms' bodies,
+    ``contributions[k]`` the ``(n, n)`` contributions ``coef[k] * stack[body[k]]``
+    of term k, and ``logits[i]`` head ``heads[i]``'s logits: its bias plus its
+    terms' contributions, added one term at a time in rule-set order.
+    """
+
+    stack: np.ndarray
+    contributions: np.ndarray
+    logits: np.ndarray
+
+
+def score_document(doc: Document, terms: InferenceTerms) -> DocumentScores:
+    """Logits of every head and ordered entity pair of one document, from one all-pairs stack."""
+    stack = all_pairs_stack(doc, terms.bodies)
+    contributions = terms.coef[:, None, None] * stack[terms.body]
+    n = doc.num_entities
+    logits = np.repeat(terms.bias, n * n).reshape(-1, n, n)
+    sizes = np.diff(terms.starts)
+    for position in range(int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > position)
+        logits[rows] += contributions[terms.starts[rows] + position]
+    return DocumentScores(stack, contributions, logits)
+
+
+def _fired(
+    doc: Document,
+    terms: InferenceTerms,
+    scores: DocumentScores,
+    rows: np.ndarray,
+    hs: np.ndarray,
+    ts: np.ndarray,
+    top: int | None,
+) -> list[tuple[RuleContribution, ...]]:
+    """The rules that fired for each triple ``(hs[p], heads[rows[p]], ts[p])`` of one scored document.
+
+    A triple's entries are its head's terms whose contribution at (h, t) is
+    nonzero, ordered by decreasing contribution and then by text; the first
+    ``top`` of them (all when ``top`` is None) are returned, each with its
+    witness path from ``ground_rule``.  All the triples' entries sort in one
+    pass.
+    """
+    counts = np.diff(terms.starts)[rows]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    term = np.arange(counts.sum()) + np.repeat(terms.starts[rows] - (np.cumsum(counts) - counts), counts)
+    h, t = hs[owner], ts[owner]
+    values = scores.contributions[term, h, t]
+    entries = np.flatnonzero(values)
+    entries = entries[np.lexsort((terms.rank[term[entries]], -values[entries], owner[entries]))]
+    if top is not None:
+        ranked = np.arange(len(entries)) - np.searchsorted(owner[entries], owner[entries])
+        entries = entries[ranked < top]
+    fired: list[list[RuleContribution]] = [[] for _ in range(len(rows))]
+    columns = (
+        owner[entries].tolist(),
+        term[entries].tolist(),
+        h[entries].tolist(),
+        t[entries].tolist(),
+        scores.stack[terms.body[term[entries]], h[entries], t[entries]].tolist(),
+        values[entries].tolist(),
+    )
+    for p, k, head, tail, grounding, contribution in zip(*columns):
+        rule = terms.rules[k]
+        path = ground_rule(doc, rule, head, tail).best_path
+        fired[p].append(RuleContribution(rule, terms.weight[k], grounding, terms.multiplicity[k], path, contribution))
+    return [tuple(items) for items in fired]
+
+
+def explain_document(
+    doc: Document, terms: InferenceTerms, top: int | None = None
+) -> dict[tuple[int, int, int], InferenceResult]:
+    """The positive predictions over all ordered entity pairs (h != t) of one document, each explained.
+
+    A triple is positive when its probability is above 0.5.  Each result
+    holds the first ``top`` of its contributions (all when ``top`` is None),
+    as ``explain`` gives them; ``top=0`` skips the explanations.
+    """
+    scores = score_document(doc, terms)
+    n = doc.num_entities
+    rows, hs, ts = np.nonzero((scores.logits > 0) & ~np.eye(n, dtype=bool))
+    probabilities = np.array([prob(1, logit) for logit in scores.logits[rows, hs, ts].tolist()])
+    positive = probabilities > 0.5
+    rows, hs, ts = rows[positive], hs[positive], ts[positive]
+    fired = _fired(doc, terms, scores, rows, hs, ts, top) if top != 0 else [()] * len(rows)
+    columns = (hs, terms.heads[rows], ts, probabilities[positive], scores.logits[rows, hs, ts])
+    return {
+        (h, relation, t): InferenceResult(1, p, logit, contributions)
+        for (h, relation, t, p, logit), contributions in zip(zip(*(c.tolist() for c in columns)), fired)
+    }
 
 
 def explain(
@@ -752,34 +910,25 @@ def explain(
     ruleset: RuleSet,
     weights: ExtractorWeights,
     vocab: RelationVocab,
-    cache: GroundingCache | None = None,
     top: int | None = None,
 ) -> InferenceResult:
     """Score one query against a rule multiset and explain it by the rules that fired.
 
     The logit is the bias plus ``multiplicity * weight * grounding`` of every
-    rule with a nonzero weight, added in rule-set order and read from the
-    cache's all-pairs matrices, so it equals ``predict_document``'s score bit
-    for bit.  Contributions list the rules whose term is nonzero, ordered by
-    decreasing contribution and then by rule text; only the first ``top`` of
-    them (all when ``top`` is None) are returned, each with its witness path.
+    rule with a nonzero weight, added in rule-set order as ``score_document``
+    adds them, so it equals ``predict_document``'s score bit for bit.  The
+    label is 1 when the probability is above 0.5.  Contributions list the
+    rules whose term is nonzero, ordered by decreasing contribution and then
+    by rule text; only the first ``top`` of them (all when ``top`` is None)
+    are returned, each with its witness path.
     """
     h, relation, t = query
-    terms = _weighted_rules(doc, relation, ruleset, weights, cache or GroundingCache())
-    logit = weights.get_bias(relation)
-    fired = []
-    for rule, multiplicity, weight, matrix in terms:
-        grounding = float(matrix[h, t])
-        contribution = multiplicity * weight * grounding
-        logit += contribution
-        if contribution != 0.0:
-            fired.append((contribution, format_rule(rule, vocab), rule, multiplicity, weight, grounding))
-    fired.sort(key=lambda item: (-item[0], item[1]))
-    contributions = tuple(
-        RuleContribution(rule, weight, grounding, multiplicity, ground_rule(doc, rule, h, t).best_path, contribution)
-        for contribution, _, rule, multiplicity, weight, grounding in fired[:top]
-    )
-    return InferenceResult(1 if logit > 0 else -1, prob(1, logit), logit, contributions)
+    terms = inference_terms({relation: ruleset}, weights, vocab)
+    scores = score_document(doc, terms)
+    logit = float(scores.logits[0, h, t])
+    probability = prob(1, logit)
+    (contributions,) = _fired(doc, terms, scores, np.zeros(1, dtype=np.intp), np.array([h]), np.array([t]), top)
+    return InferenceResult(1 if probability > 0.5 else -1, probability, logit, contributions)
 
 
 def infer(
@@ -794,9 +943,9 @@ def infer(
 
     The rule sets of every relation are drawn as ``predict_document`` draws
     them, so with the same ``rng`` (or none) the probability equals its
-    score's.  Each call draws them afresh and grounds on a fresh cache; to
-    explain many queries, draw ``inference_rulesets`` once and call
-    ``explain`` with one shared ``GroundingCache``, as ``rulex infer`` does.
+    score's.  Each call draws them afresh; to explain many queries, build
+    ``inference_terms`` of ``inference_rulesets`` once and call
+    ``explain_document``, as ``rulex infer`` does.
     """
     rulesets = inference_rulesets(model, model.vocab, config, rng)
     return explain(doc, query, rulesets[query[1]], weights, model.vocab)
@@ -826,20 +975,14 @@ def predict_document(
     weights: ExtractorWeights,
     config: EMConfig,
     rng: np.random.Generator | None = None,
-    cache: GroundingCache | None = None,
     rulesets: Mapping[int, RuleSet] | None = None,
 ) -> dict[tuple[int, int, int], float]:
-    """Positive predictions over all ordered entity pairs (h != t) of one document."""
-    cache = cache or GroundingCache()
+    """Positive predictions over all ordered entity pairs (h != t) of one document, with their probabilities.
+
+    Builds the scoring terms at each call; to predict many documents, build
+    ``inference_terms`` once and call ``explain_document``.
+    """
     if rulesets is None:
         rulesets = inference_rulesets(model, vocab, config, rng)
-    n = doc.num_entities
-    predictions: dict[tuple[int, int, int], float] = {}
-    off_diagonal = ~np.eye(n, dtype=bool)
-    for relation in range(vocab.size):
-        scores = np.full((n, n), weights.get_bias(relation))
-        for _, multiplicity, weight, matrix in _weighted_rules(doc, relation, rulesets[relation], weights, cache):
-            scores += multiplicity * weight * matrix
-        for h, t in np.argwhere((scores > 0) & off_diagonal):
-            predictions[(int(h), relation, int(t))] = prob(1, float(scores[h, t]))
-    return predictions
+    terms = inference_terms(rulesets, weights, vocab)
+    return {query: result.probability for query, result in explain_document(doc, terms, top=0).items()}

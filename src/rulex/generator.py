@@ -303,10 +303,6 @@ class RuleGenerator:
         """
         return self._rule_space().ids(list(bodies))
 
-    def bodies_at(self, head: int, indices) -> list[tuple[int, ...]]:
-        bodies = self._rule_space().bodies
-        return [bodies[i] for i in indices]
-
     def rule_at(self, head: int, index: int) -> Rule:
         """The rule with id ``index``, built once per head and id.
 

@@ -9,7 +9,7 @@ in worker processes without coordination.
 from dataclasses import dataclass, field
 
 from rulex.datagen import SynthConfig, gen_corpus
-from rulex.em import EMConfig, GroundingCache, inference_rulesets, predict_document, run_em
+from rulex.em import EMConfig, inference_rulesets, predict_document, run_em
 from rulex.extractor import FitConfig
 from rulex.metrics import PredictionSet, f1, gold_by_doc, logic_score, threshold_predictions
 
@@ -83,11 +83,10 @@ def run_replica(seed: int) -> ReplicaResult:
     trained = run_em(train, synth.vocab, config)
 
     predictions = PredictionSet()
-    cache = GroundingCache()
     rulesets = inference_rulesets(trained.model, synth.vocab, config)
     for doc_id, doc in test.docs.items():
         predictions.by_doc[doc_id] = predict_document(
-            doc, synth.vocab, trained.model, trained.weights, config, cache=cache, rulesets=rulesets
+            doc, synth.vocab, trained.model, trained.weights, config, rulesets=rulesets
         )
     engine_f1 = f1(predictions, gold).f1
     engine_logic = logic_score(predictions, synth.planted).score

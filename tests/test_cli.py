@@ -7,11 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rulex
 from rulex import cli
 from rulex.core import load_corpus, parse_rule, read_vocab_file
 from rulex.em import EMConfig, inference_rulesets
 from rulex.extractor import ExtractorWeights, ground_rule
 from rulex.generator import RuleGenerator
+
+# The benchmark's output checks, read from perfbench/ without changing it.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import checks  # noqa: E402
 
 
 TINY_CONFIG = {
@@ -198,6 +203,32 @@ class TestInfer:
                          "--out", str(out)]) == 0
         for line in out.read_text().splitlines():
             assert json.loads(line)["triples"] == []
+
+    def test_tiny_positive_logit_with_probability_one_half_predicts_nothing(self, tmp_path, corpus_dir):
+        # A logit of 1e-17 is positive, but its probability rounds to exactly
+        # 0.5, outside the (0.5, 1] that a predicted triple must have.
+        cold = tmp_path / "cold_run"
+        cold.mkdir()
+        vocab = read_vocab_file(corpus_dir / "vocab.txt")
+        RuleGenerator(vocab).save(cold / "generator.json")
+        weights = ExtractorWeights()
+        weights.bias = {relation: 1e-17 for relation in range(vocab.size)}
+        weights.save(cold / "extractor.json", vocab)
+        (cold / "config.json").write_text(json.dumps({"em": TINY_CONFIG["em"]}))
+        out = tmp_path / "cold_preds.jsonl"
+        assert cli.main(["infer", "--run", str(cold), "--documents", str(corpus_dir / "test.jsonl"),
+                         "--out", str(out)]) == 0
+        records = [json.loads(line) for line in out.read_text().splitlines()]
+        assert records and all(record["triples"] == [] for record in records)
+
+    def test_output_meets_the_benchmark_contract(self, tmp_path, run_dir, corpus_dir):
+        out = tmp_path / "preds.jsonl"
+        assert cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
+                         "--out", str(out)]) == 0
+        vocab = read_vocab_file(corpus_dir / "vocab.txt")
+        corpus = load_corpus(corpus_dir / "test.jsonl", vocab)
+        assert any(json.loads(line)["triples"] for line in out.read_text().splitlines())
+        assert checks.check_predictions(out, corpus, vocab, rulex) == {}
 
     def test_explanation_paths_validate_against_grounding(self, tmp_path, run_dir, corpus_dir):
         out = tmp_path / "preds.jsonl"

@@ -3,19 +3,25 @@ import math
 import numpy as np
 import pytest
 
-from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, pad_bodies
+from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, format_rule, pad_bodies
 from rulex.datagen import SynthConfig, gen_corpus
 import rulex.em
 from rulex.em import (
     Draws,
     EMConfig,
     GroundingCache,
+    InferenceResult,
     Posteriors,
+    RuleContribution,
     TrainingWeights,
+    all_pairs_stack,
     draw_all_rules,
     e_step,
+    explain,
+    explain_document,
     infer,
     inference_rulesets,
+    inference_terms,
     log_sigmoid_taylor,
     m_step_extractor,
     m_step_generator,
@@ -34,6 +40,8 @@ from rulex.extractor import (
     fit_design,
     ground_body_value,
     ground_rule,
+    ground_rule_all_pairs,
+    prob,
 )
 from rulex.generator import ENUM_LIMIT, RuleGenerator
 from rulex.metrics import PredictionSet, f1, gold_by_doc
@@ -320,7 +328,7 @@ class TestGroundingCache:
                                             np.random.default_rng(1), n_rules=8, mode="top", beam=32, cache=cache)
                 weights = m_result.weights.to_extractor(model)
                 config = EMConfig(n_rules=8, beam=32)
-                predictions = [predict_document(doc, vocab, model, weights, config, cache=cache)
+                predictions = [predict_document(doc, vocab, model, weights, config)
                                for doc in train.docs.values()]
                 runs.append((dict(weights.rule_weight), predictions))
             assert runs[0] == runs[1]
@@ -471,9 +479,10 @@ class TestMStepGenerator:
                               for relation, ids, weights in rows]))
         assert _generator_log_likelihood(posteriors, model, 40) == want
         if relations == 24:  # past the limit both equal the scalar log_prob
-            assert want == float(np.mean([40 * float(weights @ np.array([model.log_prob(relation, body)
-                                                                          for body in model.bodies_at(relation, ids)]))
-                                          for relation, ids, weights in rows]))
+            scalar = [np.array([model.log_prob(relation, model.rule_at(relation, i).body) for i in ids.tolist()])
+                      for relation, ids, _ in rows]
+            assert want == float(np.mean([40 * float(weights @ log_probs)
+                                          for (_, _, weights), log_probs in zip(rows, scalar)]))
 
 
 def tiny_synth(seed=5, **overrides):
@@ -733,3 +742,118 @@ class TestInfer:
                 assert total == explained.logit
                 checked += 1
         assert checked > 0
+
+
+def reference_scoring(doc, rulesets, weights, vocab):
+    """Every ordered pair's (logit, contributions) per head, one query at a time.
+
+    A scalar reference for the document path: the bias, then ``multiplicity
+    * weight * ground_rule_all_pairs(...)[h, t]`` of each rule with a nonzero
+    weight in rule-set order; the nonzero contributions sorted by
+    (-contribution, rule text), each with its ``ground_rule`` witness path.
+    """
+    scored = {}
+    for relation, ruleset in rulesets.items():
+        matrices = {rule: ground_rule_all_pairs(doc, rule) for rule in ruleset.counts()}
+        for h in range(doc.num_entities):
+            for t in range(doc.num_entities):
+                logit = weights.get_bias(relation)
+                fired = []
+                for rule, multiplicity in ruleset.counts().items():
+                    weight = weights.get_rule_weight(relation, rule)
+                    if weight == 0.0:
+                        continue
+                    grounding = float(matrices[rule][h, t])
+                    contribution = multiplicity * weight * grounding
+                    logit += contribution
+                    if contribution != 0.0:
+                        fired.append((contribution, format_rule(rule, vocab), rule, weight, grounding, multiplicity))
+                fired.sort(key=lambda item: (-item[0], item[1]))
+                scored[(h, relation, t)] = (logit, tuple(
+                    RuleContribution(rule, weight, grounding, multiplicity, ground_rule(doc, rule, h, t).best_path, c)
+                    for c, _, rule, weight, grounding, multiplicity in fired
+                ))
+    return scored
+
+
+class TestDocumentScoring:
+    # Names out of alphabetical order, so that the order of rule texts
+    # differs from the order of bodies.
+    NAMES = ["zeta", "alpha", "mid"]
+    TIED = (Rule(0, (1,)), Rule(0, (0,)))  # "zeta <- alpha" sorts before "zeta <- zeta"
+
+    def setup_case(self, mode):
+        vocab = build_vocab(self.NAMES)
+        model = RuleGenerator(vocab)
+        for relation in range(vocab.size):
+            model.fit_weighted(relation, [(Rule(relation, ((relation + 1) % vocab.size,)), 3.0),
+                                          (Rule(relation, (relation,)), 3.0),
+                                          (Rule(relation, (relation, (relation + 3) % vocab.size)), 2.0)])
+        config = EMConfig(n_rules=12, beam=48, seed=3, inference_mode=mode)
+        rulesets = inference_rulesets(model, vocab, config)
+        rng = np.random.default_rng(11)
+        weights = ExtractorWeights()
+        for relation, ruleset in rulesets.items():
+            weights.bias[relation] = float(rng.normal(0.0, 0.5))
+            for rule in ruleset.counts():
+                weights.set_rule_weight(relation, rule, float(rng.normal()))
+        # Weights that make both tied rules' coefficients 0.75 * m0 * m1 exactly.
+        counts = rulesets[0].counts()
+        m0, m1 = (counts[rule] for rule in self.TIED)
+        weights.set_rule_weight(0, self.TIED[0], 0.75 * m1)
+        weights.set_rule_weight(0, self.TIED[1], 0.75 * m0)
+        zero = next(rule for rule in counts if rule not in self.TIED)
+        weights.set_rule_weight(0, zero, 0.0)
+        docs = []
+        for i, n in enumerate((2, 7, 4, 6, 3)):
+            atoms = {(h, r, t): float(rng.random())
+                     for h in range(n) for r in range(vocab.size) for t in range(n) if rng.random() < 0.3}
+            atoms[(0, 1, 1)] = atoms[(0, 0, 1)] = 0.5  # the tied rules ground equally at (0, 1)
+            docs.append(make_doc(atoms, vocab.size, n_entities=n, doc_id=f"d{i}"))
+        return vocab, model, config, rulesets, weights, zero, docs
+
+    @pytest.mark.parametrize("mode", ["top", "sample"])
+    def test_document_path_equals_a_per_query_reference(self, mode):
+        vocab, model, config, rulesets, weights, zero, docs = self.setup_case(mode)
+        terms = inference_terms(rulesets, weights, vocab)
+        heads_of_body = {}
+        for relation, ruleset in rulesets.items():
+            for rule in ruleset.counts():
+                if weights.get_rule_weight(relation, rule) != 0.0:
+                    heads_of_body.setdefault(rule.body, set()).add(relation)
+        assert any(len(heads) > 1 for heads in heads_of_body.values())
+        assert zero not in terms.rules
+        if mode == "sample":
+            assert any(count > 1 for ruleset in rulesets.values() for count in ruleset.counts().values())
+        ties = 0
+        for doc in docs:
+            scored = reference_scoring(doc, rulesets, weights, vocab)
+            want = {(h, r, t): InferenceResult(1, prob(1, logit), logit, contributions)
+                    for (h, r, t), (logit, contributions) in scored.items()
+                    if h != t and prob(1, logit) > 0.5}
+            for top in (None, 5, 1):
+                got = explain_document(doc, terms, top=top)
+                assert list(got) == sorted(want, key=lambda q: (q[1], q[0], q[2]))
+                assert got == {query: InferenceResult(1, result.probability, result.logit, result.contributions[:top])
+                               for query, result in want.items()}
+            assert predict_document(doc, vocab, model, weights, config) == {q: r.probability for q, r in want.items()}
+            for (h, relation, t), (logit, contributions) in scored.items():
+                result = explain(doc, (h, relation, t), rulesets[relation], weights, vocab)
+                assert result.logit == logit and result.contributions == contributions
+                assert result.label == (1 if prob(1, logit) > 0.5 else -1)
+            _, fired = scored[(0, 0, 1)]
+            tied = [c.rule for c in fired if c.rule in self.TIED]
+            ties += tied == list(self.TIED) and len({c.contribution for c in fired if c.rule in self.TIED}) == 1
+        assert ties == len(docs)
+        assert len({doc.num_entities for doc in docs}) == len(docs)
+
+    @pytest.mark.parametrize("cells", [16, 1 << 18])
+    def test_stack_equals_ground_rule_all_pairs_bit_for_bit(self, rng, monkeypatch, cells):
+        # A small GATHER_CELLS splits every length into several chunks.
+        monkeypatch.setattr(rulex.em, "GATHER_CELLS", cells)
+        bodies = [tuple(int(r) for r in rng.integers(0, 5, size=length)) for length in (1, 2, 3) for _ in range(12)]
+        for _ in range(10):
+            doc = random_doc(rng, num_relations=5, max_entities=8, density=0.4)
+            stack = all_pairs_stack(doc, pad_bodies(bodies, 3))
+            for body, matrix in zip(bodies, stack):
+                assert np.array_equal(matrix, ground_rule_all_pairs(doc, Rule(0, body)))
