@@ -40,7 +40,7 @@ class RelationVocab:
         if len(self.inverse_of) != len(self.names):
             raise ValueError("inverse_of must cover every relation id")
         for r, inv in enumerate(self.inverse_of):
-            if self.inverse_of[inv] != r:
+            if not 0 <= inv < len(self.names) or self.inverse_of[inv] != r:
                 raise ValueError(f"inverse_of is not an involution at id {r}")
 
     @property

@@ -10,11 +10,11 @@ non-empty) and forced once the body reaches the maximum rule length.
 
 from __future__ import annotations
 
+import base64
 import itertools
 import json
 import math
 from collections import Counter
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,6 +25,11 @@ from .core import DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, pad_bodies
 # token-wise ancestral draws instead of one multinomial over the rule space,
 # and rule ids are interned in first-seen order instead of enumerated.
 ENUM_LIMIT = 100_000
+
+# The layout of ``generator.json`` (see ``RuleGenerator.to_json``), and the
+# little-endian dtype of each array of its sparse count block.
+FORMAT = 2
+_COUNT_ARRAYS = (("contexts", "<i4"), ("nnz", "<i4"), ("tokens", "<i4"), ("values", "<f8"))
 
 
 class RuleGenerator:
@@ -530,62 +535,146 @@ class RuleGenerator:
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
-        return {**self._settings(), "counts": {key: vec.tolist() for key, vec in self._count_items()}}
+        """The settings and every count context as one sparse block (``FORMAT``).
 
-    def _settings(self) -> dict:
+        ``counts`` holds four arrays, each the base64 of its little-endian
+        bytes.  ``contexts`` (``<i4``) has one row of ``max_len + 1`` ids per
+        context: the head, then the context tokens, padded with -1; rows are
+        sorted by (head, context length, tokens).  ``nnz`` (``<i4``) is the
+        number of stored entries in each row, ``tokens`` (``<i4``) the token
+        of each entry, ascending within a row, and ``values`` (``<f8``) the
+        nonzero counts, which round-trip exactly as raw bytes.
+        """
+        keys = sorted(self.counts, key=lambda key: (key[0], len(key[1]), key[1]))
+        contexts = np.full((len(keys), self.max_len + 1), -1, dtype=np.intp)
+        for row, (head, ctx) in enumerate(keys):
+            contexts[row, : len(ctx) + 1] = (head, *ctx)
+        block = np.array([self.counts[key] for key in keys], dtype=float).reshape(-1, self.vocab.size + 1)
+        rows, tokens = np.nonzero(block)
+        arrays = {
+            "contexts": contexts,
+            "nnz": np.bincount(rows, minlength=len(keys)),
+            "tokens": tokens,
+            "values": block[rows, tokens],
+        }
+        counts = {
+            name: base64.b64encode(arrays[name].astype(dtype).tobytes()).decode("ascii")
+            for name, dtype in _COUNT_ARRAYS
+        }
         return {
+            "format": FORMAT,
             "vocab": self.vocab.to_json(),
             "order": self.order,
             "alpha": self.alpha,
             "lambdas": [self.lambda_by_depth[self.order - i] for i in range(self.order + 1)],
             "max_len": self.max_len,
+            "counts": counts,
         }
-
-    def _count_items(self) -> Iterable[tuple[str, np.ndarray]]:
-        """(JSON key, float count vector) of every count context, in insertion order."""
-        for (head, ctx), vec in self.counts.items():
-            yield f"{head}|" + ",".join(str(t) for t in ctx), np.asarray(vec, dtype=float)
 
     @classmethod
     def from_json(cls, obj: dict) -> "RuleGenerator":
-        model = cls(
-            RelationVocab.from_json(obj["vocab"]),
-            order=obj["order"],
-            alpha=obj["alpha"],
-            lambdas=obj["lambdas"],
-            max_len=obj["max_len"],
-        )
-        for key, vec in obj["counts"].items():
-            head_text, ctx_text = key.split("|", 1)
-            ctx = tuple(int(t) for t in ctx_text.split(",")) if ctx_text else ()
-            model.counts[(int(head_text), ctx)] = np.array(vec, dtype=float)
+        """The generator that ``to_json`` wrote; ``ValueError`` names a bad field.
+
+        The counts are scattered into one ``(contexts, size + 1)`` block by a
+        single assignment, and ``counts`` maps each context to a row view of
+        that block.  The views are safe only because no code writes into a
+        stored count row in place: ``fit_bodies`` copies each touched row
+        into a new block and stores rows of that block instead.
+        """
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        if "format" not in obj:
+            raise ValueError("no 'format': dense counts from before format 2 are not read; retrain")
+        if obj["format"] != FORMAT:
+            raise ValueError(f"format {obj['format']!r} is not {FORMAT}; retrain to rewrite it")
+        try:
+            model = cls(
+                RelationVocab.from_json(obj["vocab"]),
+                order=obj["order"],
+                alpha=obj["alpha"],
+                lambdas=obj["lambdas"],
+                max_len=obj["max_len"],
+            )
+            fields = obj["counts"]
+        except KeyError as exc:
+            raise ValueError(f"missing key {exc.args[0]!r}") from None
+        except TypeError as exc:
+            raise ValueError(f"bad setting: {exc}") from None
+        if not isinstance(fields, dict):
+            raise ValueError("counts: not a JSON object")
+        contexts, nnz, tokens, values = (_decode_array(fields, name, dtype) for name, dtype in _COUNT_ARRAYS)
+        size, width = model.vocab.size, model.max_len + 1
+        if len(contexts) % width:
+            raise ValueError(f"counts.contexts: {len(contexts)} ids do not fill rows of {width}")
+        contexts = contexts.reshape(-1, width)
+        n = len(contexts)
+        if len(nnz) != n:
+            raise ValueError(f"counts.nnz: {len(nnz)} entries for {n} contexts")
+        if np.any(nnz < 0) or int(nnz.sum(dtype=np.int64)) != len(tokens):
+            raise ValueError(f"counts.nnz: row sizes do not sum to the {len(tokens)} tokens")
+        if len(values) != len(tokens):
+            raise ValueError(f"counts.values: {len(values)} values for {len(tokens)} tokens")
+        heads, ctx = contexts[:, 0], contexts[:, 1:]
+        if np.any((heads < 0) | (heads >= size)):
+            raise ValueError(f"counts.contexts: a head outside [0, {size})")
+        lengths = np.count_nonzero(ctx >= 0, axis=1)
+        padded = np.arange(width - 1) >= lengths[:, None]
+        if np.any(np.where(padded, ctx != -1, ctx >= size)) or np.any(lengths > model.order):
+            raise ValueError(
+                f"counts.contexts: a context that is not <= {model.order} ids in [0, {size}), padded with -1"
+            )
+        if np.any((tokens < 0) | (tokens > size)):
+            raise ValueError(f"counts.tokens: a token outside [0, {size}]")
+        rising = np.ones(len(tokens), dtype=bool)
+        rising[1:] = tokens[1:] > tokens[:-1]
+        rising[(np.cumsum(nnz, dtype=np.int64) - nnz)[nnz > 0]] = True  # each row's first entry
+        if not rising.all():
+            raise ValueError("counts.tokens: unsorted or duplicate tokens within a row")
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise ValueError("counts.values: a count that is not finite and positive")
+        block = np.zeros((n, size + 1))
+        block[np.repeat(np.arange(n), nnz), tokens] = values
+        # One tuple per distinct context, shared by the keys of all its heads.
+        by_context = np.lexsort(ctx.T[::-1])
+        ordered = ctx[by_context]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+        firsts = zip(ordered[starts].tolist(), lengths[by_context][starts].tolist())
+        distinct = [tuple(row[:length]) for row, length in firsts]
+        which = np.empty(n, dtype=np.intp)
+        which[by_context] = np.cumsum(starts) - 1
+        model.counts = dict(zip(zip(heads.tolist(), map(distinct.__getitem__, which.tolist())), block))
+        if len(model.counts) != n:
+            raise ValueError("counts.contexts: a duplicate context")
         return model
 
     def save(self, path) -> None:
-        """Write ``json.dump(self.to_json(), fh, sort_keys=True)`` and a newline, streamed.
-
-        The same bytes, without building ``to_json()``'s tree of Python
-        floats: the counts are written one context at a time, in sorted key
-        order, each vector through ``json.dumps``.
-        """
-        fields = self._settings()
+        """Write ``json.dump(self.to_json(), fh, sort_keys=True)`` and a newline."""
         with open(path, "w", encoding="utf-8") as fh:
-            for i, name in enumerate(sorted([*fields, "counts"])):
-                fh.write(("{" if i == 0 else ", ") + json.dumps(name) + ": ")
-                if name != "counts":
-                    fh.write(json.dumps(fields[name], sort_keys=True))
-                    continue
-                fh.write("{")
-                items = sorted(self._count_items(), key=itemgetter(0))
-                for j, (key, vec) in enumerate(items):
-                    fh.write((", " if j else "") + json.dumps(key) + ": " + json.dumps(vec.tolist()))
-                fh.write("}")
-            fh.write("}\n")
+            json.dump(self.to_json(), fh, sort_keys=True)
+            fh.write("\n")
 
     @classmethod
     def load(cls, path) -> "RuleGenerator":
+        """The generator saved at ``path``; a malformed file raises ``ValueError`` naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh))
+            try:
+                return cls.from_json(json.load(fh))
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
+
+
+def _decode_array(fields: dict, name: str, dtype: str) -> np.ndarray:
+    """The read-only array whose little-endian bytes ``fields[name]`` holds in base64."""
+    if name not in fields:
+        raise ValueError(f"missing key 'counts.{name}'")
+    try:
+        data = base64.b64decode(fields[name], validate=True)
+    except (TypeError, ValueError):
+        raise ValueError(f"counts.{name}: not a base64 string") from None
+    if len(data) % np.dtype(dtype).itemsize:
+        raise ValueError(f"counts.{name}: {len(data)} bytes is not a whole number of {dtype} values")
+    return np.frombuffer(data, dtype=dtype)
 
 
 class _RuleSpace:

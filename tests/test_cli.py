@@ -1,3 +1,4 @@
+import base64
 import json
 import os
 import subprocess
@@ -220,6 +221,19 @@ class TestInfer:
                          "--out", str(out)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records and all(record["triples"] == [] for record in records)
+
+    def test_malformed_generator_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys):
+        obj = json.loads((run_dir / "generator.json").read_text())
+        values = np.frombuffer(base64.b64decode(obj["counts"]["values"]), dtype="<f8").copy()
+        values[0] = np.nan
+        obj["counts"]["values"] = base64.b64encode(values.tobytes()).decode()
+        (run_dir / "generator.json").write_text(json.dumps(obj))
+        rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
+                       "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "generator.json: counts.values" in err
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_output_meets_the_benchmark_contract(self, tmp_path, run_dir, corpus_dir):
         out = tmp_path / "preds.jsonl"

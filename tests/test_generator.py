@@ -1,6 +1,8 @@
+import base64
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,21 +340,235 @@ class TestFitWeighted:
 
 class TestSerialization:
     def test_round_trip_preserves_distribution_and_sampling(self, tmp_path, rng):
-        model = fresh(("a", "b"))
+        wide = fitted_model(tuple(f"r{i}" for i in range(24)), picks=3)
+        assert wide.enumerable_size() > ENUM_LIMIT
+        enumerable = fresh(("a", "b"))
         bodies = list(all_bodies(4, 3))
         for head in range(4):
-            model.fit_weighted(head, [(Rule(head, bodies[int(i)]), float(rng.random()))
-                                      for i in rng.integers(0, len(bodies), size=5)])
-        path = tmp_path / "generator.json"
-        model.save(path)
-        loaded = RuleGenerator.load(path)
-        assert loaded.vocab == model.vocab
-        for head in range(4):
-            for body in bodies:
-                assert loaded.log_prob(head, body) == pytest.approx(model.log_prob(head, body), rel=1e-12)
-        a = model.sample_ruleset(0, 20, np.random.default_rng(3))
-        b = loaded.sample_ruleset(0, 20, np.random.default_rng(3))
+            enumerable.fit_weighted(head, [(Rule(head, bodies[int(i)]), float(rng.random()))
+                                           for i in rng.integers(0, len(bodies), size=5)])
+        for model in (enumerable, wide):
+            path = tmp_path / "generator.json"
+            model.save(path)
+            loaded = RuleGenerator.load(path)
+            assert loaded.vocab == model.vocab
+            assert set(loaded.counts) == set(model.counts)
+            for key, vec in model.counts.items():
+                assert loaded.counts[key].tobytes() == vec.tobytes(), key
+            size = model.vocab.size
+            for head in range(size):
+                # Every body of length 1, and bodies that read each stored context of the head.
+                checked = [(r,) for r in range(size)]
+                checked += [ctx + (r,) for h, ctx in model.counts if h == head and ctx for r in range(3)]
+                for body in checked:
+                    assert loaded.log_prob(head, body) == model.log_prob(head, body)
+                assert list(loaded.top_rules(head, 5, 8)) == list(model.top_rules(head, 5, 8))
+        a = enumerable.sample_ruleset(0, 20, np.random.default_rng(3))
+        b = RuleGenerator.load(save_to(enumerable, tmp_path)).sample_ruleset(0, 20, np.random.default_rng(3))
         assert list(a) == list(b)
+
+
+# The little-endian dtype of each array of generator.json's count block.
+COUNT_DTYPES = {"contexts": "<i4", "nnz": "<i4", "tokens": "<i4", "values": "<f8"}
+
+
+def save_to(model, tmp_path):
+    path = tmp_path / "generator.json"
+    model.save(path)
+    return path
+
+
+def count_arrays(obj):
+    return {name: np.frombuffer(base64.b64decode(obj["counts"][name]), dtype=dtype).copy()
+            for name, dtype in COUNT_DTYPES.items()}
+
+
+def set_count_arrays(obj, arrays):
+    obj["counts"] = {name: base64.b64encode(np.asarray(array, dtype=COUNT_DTYPES[name]).tobytes()).decode()
+                     for name, array in arrays.items()}
+
+
+def dense_layout(model):
+    """The generator.json layout from before format 2: every count vector as a JSON list."""
+    obj = {key: value for key, value in model.to_json().items() if key not in ("format", "counts")}
+    obj["counts"] = {f"{head}|" + ",".join(map(str, ctx)): vec.tolist() for (head, ctx), vec in model.counts.items()}
+    return obj
+
+
+def first_row_with_two_tokens(arrays):
+    row = int(np.argmax(arrays["nnz"] >= 2))
+    assert arrays["nnz"][row] >= 2
+    return int(arrays["nnz"][:row].sum())  # the index of the row's first entry
+
+
+def drop_counts(obj, arrays):
+    del obj["counts"]
+
+
+def drop_values(obj, arrays):
+    del arrays["values"]
+
+
+def short_values(obj, arrays):
+    arrays["values"] = arrays["values"][:-1]
+
+
+def short_nnz(obj, arrays):
+    arrays["nnz"] = arrays["nnz"][:-1]
+
+
+def ragged_contexts(obj, arrays):
+    arrays["contexts"] = arrays["contexts"][:-1]
+
+
+def short_contexts(obj, arrays):
+    arrays["contexts"] = arrays["contexts"][: -(obj["max_len"] + 1)]
+
+
+def nnz_off_by_one(obj, arrays):
+    arrays["nnz"][0] += 1
+
+
+def inverse_out_of_range(obj, arrays):
+    obj["vocab"]["inverse_of"][0] = 99
+
+
+def head_out_of_range(obj, arrays):
+    arrays["contexts"][0] = 99
+
+
+def context_token_out_of_range(obj, arrays):
+    width = obj["max_len"] + 1
+    rows = arrays["contexts"].reshape(-1, width)
+    row = int(np.argmax(rows[:, 1] >= 0))
+    arrays["contexts"][row * width + 1] = 99
+
+
+def context_longer_than_order(obj, arrays):
+    width = obj["max_len"] + 1
+    rows = arrays["contexts"].reshape(-1, width)
+    row = int(np.argmax(rows[:, obj["order"]] >= 0))  # a context of the full order
+    arrays["contexts"][row * width + obj["order"] + 1] = 0
+
+
+def entry_token_out_of_range(obj, arrays):
+    arrays["tokens"][-1] = 99
+
+
+def unsorted_tokens(obj, arrays):
+    i = first_row_with_two_tokens(arrays)
+    arrays["tokens"][[i, i + 1]] = arrays["tokens"][[i + 1, i]]
+
+
+def duplicate_tokens(obj, arrays):
+    i = first_row_with_two_tokens(arrays)
+    arrays["tokens"][i + 1] = arrays["tokens"][i]
+
+
+def duplicate_context(obj, arrays):
+    width = obj["max_len"] + 1
+    arrays["contexts"][width : 2 * width] = arrays["contexts"][:width]
+
+
+def nan_count(obj, arrays):
+    arrays["values"][0] = np.nan
+
+
+def infinite_count(obj, arrays):
+    arrays["values"][0] = np.inf
+
+
+def negative_count(obj, arrays):
+    arrays["values"][0] = -1.0
+
+
+def zero_count(obj, arrays):
+    arrays["values"][0] = 0.0
+
+
+class TestMalformedFile:
+    @pytest.mark.parametrize("corrupt,field", [
+        (drop_counts, "'counts'"),
+        (drop_values, "'counts.values'"),
+        (short_values, "counts.values"),
+        (short_nnz, "counts.nnz"),
+        (ragged_contexts, "counts.contexts"),
+        (short_contexts, "counts.nnz"),
+        (nnz_off_by_one, "counts.nnz"),
+        (inverse_out_of_range, "inverse_of"),
+        (head_out_of_range, "counts.contexts: a head"),
+        (context_token_out_of_range, "counts.contexts: a context"),
+        (context_longer_than_order, "counts.contexts: a context"),
+        (entry_token_out_of_range, "counts.tokens"),
+        (unsorted_tokens, "counts.tokens: unsorted"),
+        (duplicate_tokens, "counts.tokens: unsorted or duplicate"),
+        (duplicate_context, "counts.contexts: a duplicate"),
+        (nan_count, "counts.values: a count"),
+        (infinite_count, "counts.values: a count"),
+        (negative_count, "counts.values: a count"),
+        (zero_count, "counts.values: a count"),
+    ])
+    def test_is_refused_with_the_file_and_field_named(self, corrupt, field, tmp_path):
+        path = save_to(fitted_model(), tmp_path)
+        obj = json.loads(path.read_text())
+        arrays = count_arrays(obj)
+        set_count_arrays(obj, arrays)
+        assert RuleGenerator.from_json(obj).to_json() == json.loads(path.read_text())  # the helpers round-trip
+        corrupt(obj, arrays)
+        if "counts" in obj:
+            set_count_arrays(obj, arrays)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=rf"generator\.json: .*{re.escape(field)}"):
+            RuleGenerator.load(path)
+
+    @pytest.mark.parametrize("value", [1, 3, "2", None])
+    def test_wrong_format_is_refused(self, value, tmp_path):
+        path = save_to(fitted_model(), tmp_path)
+        obj = json.loads(path.read_text())
+        obj["format"] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"generator\.json: format .* is not 2"):
+            RuleGenerator.load(path)
+
+    def test_dense_layout_is_refused_with_a_retrain_hint(self, tmp_path):
+        path = tmp_path / "generator.json"
+        path.write_text(json.dumps(dense_layout(fitted_model()), sort_keys=True) + "\n")
+        with pytest.raises(ValueError, match=r"generator\.json: .*before format 2.*retrain"):
+            RuleGenerator.load(path)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("tokens", "not base64!", "counts.tokens: not a base64 string"),
+        ("values", base64.b64encode(bytes(12)).decode(), "counts.values: 12 bytes"),
+    ])
+    def test_bad_array_bytes_are_refused(self, field, value, message, tmp_path):
+        path = save_to(fitted_model(), tmp_path)
+        obj = json.loads(path.read_text())
+        obj["counts"][field] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=rf"generator\.json: {re.escape(message)}"):
+            RuleGenerator.load(path)
+
+    @pytest.mark.parametrize("text", ["[2]", "7"])
+    def test_a_file_that_is_not_an_object_is_refused(self, text, tmp_path):
+        path = tmp_path / "generator.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"generator\.json: not a JSON object"):
+            RuleGenerator.load(path)
+
+    def test_counts_that_are_not_an_object_are_refused(self, tmp_path):
+        path = save_to(fitted_model(), tmp_path)
+        obj = json.loads(path.read_text())
+        obj["counts"] = 7
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=r"generator\.json: counts: not a JSON object"):
+            RuleGenerator.load(path)
+
+    def test_truncated_json_is_refused(self, tmp_path):
+        path = save_to(fitted_model(), tmp_path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 2])
+        with pytest.raises(ValueError, match=r"generator\.json: "):
+            RuleGenerator.load(path)
 
 
 class TestFitBodies:
@@ -665,15 +881,15 @@ class TestBatchedLogProbs:
             model.log_probs_by_index(48, model.rule_ids([(1,)]))
 
 
-class TestStreamedSave:
+class TestSave:
     @pytest.mark.parametrize("names", [("a", "b", "c", "d", "e", "f"), tuple(f"r{i}" for i in range(24))])
-    def test_bytes_equal_json_dump_and_load_back(self, names, tmp_path):
-        # 12 or 48 ids: keys "10|..." sort before "2|..." as strings.
+    def test_save_load_save_gives_the_same_bytes(self, names, tmp_path):
         for model in (fresh(names), fitted_model(names, picks=3)):
-            model.save(tmp_path / "streamed.json")
-            with open(tmp_path / "reference.json", "w", encoding="utf-8") as fh:
-                json.dump(model.to_json(), fh, sort_keys=True)
-                fh.write("\n")
-            assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
-            loaded = RuleGenerator.load(tmp_path / "streamed.json")
-            assert loaded.to_json() == model.to_json()
+            model.save(tmp_path / "first.json")
+            RuleGenerator.load(tmp_path / "first.json").save(tmp_path / "second.json")
+            assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
+
+    def test_file_is_smaller_than_the_dense_layout(self, tmp_path):
+        model = fitted_model(tuple(f"r{i}" for i in range(24)), picks=3)
+        dense = len(json.dumps(dense_layout(model), sort_keys=True)) + 1
+        assert save_to(model, tmp_path).stat().st_size * 4 <= dense
