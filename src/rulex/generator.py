@@ -31,6 +31,9 @@ ENUM_LIMIT = 100_000
 FORMAT = 2
 _COUNT_ARRAYS = (("contexts", "<i4"), ("nnz", "<i4"), ("tokens", "<i4"), ("values", "<f8"))
 
+# The relative margin of ``top_rules``' np.log pre-filter (see its docstring).
+_BEAM_MARGIN = 1e-9
+
 
 class RuleGenerator:
     """Backoff-interpolated categorical model over rule bodies, one prior per head relation."""
@@ -194,7 +197,9 @@ class RuleGenerator:
         total = 0.0
         while True:
             support, probs = self.conditional(head, tuple(body))
-            i = np.searchsorted(np.cumsum(probs), rng.random(), side="right")
+            cdf = np.cumsum(probs)
+            cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
+            i = np.searchsorted(cdf, rng.random(), side="right")
             token = int(support[i])
             total += math.log(probs[i])
             if token == self.vocab.stop_id:
@@ -243,6 +248,8 @@ class RuleGenerator:
         state.  Past ``ENUM_LIMIT`` each row is one ``sample_unique_rules``
         draw, interned.
         """
+        if n < 1:
+            raise ValueError("ruleset size must be >= 1")
         heads = np.asarray(heads, dtype=np.intp)
         if self.enumerable_size() > ENUM_LIMIT:
             rows = [self.sample_unique_rules(head, n, rng) for head in heads.tolist()]
@@ -363,8 +370,7 @@ class RuleGenerator:
                 break
             _, probs = self.conditionals(head, padded[rows, :position])
             tokens = np.where(lengths[rows] > position, padded[rows, position], self.vocab.stop_id)
-            chosen = probs[np.arange(len(rows)), tokens].tolist()
-            totals[rows] += np.fromiter(map(math.log, chosen), dtype=float, count=len(rows))
+            totals[rows] += _math_logs(probs[np.arange(len(rows)), tokens].tolist())
         return totals
 
     # -- deterministic inference -------------------------------------------
@@ -376,8 +382,23 @@ class RuleGenerator:
         than N distinct rules, the result is padded by repeating the best one
         so the multiset size stays exactly N.  The beam is an int array of
         prefixes, extended through ``conditionals``; each candidate's score is
-        its prefix's score plus ``math.log`` of its probability.
+        its prefix's score plus ``math.log`` of its probability, the sum
+        ``log_prob`` makes.
+
+        Only candidates that can still enter the beam are scored that way
+        and sorted.  When a step has more than ``beam`` candidates, each is
+        first scored approximately with ``np.log``, and those below the
+        beam-th largest approximate score ``thr`` by more than the margin
+        ``_BEAM_MARGIN * max(1, |thr|)`` (1e-9 relative) are dropped.  This
+        is exact: np.log and math.log differ by a few ulp, so near the
+        boundary an approximate score is off by about 1e-14 * |thr| at
+        most, five orders of magnitude inside the margin.  Every
+        candidate in the exact top ``beam`` therefore survives, ties at the
+        beam-th score included, and sorting the survivors by (-score,
+        prefix) keeps the same first ``beam``.
         """
+        if n < 1:
+            raise ValueError("ruleset size must be >= 1")
         if beam < n:
             raise ValueError(f"beam width {beam} smaller than requested rule count {n}")
         self.vocab.check_relation(head)
@@ -386,16 +407,22 @@ class RuleGenerator:
         completed: list[tuple[float, tuple[int, ...]]] = []
         for _ in range(self.max_len + 1):
             support, probs = self.conditionals(head, frontier)
-            logs = np.fromiter(map(math.log, probs.ravel().tolist()), dtype=float, count=probs.size)
-            candidates = scores[:, None] + logs.reshape(probs.shape)
             stops = support == self.vocab.stop_id
             if stops.any():  # never at position 0, so every completed body is non-empty
-                completed.extend(zip(candidates[:, stops.argmax()].tolist(), map(tuple, frontier.tolist())))
+                ends = scores + _math_logs(probs[:, stops.argmax()].tolist())
+                completed.extend(zip(ends.tolist(), map(tuple, frontier.tolist())))
             tokens = support[~stops]
             if not len(tokens):
                 break
-            candidates = candidates[:, ~stops].ravel()
-            grown = np.column_stack([np.repeat(frontier, len(tokens), axis=0), np.tile(tokens, len(frontier))])
+            probs = probs[:, ~stops]
+            if probs.size > beam:
+                approx = scores[:, None] + np.log(probs)
+                thr = float(np.partition(approx, -beam, axis=None)[-beam])
+                rows, cols = np.nonzero(approx >= thr - _BEAM_MARGIN * max(1.0, abs(thr)))
+            else:
+                rows, cols = np.divmod(np.arange(probs.size), probs.shape[1])
+            candidates = scores[rows] + _math_logs(probs[rows, cols].tolist())
+            grown = np.column_stack([frontier[rows], tokens[cols]])
             keep = np.lexsort((*grown.T[::-1], -candidates))[:beam]  # by (-score, prefix)
             frontier, scores = grown[keep], candidates[keep]
         completed.sort(key=lambda item: (-item[0], item[1]))
@@ -662,6 +689,11 @@ class RuleGenerator:
                 return cls.from_json(json.load(fh))
             except ValueError as exc:
                 raise ValueError(f"{path}: {exc}") from None
+
+
+def _math_logs(values: list[float]) -> np.ndarray:
+    """``math.log`` of each value, as the float array that ``log_prob``'s sums need bit for bit."""
+    return np.fromiter(map(math.log, values), dtype=float, count=len(values))
 
 
 def _decode_array(fields: dict, name: str, dtype: str) -> np.ndarray:

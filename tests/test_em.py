@@ -642,6 +642,25 @@ class TestRunEm:
         assert len(rows[0]) == 2 and rows[0] == rows[1]
         assert all(math.isfinite(d.l_g) and math.isfinite(d.l_r) for d in a.diagnostics)
 
+    def test_sampled_inference_past_enum_limit_is_deterministic(self):
+        # inference_mode="sample" past ENUM_LIMIT draws each rule set token by
+        # token (sample_ruleset -> sample_rule), from a fresh seeded rng per call.
+        result = tiny_synth(relations=24, docs=6, split=(0.5, 0.0, 0.5))
+        train, vocab = result.splits["train"], result.vocab
+        config = EMConfig(n_rules=6, iterations=1, seed=3, fit=FitConfig(lr=0.5, epochs=4),
+                          convergence_eps=0.0, beam=12, inference_mode="sample")
+        out = run_em(train, vocab, config)
+        assert out.model.enumerable_size() > ENUM_LIMIT
+        a, b = (inference_rulesets(out.model, vocab, config) for _ in range(2))
+        assert {h: list(rules) for h, rules in a.items()} == {h: list(rules) for h, rules in b.items()}
+        assert any(len(rules.counts()) > 1 for rules in a.values())
+        docs = list(result.splits["test"].docs.values())
+        assert docs
+        for doc in docs:
+            predicted = predict_document(doc, vocab, out.model, out.weights, config)
+            assert predicted == predict_document(doc, vocab, out.model, out.weights, config)
+            assert predicted == predict_document(doc, vocab, out.model, out.weights, config, rulesets=a)
+
     def test_early_stop_still_calibrates_for_inference(self):
         # Training draws sampled rule sets; stopping early must still end
         # with the reset calibration against the top rules that inference

@@ -211,6 +211,34 @@ class TestSampling:
         with pytest.raises(ValueError):
             fresh().sample_ruleset(0, 0, rng)
 
+    @pytest.mark.parametrize("names", [("a", "b"), tuple(f"r{i}" for i in range(24))])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_every_rule_count_below_one_is_the_same_error(self, names, n, rng):
+        # Both regimes: an enumerable vocabulary and one past ENUM_LIMIT.
+        model = fresh(names)
+        calls = (
+            lambda: model.top_rules(0, n, 5),
+            lambda: model.sample_ruleset(0, n, rng),
+            lambda: model.sample_unique_rules(0, n, rng),
+            lambda: model.sample_unique_indices(0, n, rng),
+            lambda: model.sample_unique_index_rows([0, 1], n, rng),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="ruleset size must be >= 1"):
+                call()
+
+    def test_a_uniform_at_the_rounded_cdf_end_draws_the_last_token(self):
+        # Six uniform first tokens sum to just below 1, so without a guard
+        # the largest uniform below 1 falls past the last bucket.
+        class LastUniform:
+            def random(self):
+                return np.nextafter(1.0, 0.0)
+
+        model = fresh(("a", "b", "c"))
+        _, probs = model.conditional(0, ())
+        assert np.cumsum(probs)[-1] <= LastUniform().random()
+        assert model.sample_rule(0, LastUniform()) == Rule(0, (5,))  # then STOP, the last token
+
     def test_empirical_frequencies_match_probabilities(self):
         # Enumerable case: frequency of every rule over 200k draws stays
         # within three standard errors of its probability.
@@ -804,13 +832,41 @@ class TestConditionals:
 
 
 class TestArrayBeam:
-    @pytest.mark.parametrize("order,seed", [(0, 1), (1, 2), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("order,seed", [(0, 1), (1, 2), (2, 3), (3, 4), (1, 5), (2, 6), (2, 7)])
     def test_fitted_models_equal_the_python_beam(self, order, seed):
+        # Beams of 1, 2 and n prune hardest: most candidates fall outside.
         model = fitted_model(("a", "b", "c"), seed=seed, order=order, lambdas=[0.5] * (order + 1),
                              max_len=3, picks=4)
         for head in range(model.vocab.size):
-            for n, beam in ((1, 1), (5, 7), (20, 40)):
+            for n, beam in ((1, 1), (1, 2), (2, 2), (5, 5), (5, 7), (20, 20), (20, 40)):
                 assert list(model.top_rules(head, n, beam)) == python_beam(model, head, n, beam)
+
+    def test_exact_ties_at_the_beam_th_score_equal_the_python_beam(self):
+        # First tokens rank 0, then 3 and 4 tied, then 1 and 2 tied, then 5.
+        # The contexts (1,) and (2,) hold equal counts, so every extension
+        # of (1,) ties exactly with the same extension of (2,).
+        model = fresh(("a", "b", "c"), order=1, lambdas=(0.5, 0.5))
+        model.fit_weighted(0, [(Rule(0, (0,)), 4.0), (Rule(0, (1,)), 1.0), (Rule(0, (2,)), 1.0),
+                               (Rule(0, (3, 4)), 2.0)])
+        _, first = model.conditional(0, ())
+        assert first[0] > first[3] == first[4] > first[1] == first[2] > first[5]
+        assert np.array_equal(model.conditional(0, (1,))[1], model.conditional(0, (2,))[1])
+        for beam in range(1, 25):
+            for n in {1, (beam + 1) // 2, beam}:
+                assert list(model.top_rules(0, n, beam)) == python_beam(model, 0, n, beam)
+
+    def test_sixty_ids_equal_the_python_beam(self):
+        # 30 base relations, the shape of the widest benchmark workload.
+        model = fitted_model(tuple(f"r{i}" for i in range(30)), heads=[0, 7, 59], picks=40)
+        for head in (0, 7, 59, 31):
+            for n, beam in ((1, 1), (5, 5), (50, 200)):
+                assert list(model.top_rules(head, n, beam)) == python_beam(model, head, n, beam)
+
+    def test_a_beam_no_step_fills_equals_the_python_beam(self):
+        # Two ids and bodies of at most 3: no step has more than 8 candidates.
+        model = fitted_model(("a",), seed=3, picks=3)
+        for n, beam in ((14, 14), (14, 30), (3, 8), (1, 9)):
+            assert list(model.top_rules(0, n, beam)) == python_beam(model, 0, n, beam)
 
     def test_uniform_model_breaks_every_tie_like_the_python_beam(self):
         model = fresh(("a", "b"))
