@@ -82,14 +82,20 @@ def _prepare_out_dir(path_text: str) -> Path:
     return out
 
 
-def _load_config_section(path: str | None, section: str) -> dict:
+def _load_config_section(path: str | Path | None, section: str) -> dict:
+    """The ``section`` object of the JSON config file at ``path``, or the whole file if it has none."""
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        obj = json.load(fh)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: not a JSON object")
     value = obj.get(section, obj)
     if not isinstance(value, dict):
-        raise ValueError(f"config section {section!r} must be a JSON object")
+        raise ValueError(f"{path}: config section {section!r} must be a JSON object")
     return value
 
 
@@ -150,9 +156,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     run_dir = Path(args.run)
-    with open(run_dir / "config.json", encoding="utf-8") as fh:
-        run_config = json.load(fh)
-    config = em.EMConfig.from_json(run_config.get("em", {}))
+    config = em.EMConfig.from_json(_load_config_section(run_dir / "config.json", "em"))
     model = RuleGenerator.load(run_dir / "generator.json")
     vocab = model.vocab
     weights = ExtractorWeights.load(run_dir / "extractor.json", vocab)

@@ -10,8 +10,9 @@ ingestion time; downstream grounding then only ever needs forward lookups.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+import math
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -428,18 +429,18 @@ def _doc_to_json(doc: Document, vocab: RelationVocab, instances: Sequence[Labele
     }
 
 
-def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
+def load_corpus(path, vocab: RelationVocab) -> Corpus:
     """Load a JSONL document file into a corpus.
 
     Each line holds one document object; its ``facts`` list carries the
     labeled instances (label +1 entries double as the document's gold facts).
-    Atom stores are closed under inversion after ingestion unless ``close``
-    is disabled.  Any invalid record fails with the file's path and line
-    number: among others, an entity id that is not a JSON integer or falls
-    outside the document, a confidence that is not a JSON number, an atom
-    listed twice with confidences more than 1e-9 apart (within that, the
-    first is kept), a label that is not the JSON integer 1 or -1, and a fact
-    listed twice with different labels (an exact repeat loads once).
+    Atom stores are closed under inversion after ingestion.  Any invalid
+    record fails with the file's path and line number: among others, an
+    entity id that is not a JSON integer or falls outside the document, a
+    confidence that is not a JSON number, an atom listed twice with
+    confidences more than 1e-9 apart (within that, the first is kept), a
+    label that is not the JSON integer 1 or -1, and a fact listed twice with
+    different labels (an exact repeat loads once).
     """
     corpus = Corpus()
     with open(path, encoding="utf-8") as fh:
@@ -476,9 +477,7 @@ def load_corpus(path, vocab: RelationVocab, *, close: bool = True) -> Corpus:
                         raise ValueError(f"conflicting labels {first} and {y} for fact {fact}")
                 instances = [LabeledInstance(doc_id, h, r, t, y) for (h, r, t), y in labels.items()]
                 gold = [key for key, y in labels.items() if y == 1]
-                doc = Document(doc_id, entities, atoms, gold, num_relations=vocab.size)
-                if close:
-                    doc = close_inverses(doc, vocab)
+                doc = close_inverses(Document(doc_id, entities, atoms, gold, num_relations=vocab.size), vocab)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad document record: {exc}") from None
             if doc_id in corpus.docs:
@@ -495,3 +494,60 @@ def write_corpus(path, corpus: Corpus, vocab: RelationVocab) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for doc_id, doc in corpus.docs.items():
             fh.write(json.dumps(_doc_to_json(doc, vocab, by_doc[doc_id]), sort_keys=True) + "\n")
+
+
+# -- config files ------------------------------------------------------------
+
+# Name in errors and Python types from ``json.load`` of each scalar field
+# type, matched by ``type``: JSON true loads as a bool, which is an int.
+_JSON_TYPES = {int: ("an integer", (int,)), float: ("a finite number", (int, float)), str: ("a string", (str,))}
+
+
+class JsonConfig:
+    """Base of the config dataclasses: JSON read and written from their fields, then ``validate``d.
+
+    A missing key keeps its default; an unknown key, or a value of another
+    JSON type than its field's annotation (a float field takes a finite
+    number, a tuple field a list of its length), raises ``ValueError`` naming
+    the dotted key.  Values are kept as given, with no int to float
+    coercion, so a config echoes byte for byte.
+    """
+
+    def to_json(self) -> dict:
+        return {f.name: _config_to_json(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_json(cls, obj, prefix: str = ""):
+        if not isinstance(obj, dict):
+            where = f"config key '{prefix[:-1]}'" if prefix else "config"
+            raise ValueError(f"{where} must be a JSON object, got {json.dumps(obj, default=repr)}")
+        types = get_type_hints(cls)
+        for key in obj:
+            if key not in types:
+                raise ValueError(f"unknown config key '{prefix}{key}'")
+        config = cls(**{key: _config_from_json(types[key], value, prefix + key) for key, value in obj.items()})
+        config.validate()
+        return config
+
+
+def _config_to_json(value):
+    if isinstance(value, JsonConfig):
+        return value.to_json()
+    return list(value) if isinstance(value, (tuple, list)) else value
+
+
+def _config_from_json(tp, value, key: str):
+    """``value`` read as a field of type ``tp``; a JSON type mismatch raises ``ValueError`` naming ``key``."""
+    if isinstance(tp, type) and issubclass(tp, JsonConfig):
+        return tp.from_json(value, key + ".")
+    origin, args = get_origin(tp), get_args(tp)
+    if origin in (list, tuple):
+        if type(value) is not list or (origin is tuple and len(value) != len(args)):
+            want = f"a list of {len(args)} values" if origin is tuple else "a list"
+            raise ValueError(f"config key '{key}' must be {want}, got {json.dumps(value, default=repr)}")
+        item_types = args if origin is tuple else args * len(value)
+        return origin(_config_from_json(t, item, f"{key}[{i}]") for i, (t, item) in enumerate(zip(item_types, value)))
+    want, allowed = _JSON_TYPES[tp]
+    if type(value) not in allowed or (type(value) is float and not math.isfinite(value)):
+        raise ValueError(f"config key '{key}' must be {want}, got {json.dumps(value, default=repr)}")
+    return value

@@ -11,7 +11,7 @@ entirely, so recovering them requires reasoning over the rule's body path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .core import (
     Corpus,
     DEFAULT_MAX_RULE_LEN,
     Document,
+    JsonConfig,
     LabeledInstance,
     RelationVocab,
     Rule,
@@ -28,7 +29,7 @@ from .core import (
 
 
 @dataclass
-class SynthConfig:
+class SynthConfig(JsonConfig):
     relations: int = 10
     self_inverse: list[str] = field(default_factory=list)
     planted_rules: list[str] = field(default_factory=lambda: ["r0 <- r1 & r2", "r3 <- r4 & r5", "r6 <- r7 & r8"])
@@ -69,38 +70,6 @@ class SynthConfig:
             raise ValueError("split needs three non-negative fractions")
         if abs(sum(self.split) - 1.0) > 1e-6:
             raise ValueError(f"split fractions must sum to 1, got {sum(self.split)}")
-
-    def to_json(self) -> dict:
-        return {
-            "relations": self.relations,
-            "self_inverse": list(self.self_inverse),
-            "planted_rules": list(self.planted_rules),
-            "docs": self.docs,
-            "entities_per_doc": list(self.entities_per_doc),
-            "base_facts_per_doc": list(self.base_facts_per_doc),
-            "chains_per_rule": list(self.chains_per_rule),
-            "p_flip": self.p_flip,
-            "jitter": self.jitter,
-            "p_hide": self.p_hide,
-            "neg_ratio": self.neg_ratio,
-            "split": list(self.split),
-            "seed": self.seed,
-            "max_rule_len": self.max_rule_len,
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "SynthConfig":
-        """Config from its ``to_json`` form; absent keys take their defaults, unknown keys raise."""
-        config = cls()
-        known = config.to_json()
-        for key, value in obj.items():
-            if key not in known:
-                raise ValueError(f"unknown config key {key!r}")
-            if isinstance(getattr(config, key), tuple):
-                value = tuple(value)
-            setattr(config, key, value)
-        config.validate()
-        return config
 
 
 @dataclass

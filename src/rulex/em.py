@@ -35,6 +35,7 @@ from .core import (
     DEFAULT_MAX_RULE_LEN,
     Corpus,
     Document,
+    JsonConfig,
     LabeledInstance,
     RelationVocab,
     Rule,
@@ -56,6 +57,7 @@ from .extractor import (
     prob,
 )
 from .generator import RuleGenerator
+from .metrics import prf
 
 # Matrix cells per chunk of a batched gather: a length-3 body reads one
 # (N_max, N_max) relation matrix per entry, so a chunk holds
@@ -63,14 +65,8 @@ from .generator import RuleGenerator
 GATHER_CELLS = 1 << 18
 
 
-def _reject_unknown(obj: Mapping, known: Mapping, prefix: str = "") -> None:
-    for key in obj:
-        if key not in known:
-            raise ValueError(f"unknown config key '{prefix}{key}'")
-
-
 @dataclass
-class EMConfig:
+class EMConfig(JsonConfig):
     """Knobs for one training run; defaults follow the engine's standard setup."""
 
     n_rules: int = 50
@@ -95,44 +91,6 @@ class EMConfig:
         if self.beam < self.n_rules:
             raise ValueError("beam must be >= n_rules")
         self.fit.validate()
-
-    def to_json(self) -> dict:
-        return {
-            "n_rules": self.n_rules,
-            "iterations": self.iterations,
-            "seed": self.seed,
-            "fit": {"lr": self.fit.lr, "epochs": self.fit.epochs, "l2": self.fit.l2},
-            "convergence_eps": self.convergence_eps,
-            "inference_mode": self.inference_mode,
-            "train_ruleset_mode": self.train_ruleset_mode,
-            "beam": self.beam,
-            "max_rule_len": self.max_rule_len,
-        }
-
-    @classmethod
-    def from_json(cls, obj: Mapping) -> "EMConfig":
-        """Config from its ``to_json`` form; absent keys take their defaults, unknown keys raise."""
-        known = cls().to_json()
-        fit_obj = obj.get("fit", {})
-        _reject_unknown(obj, known)
-        _reject_unknown(fit_obj, known["fit"], "fit.")
-        config = cls(
-            n_rules=obj.get("n_rules", 50),
-            iterations=obj.get("iterations", 10),
-            seed=obj.get("seed", 0),
-            fit=FitConfig(
-                lr=fit_obj.get("lr", 0.1),
-                epochs=fit_obj.get("epochs", 5),
-                l2=fit_obj.get("l2", 1e-4),
-            ),
-            convergence_eps=obj.get("convergence_eps", 1e-4),
-            inference_mode=obj.get("inference_mode", "top"),
-            train_ruleset_mode=obj.get("train_ruleset_mode", "sample"),
-            beam=obj.get("beam", 200),
-            max_rule_len=obj.get("max_rule_len", DEFAULT_MAX_RULE_LEN),
-        )
-        config.validate()
-        return config
 
 
 class GroundingCache:
@@ -543,11 +501,9 @@ def m_step_extractor(
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
     fn = int(np.sum(~predicted & actual))
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
     trained = TrainingWeights.from_codes(design.keys, result.w, model.body_table())
-    return MStepResult(trained, result.losses, result.data_log_likelihood, f1, draws if mode == "sample" else None)
+    samples = draws if mode == "sample" else None
+    return MStepResult(trained, result.losses, result.data_log_likelihood, prf(tp, fp, fn).f1, samples)
 
 
 def _index_design(

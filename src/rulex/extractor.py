@@ -18,6 +18,7 @@ import numpy as np
 
 from .core import (
     Document,
+    JsonConfig,
     LabeledInstance,
     RelationVocab,
     Rule,
@@ -156,6 +157,15 @@ class ExtractorWeights:
 
     @classmethod
     def from_json(cls, obj: Mapping, vocab: RelationVocab) -> "ExtractorWeights":
+        """The weights that ``to_json`` wrote; ``ValueError`` names a bad field or a weight not a finite number."""
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        for key in ("bias", "rule_weight"):
+            if not isinstance(obj.get(key), dict):
+                raise ValueError(f"missing key {key!r}" if key not in obj else f"{key!r} is not a JSON object")
+            for name, w in obj[key].items():
+                if type(w) not in (int, float) or not math.isfinite(w):
+                    raise ValueError(f"{key} of {name!r}: {json.dumps(w)} is not a finite number")
         weights = cls()
         for name, w in obj["bias"].items():
             weights.bias[vocab.id_of(name)] = float(w)
@@ -171,8 +181,12 @@ class ExtractorWeights:
 
     @classmethod
     def load(cls, path, vocab: RelationVocab) -> "ExtractorWeights":
+        """The weights saved at ``path``; a malformed file raises ``ValueError`` naming it."""
         with open(path, encoding="utf-8") as fh:
-            return cls.from_json(json.load(fh), vocab)
+            try:
+                return cls.from_json(json.load(fh), vocab)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from None
 
 
 def prob(y: int, s: float) -> float:
@@ -192,7 +206,7 @@ BatchItem = tuple[LabeledInstance, RuleSet, Mapping[Rule, float]]
 
 
 @dataclass
-class FitConfig:
+class FitConfig(JsonConfig):
     lr: float = 0.1
     epochs: int = 5
     l2: float = 1e-4

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import Document, RelationVocab, Rule
@@ -34,10 +34,11 @@ class PRF:
     f1: float
 
     def to_json(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1}
+        return asdict(self)
 
 
-def _prf(tp: int, fp: int, fn: int) -> PRF:
+def prf(tp: int, fp: int, fn: int) -> PRF:
+    """Precision, recall and F1 from counts of true positives, false positives and false negatives."""
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
@@ -57,7 +58,7 @@ def f1(predictions: PredictionSet, gold: Mapping[str, Iterable[Triple]]) -> PRF:
     for doc_id, facts in gold_sets.items():
         preds = predictions.by_doc.get(doc_id, {})
         fn += sum(1 for triple in facts if triple not in preds)
-    return _prf(tp, fp, fn)
+    return prf(tp, fp, fn)
 
 
 NameTriple = tuple[str, str, str]
@@ -114,12 +115,7 @@ class LogicScore:
     vacuous: bool
 
     def to_json(self) -> dict:
-        return {
-            "score": self.score,
-            "bindings": self.bindings,
-            "satisfied": self.satisfied,
-            "vacuous": self.vacuous,
-        }
+        return asdict(self)
 
 
 def logic_score(predictions: PredictionSet, eval_rules: Sequence[Rule]) -> LogicScore:

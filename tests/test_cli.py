@@ -143,6 +143,52 @@ def corpus_dir(tmp_path, config_file):
     return out
 
 
+# (command, override of its config section, the dotted key its error names)
+MISTYPED = [
+    ("train", {"n_rules": "5"}, "n_rules"),
+    ("train", {"iterations": 2.5}, "iterations"),
+    ("train", {"n_rules": True}, "n_rules"),
+    ("train", {"fit": 5}, "fit"),
+    ("train", {"fit": {"lr": "0.1"}}, "fit.lr"),
+    ("synth", {"docs": "30"}, "docs"),
+    ("synth", {"entities_per_doc": 5}, "entities_per_doc"),
+]
+
+
+def only_error_line(err):
+    assert "Traceback" not in err
+    lines = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(lines) == 1
+    return lines[0]
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize(("command", "override", "key"), MISTYPED,
+                             ids=[json.dumps(override) for _, override, _ in MISTYPED])
+    def test_mistyped_value_fails_naming_its_key(self, tmp_path, request, capsys, command, override, key):
+        section = "em" if command == "train" else "synth"
+        config = tmp_path / "mistyped.json"
+        config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG[section], **override}}))
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "train":
+            args += ["--corpus", str(request.getfixturevalue("corpus_dir"))]
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        assert f"config key '{key}'" in only_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "train"])
+    @pytest.mark.parametrize("text", ["[1]", '{"synth": [1], "em": [1]}'])
+    def test_config_that_is_not_an_object_is_an_error(self, tmp_path, capsys, command, text):
+        config = tmp_path / "list.json"
+        config.write_text(text)
+        args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "train":
+            args += ["--corpus", str(tmp_path)]
+        assert cli.main(args) == 1
+        assert "list.json" in only_error_line(capsys.readouterr().err)
+
+
 class TestTrain:
     def test_run_dir_contract_and_diagnostics_rows(self, tmp_path, config_file, corpus_dir):
         run = tmp_path / "run"
@@ -221,6 +267,36 @@ class TestInfer:
                          "--out", str(out)]) == 0
         records = [json.loads(line) for line in out.read_text().splitlines()]
         assert records and all(record["triples"] == [] for record in records)
+
+    @pytest.mark.parametrize(("text", "named"), [("[]", "config.json"), ('{"em": []}', "config.json"),
+                                                 ('{"em": {"n_rules": "5"}}', "'n_rules'")])
+    def test_malformed_run_config_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys, text, named):
+        (run_dir / "config.json").write_text(text)
+        rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
+                       "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 1
+        assert named in only_error_line(capsys.readouterr().err)
+        assert not (tmp_path / "preds.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("[]", "not a JSON object"),
+            ('{"rule_weight": {}}', "missing key 'bias'"),
+            ('{"bias": {}, "rule_weight": []}', "'rule_weight' is not a JSON object"),
+            ('{"bias": {"r0": NaN}, "rule_weight": {}}', "NaN is not a finite number"),
+            ('{"bias": {"r0": "0.5"}, "rule_weight": {}}', '"0.5" is not a finite number'),
+            ('{"bias": {}, "rule_weight": {"r0 <- r1": true}}', "true is not a finite number"),
+        ],
+    )
+    def test_malformed_extractor_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys, text, message):
+        (run_dir / "extractor.json").write_text(text)
+        rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
+                       "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 1
+        error = only_error_line(capsys.readouterr().err)
+        assert "extractor.json: " in error and message in error
+        assert not (tmp_path / "preds.jsonl").exists()
 
     def test_malformed_generator_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys):
         obj = json.loads((run_dir / "generator.json").read_text())

@@ -21,6 +21,10 @@ from rulex.core import (
     write_vocab_file,
 )
 
+from rulex.datagen import SynthConfig
+from rulex.em import EMConfig
+from rulex.extractor import FitConfig
+
 from conftest import make_doc
 
 
@@ -312,3 +316,49 @@ class TestFiles:
         path.write_text(json.dumps(same) + "\n" + json.dumps(clash) + "\n")
         with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*conflicting labels -1 and 1 for fact"):
             load_corpus(path, pair_vocab)
+
+
+class TestJsonConfig:
+    @pytest.mark.parametrize("cls", [EMConfig, FitConfig, SynthConfig])
+    def test_default_round_trip(self, cls):
+        assert cls.from_json(cls().to_json()) == cls()
+
+    def test_to_json_writes_nested_configs_as_objects_and_tuples_as_lists(self):
+        assert EMConfig().to_json()["fit"] == {"lr": 0.1, "epochs": 5, "l2": 1e-4}
+        assert SynthConfig().to_json()["entities_per_doc"] == [4, 6]
+
+    def test_missing_keys_keep_their_defaults(self):
+        assert EMConfig.from_json({"fit": {"epochs": 2}}) == EMConfig(fit=FitConfig(epochs=2))
+
+    def test_values_are_kept_as_given(self):
+        # An integer in a float field stays an integer, so the echo keeps its bytes.
+        config = SynthConfig.from_json({"p_flip": 0, "split": [1, 0, 0]})
+        assert type(config.p_flip) is int and config.split == (1, 0, 0)
+        assert json.dumps(config.to_json()["split"]) == "[1, 0, 0]"
+
+    @pytest.mark.parametrize(
+        ("cls", "obj", "message"),
+        [
+            (EMConfig, {"fit": {"x": 1}}, "unknown config key 'fit.x'"),
+            (EMConfig, {"seed": True}, "config key 'seed' must be an integer, got true"),
+            (EMConfig, {"beam": 200.0}, "config key 'beam' must be an integer, got 200.0"),
+            (EMConfig, {"fit": {"l2": None}}, "config key 'fit.l2' must be a finite number, got null"),
+            (EMConfig, {"fit": {"lr": float("nan")}}, "config key 'fit.lr' must be a finite number, got NaN"),
+            (SynthConfig, {"split": [1, 0, float("inf")]}, "config key 'split[2]' must be a finite number"),
+            (EMConfig, {"inference_mode": 1}, "config key 'inference_mode' must be a string, got 1"),
+            (EMConfig, [], "config must be a JSON object, got []"),
+            (SynthConfig, {"split": [0.5, 0.5]}, "config key 'split' must be a list of 3 values"),
+            (SynthConfig, {"chains_per_rule": [1, 2.0]}, "config key 'chains_per_rule[1]' must be an integer"),
+            (SynthConfig, {"planted_rules": "r0 <- r1"}, "config key 'planted_rules' must be a list"),
+            (SynthConfig, {"self_inverse": [None]}, "config key 'self_inverse[0]' must be a string"),
+        ],
+    )
+    def test_mistyped_value_names_its_dotted_key(self, cls, obj, message):
+        with pytest.raises(ValueError) as exc:
+            cls.from_json(obj)
+        assert str(exc.value).startswith(message)
+
+    def test_loaded_config_is_validated(self):
+        with pytest.raises(ValueError, match="beam must be >= n_rules"):
+            EMConfig.from_json({"n_rules": 10, "beam": 5})
+
