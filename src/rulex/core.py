@@ -413,9 +413,6 @@ class Corpus:
     docs: dict[str, Document] = field(default_factory=dict)
     instances: list[LabeledInstance] = field(default_factory=list)
 
-    def doc_of(self, instance: LabeledInstance) -> Document:
-        return self.docs[instance.doc_id]
-
 
 def _doc_to_json(doc: Document, vocab: RelationVocab, instances: Sequence[LabeledInstance]) -> dict:
     labels = {(i.head, i.relation, i.tail): i.label for i in instances}

@@ -6,21 +6,23 @@ generator toward posterior-favored rules, and retrains the extractor on fresh
 rule sets drawn from the updated generator.  Diagnostics track the two halves
 of the training objective and the training F1 per iteration.
 
-Training grounds rules through one dense atom tensor per corpus
-(``GroundingCache``, which states its memory bounds), built once per
-``run_em``: each step draws every instance's rules first and then grounds all
-of them in one chunked gather.  A step's draws (``Draws``) and posteriors
-(``Posteriors``) are flat arrays, one row per instance with the rows
-concatenated, and ``e_step`` scores all the instances in one pass.  Every
-step works on integer ids from the generator's one rule-id space
-(``RuleGenerator.rule_ids``), whatever the size of the vocabulary, and the
-extractor weights train as arrays over rule ids (``TrainingWeights``);
-``run_em`` builds ``Rule`` objects once, for the weights it returns.
-Inference reads the rule sets and the weights once per run, as flat term
-arrays (``inference_terms``), and scores and explains each document in one
-pass (``explain_document``) over one stack of all-pairs grounding matrices;
-``predict_document``, ``explain`` and ``infer`` call the same code, so an
-explanation's contributions sum to the score bit for bit.
+Training grounds rules through the documents' atom arrays, stacked in one
+unpadded block per entity count (``GroundingCache``, which states its memory
+bounds) once per ``run_em``: each step draws every instance's rules first and
+then grounds all of them in one chunked gather per block.  A step's draws
+(``Draws``) and posteriors (``Posteriors``) are flat arrays, one row per
+instance with the rows concatenated, and ``e_step`` scores all the instances
+in one pass.  Every step works on integer ids from the generator's one
+rule-id space (``RuleGenerator.rule_ids``), whatever the size of the
+vocabulary, and the extractor weights train as arrays over rule ids
+(``TrainingWeights``); ``run_em`` builds ``Rule`` objects once, for the
+weights it returns.  Inference reads the rule sets and the weights once per
+run, as flat term arrays (``inference_terms``), and scores and explains each
+document in one pass (``explain_document``) over one stack of all-pairs
+grounding matrices; ``predict_document``, ``explain`` and ``infer`` call the
+same code, so an explanation's contributions sum to the score bit for bit.
+Training and inference compose matrices through one max-product kernel
+(``_max_product``).
 """
 
 from __future__ import annotations
@@ -59,10 +61,23 @@ from .extractor import (
 from .generator import RuleGenerator
 from .metrics import prf
 
-# Matrix cells per chunk of a batched gather: a length-3 body reads one
-# (N_max, N_max) relation matrix per entry, so a chunk holds
-# GATHER_CELLS // N_max**2 entries and its largest temporary takes 2 MB.
+# Matrix cells per chunk of a batched gather: a length-3 body on documents of
+# N entities reads one (N, N) relation matrix per entry, so a chunk holds
+# GATHER_CELLS // N**2 entries and its largest temporary takes 2 MB.
 GATHER_CELLS = 1 << 18
+
+
+def _max_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Max-product composition of stacked matrices, ``max_j left[m, a, j] * right[m, j, b]``.
+
+    A loop of elementwise maxima over j, several times faster than numpy's
+    axis reductions at these shapes.  Max is exact, so any order of the
+    maxima gives the same bits.
+    """
+    out = left[:, :, :1] * right[:, :1]
+    for j in range(1, left.shape[2]):
+        np.maximum(out, left[:, :, j : j + 1] * right[:, j : j + 1], out=out)
+    return out
 
 
 @dataclass
@@ -94,86 +109,74 @@ class EMConfig(JsonConfig):
 
 
 class GroundingCache:
-    """Batched max-product grounding over one dense atom tensor per corpus.
+    """Batched max-product grounding over the documents' atom arrays, one block per entity count.
 
-    The tensor ``A[row, r, h, t]`` stacks the documents' ``atom_array``
-    views, zero-padded to the largest entity count.  Documents are immutable
+    Block ``n`` stacks the ``atom_array`` of every stored document with n
+    entities, ``A[row, r, h, t]``, without padding.  Documents are immutable
     and key the store by identity, never by ``doc_id``, so rows never
     invalidate and corpora with colliding ids can share one store.  ``ground``
-    reads many (row, body, head, tail) values in one gather; a length-3 body
-    reads ``max_k (max_j A[d, r1, h, j] * A[d, r2, j, k]) * A[d, r3, k, t]``.
-    Products multiply left to right as in ``ground_body_value`` and max
-    commutes with monotone rounding, so the values agree with it exactly.
+    reads many (document, body, head, tail) values in one gather per block; a
+    length-3 body reads ``max_k (max_j A[d, r1, h, j] * A[d, r2, j, k]) *
+    A[d, r3, k, t]``.  Products multiply left to right as in
+    ``ground_body_value`` and max commutes with monotone rounding, so the
+    values agree with it exactly.
 
-    Memory: the tensor takes ``D * V * N_max**2 * 8`` bytes for D documents,
-    V relation ids and N_max entities (1.2 MB for 200 documents, 20 ids, 6
-    entities), and a gather's temporaries stay near ``GATHER_CELLS * 8``
-    bytes (2 MB) however many values it reads.  DocRED-scale corpora are
-    outside this envelope: 3,000 documents with 192 ids and up to 40
-    entities would need a 7.4 GB tensor.
+    Memory: the blocks copy the documents' atom arrays, ``sum_d V * N_d**2 *
+    8`` bytes for V relation ids and N_d entities in document d (0.8 MB for
+    200 documents of 4 to 6 entities with 20 ids), and a gather's
+    temporaries stay near ``GATHER_CELLS * 8`` bytes (2 MB) however many
+    values it reads.
     """
 
     def __init__(self):
-        self._rows: dict[Document, int] = {}
-        self._tensor = np.zeros((0, 0, 0, 0))
+        self._rows: dict[Document, tuple[int, int]] = {}
+        self._blocks: dict[int, np.ndarray] = {}
 
     def rows(self, docs: Iterable[Document]) -> np.ndarray:
-        """Tensor rows of ``docs``, stacking the documents the store lacks.
+        """The (entity count, block row) of each of ``docs``, storing the documents the store lacks.
 
-        Stacking rebuilds the whole tensor, so callers pass all the documents
-        they will ground in one call.
+        A new document joins the block of its entity count, and the other
+        blocks stay as they are.
         """
         docs = list(docs)
-        new = [doc for doc in dict.fromkeys(docs) if doc not in self._rows]
-        if new:
-            stacked = [*self._rows, *new]
-            arrays = [doc.atom_array() for doc in stacked]
-            if len({arr.shape[0] for arr in arrays}) > 1:
-                raise ValueError("documents in one grounding store must share a relation vocabulary")
-            n_max = max(arr.shape[1] for arr in arrays)
-            tensor = np.zeros((len(arrays), arrays[0].shape[0], n_max, n_max))
-            for i, arr in enumerate(arrays):
-                tensor[i, :, : arr.shape[1], : arr.shape[2]] = arr
-            self._rows = {doc: i for i, doc in enumerate(stacked)}
-            self._tensor = tensor
-        return np.array([self._rows[doc] for doc in docs], dtype=np.intp)
+        new: dict[int, list[Document]] = {}
+        for doc in dict.fromkeys(docs):
+            if doc not in self._rows:
+                new.setdefault(doc.num_entities, []).append(doc)
+        vocabularies = {doc.num_relations for group in new.values() for doc in group}
+        if len(vocabularies | {block.shape[1] for block in self._blocks.values()}) > 1:
+            raise ValueError("documents in one grounding store must share a relation vocabulary")
+        for n, group in new.items():
+            block = self._blocks.get(n, ())
+            self._rows.update((doc, (n, len(block) + i)) for i, doc in enumerate(group))
+            self._blocks[n] = np.stack([*block, *(doc.atom_array() for doc in group)])
+        return np.array([self._rows[doc] for doc in docs], dtype=np.intp).reshape(-1, 2)
 
     def ground(self, rows: np.ndarray, bodies: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Grounding values of many entries in one chunked gather.
+        """Grounding values of many entries in one chunked gather per block.
 
-        ``bodies`` holds one body per entry as a row of relation ids padded
-        with -1.  Entity ids outside a document read as 0, as in
-        ``ground_body_value``.
+        ``rows`` holds each entry's (entity count, block row), as the method
+        ``rows`` gives them, and ``bodies`` one body per entry as a row of
+        relation ids padded with -1.  Entity ids outside a document read as
+        0, as in ``ground_body_value``.
         """
-        tensor = self._tensor
-        n = tensor.shape[2]
         values = np.zeros(len(rows))
-        inside = (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n)
         lengths = np.count_nonzero(bodies >= 0, axis=1)
-        chunk = max(1, GATHER_CELLS // max(1, n * n))
-        for length in range(1, bodies.shape[1] + 1):
-            selected = np.flatnonzero(inside & (lengths == length))
-            for start in range(0, selected.size, chunk):
-                idx = selected[start : start + chunk]
-                d, body, h, t = rows[idx], bodies[idx], heads[idx], tails[idx]
-                if length == 1:
-                    values[idx] = tensor[d, body[:, 0], h, t]
-                    continue
-                # Maxima over the short entity axis run as loops of
-                # elementwise maxima, several times faster than numpy's axis
-                # reductions at this shape.
-                best = tensor[d, body[:, 0], h]  # best product reaching each entity
-                for pos in range(1, length - 1):
-                    step = tensor[d, body[:, pos]]
-                    reach = best[:, :1] * step[:, 0]
-                    for j in range(1, n):
-                        np.maximum(reach, best[:, j : j + 1] * step[:, j], out=reach)
-                    best = reach
-                last = best * tensor[d, body[:, length - 1], :, t]
-                value = last[:, 0].copy()
-                for k in range(1, n):
-                    np.maximum(value, last[:, k], out=value)
-                values[idx] = value
+        for n, block in self._blocks.items():
+            inside = (rows[:, 0] == n) & (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n)
+            chunk = max(1, GATHER_CELLS // max(1, n * n))
+            for length in range(1, bodies.shape[1] + 1):
+                selected = np.flatnonzero(inside & (lengths == length))
+                for start in range(0, selected.size, chunk):
+                    idx = selected[start : start + chunk]
+                    d, body, h, t = rows[idx, 1], bodies[idx], heads[idx], tails[idx]
+                    if length == 1:
+                        values[idx] = block[d, body[:, 0], h, t]
+                        continue
+                    best = block[d, body[:, 0], h][:, None]  # (m, 1, n): the best product reaching each entity
+                    for pos in range(1, length - 1):
+                        best = _max_product(best, block[d, body[:, pos]])
+                    values[idx] = _max_product(best, block[d, body[:, length - 1], :, t][:, :, None])[:, 0, 0]
         return values
 
     def value_body(self, doc: Document, body: tuple[int, ...], h: int, t: int) -> float:
@@ -739,9 +742,8 @@ def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
 
     ``bodies`` holds one body per row, relation ids padded with -1.  Row k
     equals ``ground_rule_all_pairs`` of body k bit for bit: the bodies of one
-    length chain their relation matrices together, left to right, under the
-    same max-product composition, with temporaries near ``GATHER_CELLS * 8``
-    bytes.
+    length chain their relation matrices together, left to right, through
+    ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes.
     """
     atoms = doc.atom_array()
     n = atoms.shape[1]
@@ -756,13 +758,7 @@ def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
             idx = selected[start : start + chunk]
             mats = atoms[bodies[idx, 0]]
             for pos in range(1, length):
-                # A loop of elementwise maxima over the middle entity, as in
-                # ``GroundingCache.ground``: faster than an axis reduction.
-                step = atoms[bodies[idx, pos]]
-                composed = mats[:, :, :1] * step[:, None, 0]
-                for j in range(1, n):
-                    np.maximum(composed, mats[:, :, j : j + 1] * step[:, None, j], out=composed)
-                mats = composed
+                mats = _max_product(mats, atoms[bodies[idx, pos]])
             stack[idx] = mats
     return stack
 

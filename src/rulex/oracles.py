@@ -75,8 +75,8 @@ def grounding_oracle(cases: int = 1000, seed: int = 0, max_entities: int = 6) ->
     """Dynamic program and batched gather vs exhaustive path enumeration on random sparse documents.
 
     The batched gather grounds every case in one call over one store that
-    stacks all the cases' documents, so smaller documents read through the
-    padding of the larger ones.
+    holds all the cases' documents, so the call spans one block per entity
+    count.
     """
     rng = np.random.default_rng(seed)
     num_relations = 6

@@ -9,7 +9,7 @@ in worker processes without coordination.
 from dataclasses import dataclass, field
 
 from rulex.datagen import SynthConfig, gen_corpus
-from rulex.em import EMConfig, inference_rulesets, predict_document, run_em
+from rulex.em import EMConfig, explain_document, inference_rulesets, inference_terms, run_em
 from rulex.extractor import FitConfig
 from rulex.metrics import PredictionSet, f1, gold_by_doc, logic_score, threshold_predictions
 
@@ -82,12 +82,13 @@ def run_replica(seed: int) -> ReplicaResult:
     config = bench_em_config(seed)
     trained = run_em(train, synth.vocab, config)
 
+    # The scoring terms are built once, as ``rulex infer`` builds them;
+    # ``predict_document`` would rebuild them for every document.
     predictions = PredictionSet()
-    rulesets = inference_rulesets(trained.model, synth.vocab, config)
+    terms = inference_terms(inference_rulesets(trained.model, synth.vocab, config), trained.weights, synth.vocab)
     for doc_id, doc in test.docs.items():
-        predictions.by_doc[doc_id] = predict_document(
-            doc, synth.vocab, trained.model, trained.weights, config, rulesets=rulesets
-        )
+        results = explain_document(doc, terms, top=0)
+        predictions.by_doc[doc_id] = {query: result.probability for query, result in results.items()}
     engine_f1 = f1(predictions, gold).f1
     engine_logic = logic_score(predictions, synth.planted).score
 

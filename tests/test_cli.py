@@ -208,6 +208,15 @@ class TestTrain:
         assert "error: unknown config key 'fit.learning_rate'" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    def test_failed_iteration_is_one_error_line(self, tmp_path, corpus_dir, capsys):
+        # A step this large makes the first descent diverge.
+        config = tmp_path / "diverging.json"
+        config.write_text(json.dumps({"em": {**TINY_CONFIG["em"], "fit": {**TINY_CONFIG["em"]["fit"], "lr": 1e300}}}))
+        capsys.readouterr()
+        rc = cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config), "--out", str(tmp_path / "run")])
+        assert rc == 1
+        assert only_error_line(capsys.readouterr().err).startswith("error: EM iteration 1 failed")
+
     def test_seeded_rerun_identical(self, tmp_path, config_file, corpus_dir):
         a, b = tmp_path / "run_a", tmp_path / "run_b"
         cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config_file), "--out", str(a)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -277,7 +278,7 @@ class TestEStep:
 
 class TestGroundingCache:
     def test_batched_gather_equals_dp_and_enumeration_exactly(self, rng):
-        # Documents of 2..7 entities in one store exercise the padding; every
+        # Documents of 2..7 entities in one store span several blocks; every
         # document also stores zero-confidence atoms, and every body length
         # is queried between the first and the last entity.
         num_relations = 5
@@ -310,6 +311,47 @@ class TestGroundingCache:
             assert value == want
             assert value == ground_body_value(doc, body, h, t)
             assert cache.value_body(doc, body, h, t) == want
+
+    def test_store_does_not_pad_to_the_largest_document(self, rng):
+        # Twenty 4-entity documents and one of 200 entities, 20 relation ids.
+        # Padded to the largest, the store would take 21 * 20 * 200**2 * 8
+        # bytes (134 MB); by entity count it copies the documents' own arrays,
+        # which are built before the measurement.
+        num_relations = 20
+        docs, entries = [], []
+        for i, (n, k) in enumerate([(4, 40)] * 20 + [(200, 20_000)]):
+            cells = zip(*(rng.integers(0, size, k).tolist() for size in (n, num_relations, n)), rng.random(k).tolist())
+            doc = make_doc({(h, r, t): c for h, r, t, c in cells}, num_relations, n_entities=n, doc_id=f"d{i}")
+            docs.append(doc)
+            for _ in range(30):
+                body = tuple(rng.integers(0, num_relations, size=int(rng.integers(1, 4))).tolist())
+                entries.append((doc, body, *rng.integers(0, n, size=2).tolist()))
+        own = sum(doc.atom_array().nbytes for doc in docs)
+        cache = GroundingCache()
+        tracemalloc.start()
+        try:
+            values = cache.ground(
+                cache.rows([doc for doc, _, _, _ in entries]),
+                pad_bodies([body for _, body, _, _ in entries], 3),
+                np.array([h for _, _, h, _ in entries]),
+                np.array([t for _, _, _, t in entries]),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * own
+        assert np.any(values[-30:] > 0.0)
+        for (doc, body, h, t), value in zip(entries, values.tolist()):
+            assert value == ground_body_value(doc, body, h, t)
+
+    def test_documents_of_another_vocabulary_are_refused(self):
+        # A refused document leaves the store as it was.
+        cache = GroundingCache()
+        cache.rows([make_doc({(0, 1, 1): 0.5}, 4, n_entities=2)])
+        with pytest.raises(ValueError, match="share a relation vocabulary"):
+            cache.rows([make_doc({(0, 1, 1): 0.5}, 6, n_entities=3)])
+        rows = cache.rows([make_doc({(0, 1, 2): 0.25}, 4, n_entities=3)])
+        assert cache.ground(rows, np.array([[1]]), np.array([0]), np.array([2])).tolist() == [0.25]
 
     def test_documents_with_colliding_ids_keep_their_own_values(self):
         # Two corpora whose documents share doc_ids but not atoms, run through
