@@ -344,17 +344,26 @@ class Document:
     def atom_array(self) -> np.ndarray:
         """Dense read-only atom confidences, ``[r, h, t]``, shape (relations, entities, entities).
 
-        Costs ``num_relations * num_entities**2 * 8`` bytes per document.
+        Built once by ``fill_atom_array`` and kept; costs
+        ``num_relations * num_entities**2 * 8`` bytes per document.
         """
         if self._atom_array is None:
             n = len(self.entities)
             arr = np.zeros((self.num_relations, n, n))
-            if self.atoms:
-                h, r, t = np.array(list(self.atoms), dtype=np.intp).T
-                arr[r, h, t] = list(self.atoms.values())
+            self.fill_atom_array(arr)
             arr.flags.writeable = False
             self._atom_array = arr
         return self._atom_array
+
+    def fill_atom_array(self, out: np.ndarray) -> None:
+        """Write the atom confidences into ``out[r, h, t]``, a zero array shaped like ``atom_array``.
+
+        Keeps nothing, so a store that holds its own copy of the atoms does
+        not leave a second one cached on the document.
+        """
+        if self.atoms:
+            h, r, t = np.array(list(self.atoms), dtype=np.intp).T
+            out[r, h, t] = list(self.atoms.values())
 
 
 def atom_conf(doc: Document, h: int, r: int, t: int) -> float:

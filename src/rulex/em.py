@@ -111,17 +111,19 @@ class EMConfig(JsonConfig):
 class GroundingCache:
     """Batched max-product grounding over the documents' atom arrays, one block per entity count.
 
-    Block ``n`` stacks the ``atom_array`` of every stored document with n
-    entities, ``A[row, r, h, t]``, without padding.  Documents are immutable
-    and key the store by identity, never by ``doc_id``, so rows never
-    invalidate and corpora with colliding ids can share one store.  ``ground``
-    reads many (document, body, head, tail) values in one gather per block; a
+    Block ``n`` stacks the atom confidences of every stored document with n
+    entities, ``A[row, r, h, t]``, without padding.  ``Document.fill_atom_array``
+    writes them straight into the block, so no ``atom_array`` stays cached
+    on the document beside it.  Documents are immutable and key the store
+    by identity, never by ``doc_id``, so rows never invalidate and corpora
+    with colliding ids can share one store.  ``ground`` reads many
+    (document, body, head, tail) values in one gather per block; a
     length-3 body reads ``max_k (max_j A[d, r1, h, j] * A[d, r2, j, k]) *
     A[d, r3, k, t]``.  Products multiply left to right as in
     ``ground_body_value`` and max commutes with monotone rounding, so the
     values agree with it exactly.
 
-    Memory: the blocks copy the documents' atom arrays, ``sum_d V * N_d**2 *
+    Memory: the blocks hold each document's atoms once, ``sum_d V * N_d**2 *
     8`` bytes for V relation ids and N_d entities in document d (0.8 MB for
     200 documents of 4 to 6 entities with 20 ids), and a gather's
     temporaries stay near ``GATHER_CELLS * 8`` bytes (2 MB) however many
@@ -147,9 +149,13 @@ class GroundingCache:
         if len(vocabularies | {block.shape[1] for block in self._blocks.values()}) > 1:
             raise ValueError("documents in one grounding store must share a relation vocabulary")
         for n, group in new.items():
-            block = self._blocks.get(n, ())
-            self._rows.update((doc, (n, len(block) + i)) for i, doc in enumerate(group))
-            self._blocks[n] = np.stack([*block, *(doc.atom_array() for doc in group)])
+            stored = self._blocks.get(n, np.zeros((0, group[0].num_relations, n, n)))
+            block = np.zeros((len(stored) + len(group), *stored.shape[1:]))
+            block[: len(stored)] = stored
+            for i, doc in enumerate(group):
+                doc.fill_atom_array(block[len(stored) + i])
+            self._rows.update((doc, (n, len(stored) + i)) for i, doc in enumerate(group))
+            self._blocks[n] = block
         return np.array([self._rows[doc] for doc in docs], dtype=np.intp).reshape(-1, 2)
 
     def ground(self, rows: np.ndarray, bodies: np.ndarray, heads: np.ndarray, tails: np.ndarray) -> np.ndarray:

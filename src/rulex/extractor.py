@@ -377,14 +377,15 @@ def fit_design(design: _DesignMatrix, w0: np.ndarray, config: FitConfig) -> FitR
     for epoch in range(config.epochs):
         direction = design.gradient(w, config.l2) / precondition
         step = config.lr
-        for _ in range(21):
-            w_try = w - step * direction
-            loss_try = design.loss(w_try, config.l2)
-            if loss_try <= loss:
-                break
-            step /= 2.0
-        else:
-            raise FitDivergenceError(epoch, loss, loss_try)
+        with np.errstate(over="ignore"):  # an overflowing trial loss is inf, and the step halves
+            for _ in range(21):
+                w_try = w - step * direction
+                loss_try = design.loss(w_try, config.l2)
+                if loss_try <= loss:
+                    break
+                step /= 2.0
+            else:
+                raise FitDivergenceError(epoch, loss, loss_try)
         w, loss = w_try, loss_try
         losses.append(loss)
     return FitResult(w, losses, design.scores(w), design.y)

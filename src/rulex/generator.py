@@ -11,6 +11,7 @@ non-empty) and forced once the body reaches the maximum rule length.
 from __future__ import annotations
 
 import base64
+import bisect
 import itertools
 import json
 import math
@@ -65,7 +66,7 @@ class RuleGenerator:
         self.max_len = max_len
         # (head, context tuple) -> count vector over relation ids + STOP.
         self.counts: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
-        self._enum_cache: dict[int, "_EnumeratedHead"] = {}
+        self._head_cache: dict[int, _HeadCache] = {}
         self._space: _RuleSpace | None = None
         self._rules: dict[int, dict[int, Rule]] = {}
         size = vocab.size
@@ -188,24 +189,52 @@ class RuleGenerator:
     def _draw_body(self, head: int, rng: np.random.Generator) -> tuple[tuple[int, ...], float]:
         """One body drawn token by token, with its log-probability.
 
-        The draw reads every conditional that ``log_prob`` reads for the body
-        it draws, so it adds ``math.log`` of each drawn probability left to
-        right, termination included, and the total equals ``log_prob``'s.
+        Each token is the inverse-CDF lookup ``bisect_right(cdf, rng.random())``
+        in the cumulative sum of ``conditional``'s probabilities, its last
+        bucket raised to at least 1 against rounding.  The draw reads every
+        conditional that ``log_prob`` reads for the body it draws, so it adds
+        ``math.log`` of each drawn probability left to right, termination
+        included, and the total equals ``log_prob``'s.
+
+        ``conditional(head, prefix)`` reads only the position and which of
+        the contexts ``prefix[position - d:]`` of the position's depths are
+        stored, besides their counts, which change only through
+        ``fit_bodies``.  So that pair keys the head's table of (cdf,
+        probabilities) entries.  An entry comes from the same ``conditional`` and
+        ``np.cumsum`` calls as a draw without the table, so the bodies,
+        log-probabilities and rng state are the same bit for bit.  An entry
+        whose key holds a stored context of two or more tokens serves few
+        prefixes, so it is used once and not kept.  The table therefore holds
+        at most ``max_len * 2 * (size + 1)`` entries per head, however many
+        draws it serves: per position, the empty context stored or not, times
+        no stored one-token context or one of ``size``.  ``fit_bodies`` drops
+        it with the head's other cached values.
         """
         self.vocab.check_relation(head)
+        counts, steps = self.counts, self._head(head).steps
+        order, stop, max_len = self.order, self.vocab.stop_id, self.max_len
         body: list[int] = []
         total = 0.0
         while True:
-            support, probs = self.conditional(head, tuple(body))
-            cdf = np.cumsum(probs)
-            cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
-            i = np.searchsorted(cdf, rng.random(), side="right")
-            token = int(support[i])
-            total += math.log(probs[i])
-            if token == self.vocab.stop_id:
+            position = len(body)
+            contexts = [tuple(body[position - d :]) for d in range(min(position, order) + 1)]
+            present = tuple([ctx for ctx in contexts if (head, ctx) in counts])
+            key = (position, present)
+            entry = steps.get(key)
+            if entry is None:
+                _, probs = self.conditional(head, tuple(body))
+                cdf = np.cumsum(probs)
+                cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
+                entry = cdf, probs
+                if not present or len(present[-1]) < 2:  # contexts come in depth order
+                    steps[key] = entry
+            cdf, probs = entry
+            token = bisect.bisect_right(cdf, rng.random())  # support ids are positional
+            total += math.log(probs[token])
+            if token == stop:
                 break
             body.append(token)
-            if len(body) == self.max_len:
+            if len(body) == max_len:
                 break
         return tuple(body), total
 
@@ -528,7 +557,7 @@ class RuleGenerator:
         )
         for key, row in zip(keys, block):
             self.counts[key] = row
-        self._enum_cache.pop(head, None)
+        self._head_cache.pop(head, None)
         return self
 
     # -- whole-space enumeration --------------------------------------------
@@ -536,14 +565,19 @@ class RuleGenerator:
     def enumerable_size(self) -> int:
         return self._enum_size
 
+    def _head(self, head: int) -> "_HeadCache":
+        cache = self._head_cache.get(head)
+        if cache is None:
+            cache = self._head_cache[head] = _HeadCache()
+        return cache
+
     def _enumeration(self, head: int) -> "_EnumeratedHead | None":
         if self.enumerable_size() > ENUM_LIMIT:
             return None
-        enum = self._enum_cache.get(head)
-        if enum is None:
-            enum = _EnumeratedHead(self, head)
-            self._enum_cache[head] = enum
-        return enum
+        cache = self._head(head)
+        if cache.enumeration is None:
+            cache.enumeration = _EnumeratedHead(self, head)
+        return cache.enumeration
 
     def rule_log_probs(self, head: int, rules: Sequence[Rule]) -> np.ndarray:
         """Log-probabilities for a batch of same-head rules (enumeration-backed when possible)."""
@@ -745,13 +779,35 @@ class _RuleSpace:
             if self.enumerated:
                 raise ValueError(f"rule body {exc.args[0]!r} is not in the enumeration") from None
         new = [body for body in dict.fromkeys(bodies) if body not in index]
-        for body in new:
-            if not 1 <= len(body) <= self.max_len or not all(0 <= r < self.size for r in body):
-                raise ValueError(f"bad rule body {body!r}")
+        lengths = np.fromiter(map(len, new), dtype=np.intp, count=len(new))
+        owners = np.repeat(np.arange(len(new)), lengths)
+        # Floats, so that an id too large for an int64 reads as out of range, and NaN fails too.
+        tokens = np.fromiter(itertools.chain.from_iterable(new), dtype=float, count=len(owners))
+        bad = (lengths < 1) | (lengths > self.max_len)
+        bad[owners[~((tokens >= 0) & (tokens < self.size))]] = True
+        if bad.any():
+            raise ValueError(f"bad rule body {new[int(np.argmax(bad))]!r}")
+        table = np.full((len(new), self.max_len), -1, dtype=np.intp)
+        table[owners, np.arange(len(owners)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = tokens
         index.update(zip(new, range(len(self.bodies), len(self.bodies) + len(new))))
         self.bodies.extend(new)
-        self.table = np.concatenate([self.table, pad_bodies(new, self.max_len)])
+        self.table = np.concatenate([self.table, table])
         return np.fromiter(map(index.__getitem__, bodies), dtype=np.intp, count=len(bodies))
+
+
+class _HeadCache:
+    """What one head's counts determine, dropped by ``fit_bodies`` when they change.
+
+    ``enumeration`` is the head's ``_EnumeratedHead``, built on first use
+    while the space is enumerable, and ``steps`` is ``_draw_body``'s table of
+    next-token distributions.
+    """
+
+    __slots__ = ("enumeration", "steps")
+
+    def __init__(self):
+        self.enumeration: _EnumeratedHead | None = None
+        self.steps: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[np.ndarray, np.ndarray]] = {}
 
 
 class _EnumeratedHead:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -213,9 +214,12 @@ class TestTrain:
         config = tmp_path / "diverging.json"
         config.write_text(json.dumps({"em": {**TINY_CONFIG["em"], "fit": {**TINY_CONFIG["em"]["fit"], "lr": 1e300}}}))
         capsys.readouterr()
-        rc = cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config), "--out", str(tmp_path / "run")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config), "--out", str(tmp_path / "run")])
         assert rc == 1
         assert only_error_line(capsys.readouterr().err).startswith("error: EM iteration 1 failed")
+        assert [str(w.message) for w in caught] == []  # step halving handles the overflow on purpose
 
     def test_seeded_rerun_identical(self, tmp_path, config_file, corpus_dir):
         a, b = tmp_path / "run_a", tmp_path / "run_b"

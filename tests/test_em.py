@@ -315,8 +315,8 @@ class TestGroundingCache:
     def test_store_does_not_pad_to_the_largest_document(self, rng):
         # Twenty 4-entity documents and one of 200 entities, 20 relation ids.
         # Padded to the largest, the store would take 21 * 20 * 200**2 * 8
-        # bytes (134 MB); by entity count it copies the documents' own arrays,
-        # which are built before the measurement.
+        # bytes (134 MB); by entity count it holds the documents' atoms once,
+        # as much as their own arrays, which are built before the measurement.
         num_relations = 20
         docs, entries = [], []
         for i, (n, k) in enumerate([(4, 40)] * 20 + [(200, 20_000)]):
@@ -352,6 +352,17 @@ class TestGroundingCache:
             cache.rows([make_doc({(0, 1, 1): 0.5}, 6, n_entities=3)])
         rows = cache.rows([make_doc({(0, 1, 2): 0.25}, 4, n_entities=3)])
         assert cache.ground(rows, np.array([[1]]), np.array([0]), np.array([2])).tolist() == [0.25]
+
+    def test_rows_leave_documents_uncached_with_their_values(self, rng):
+        # Two calls, so the second one extends blocks the first one built.
+        docs = [random_doc(rng, 4, max_entities=5) for _ in range(12)]
+        cache = GroundingCache()
+        rows = np.concatenate([cache.rows(docs[:5]), cache.rows(docs)])
+        assert all(doc._atom_array is None for doc in docs)
+        for doc, row in zip(docs[:5] + docs, rows):
+            r, h, t = (idx.ravel() for idx in np.indices(doc.atom_array().shape))
+            values = cache.ground(np.tile(row, (len(r), 1)), r[:, None], h, t)
+            assert values.tobytes() == doc.atom_array()[r, h, t].tobytes()
 
     def test_documents_with_colliding_ids_keep_their_own_values(self):
         # Two corpora whose documents share doc_ids but not atoms, run through

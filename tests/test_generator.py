@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+import rulex.generator
 from rulex.core import Rule, build_vocab, pad_bodies
 from rulex.generator import ENUM_LIMIT, RuleGenerator
 
@@ -693,6 +694,23 @@ class TestRuleIds:
                 model.rule_ids(bad)
         assert len(model.body_table()) == 4
 
+    @pytest.mark.parametrize("bodies,bad", [
+        ([(5, 2), (), (1, 1, 1, 1), (48,)], ()),
+        ([(5, 2), (1, 1, 1, 1), (), (48,)], (1, 1, 1, 1)),
+        ([(5, 2), (3, 48), (), (1, 1, 1, 1)], (3, 48)),
+        ([(5, 2), (0, -1), (48,)], (0, -1)),
+        ([(5, 2), (2**70,), (48,)], (2**70,)),
+        ([(5, 2), (None,), ()], (None,)),
+        ([(5, 2), (7,), (5, 2), (48,), (1, 1, 1, 1)], (48,)),
+    ])
+    def test_past_enum_limit_names_the_first_bad_body_and_interns_none(self, bodies, bad):
+        model = fresh(tuple(f"r{i}" for i in range(24)))
+        model.rule_ids([(7,)])
+        with pytest.raises(ValueError, match=re.escape(f"bad rule body {bad!r}")):
+            model.rule_ids(bodies)
+        assert model.body_table().tolist() == [[7, -1, -1]]
+        assert model.rule_ids([(5, 2), (7,)]).tolist() == [1, 0]
+
     def test_body_table_round_trips_ids(self):
         for names in (("a", "b"), tuple(f"r{i}" for i in range(24))):
             model = fresh(names)
@@ -935,6 +953,112 @@ class TestBatchedLogProbs:
         model = fresh(tuple(f"r{i}" for i in range(24)))
         with pytest.raises(ValueError):
             model.log_probs_by_index(48, model.rule_ids([(1,)]))
+
+
+def drawn_per_token(model, heads, n, rng):
+    """Ancestral draws without the table, one ``conditional`` per token: the reference.
+
+    Returns one (sorted unique bodies, multiplicities, log-probs) per head.
+    """
+    rows = []
+    for head in heads:
+        drawn = {}
+        multiplicity = {}
+        for _ in range(n):
+            body, total = [], 0.0
+            while True:
+                support, probs = model.conditional(head, tuple(body))
+                cdf = np.cumsum(probs)
+                cdf[-1] = max(cdf[-1], 1.0)
+                i = np.searchsorted(cdf, rng.random(), side="right")
+                total += math.log(probs[i])
+                if support[i] == model.vocab.stop_id:
+                    break
+                body.append(int(support[i]))
+                if len(body) == model.max_len:
+                    break
+            drawn[tuple(body)] = total
+            multiplicity[tuple(body)] = multiplicity.get(tuple(body), 0) + 1
+        bodies = sorted(drawn)
+        rows.append((bodies, [multiplicity[b] for b in bodies], [drawn[b] for b in bodies]))
+    return rows
+
+
+def table_keys(model, head, prefix):
+    """The key of a prefix in ``_draw_body``'s table: the position and the stored contexts it reads."""
+    position = len(prefix)
+    contexts = [tuple(prefix[position - d :]) for d, _ in model._depth_weights[position]]
+    return position, tuple(ctx for ctx in contexts if (head, ctx) in model.counts)
+
+
+class TestDrawTable:
+    """Past ``ENUM_LIMIT``, draws read a per-head table of next-token CDFs and equal per-token draws."""
+
+    @pytest.fixture
+    def no_limit(self, monkeypatch):
+        # A limit of 0 puts every vocabulary past it, so even max_len 1 draws ancestrally.
+        monkeypatch.setattr(rulex.generator, "ENUM_LIMIT", 0)
+
+    def assert_draws_equal_per_token(self, build, heads, n, seed):
+        model, reference = build(), build()  # twins, so both intern the same ids
+        rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        support, counts, log_probs, sizes = model.sample_unique_index_rows(heads, n, rng)
+        rows = drawn_per_token(reference, heads, n, reference_rng)
+        want_bodies = [body for bodies, _, _ in rows for body in bodies]
+        assert support.tolist() == reference.rule_ids(want_bodies).tolist()
+        assert model.body_table().tolist() == reference.body_table().tolist()
+        assert counts.tolist() == [c for _, cs, _ in rows for c in cs]
+        assert log_probs.tolist() == [lp for _, _, lps in rows for lp in lps]
+        assert sizes.tolist() == [len(bodies) for bodies, _, _ in rows]
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        return model
+
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_equal_per_token_draws(self, no_limit, order, max_len, trained):
+        def build():
+            kwargs = dict(order=order, lambdas=[0.2 + 0.1 * d for d in range(order + 1)], max_len=max_len)
+            if trained:
+                return fitted_model(("a", "b", "c"), seed=order + 4 * max_len, heads=[0, 2, 5], picks=40, **kwargs)
+            return fresh(("a", "b", "c"), **kwargs)
+
+        assert build().enumerable_size() > rulex.generator.ENUM_LIMIT
+        self.assert_draws_equal_per_token(build, [0, 2, 3, 2, 5, 0], 30, seed=order + max_len)
+
+    def test_sixty_ids_equal_per_token_draws(self):
+        # The widest benchmark workload's vocabulary, past the real limit.
+        def build():
+            return fitted_model(tuple(f"r{i}" for i in range(30)), heads=[0, 7, 59], picks=60)
+
+        assert build().enumerable_size() > ENUM_LIMIT
+        self.assert_draws_equal_per_token(build, [0, 7, 59, 31, 7], 50, seed=3)
+
+    def test_a_draw_after_fit_bodies_reads_the_new_counts(self, no_limit):
+        def build():
+            model = fitted_model(("a", "b", "c"), heads=[1], picks=20)
+            model.sample_unique_index_rows([1, 4], 40, np.random.default_rng(0))  # fills both tables
+            # The same contexts gain counts, so every key stays the same.
+            model.fit_bodies(1, pad_bodies([(2,), (2, 2)], 3), np.array([300.0, 300.0]))
+            return model
+
+        model = self.assert_draws_equal_per_token(build, [1, 4], 40, seed=1)
+        assert model._head_cache[1].steps[(0, ((),))][1][2] > 0.9  # (2,) now leads at position 0
+
+    def test_the_table_keeps_at_most_two_entries_per_position_and_token(self, no_limit):
+        model = fitted_model(("a", "b", "c"), order=3, lambdas=[0.25] * 4, max_len=4, picks=200, seed=2)
+        heads = list(range(model.vocab.size)) * 4
+        reference = drawn_per_token(model, heads, 100, np.random.default_rng(5))
+        model.sample_unique_index_rows(heads, 100, np.random.default_rng(5))
+        bound = model.max_len * 2 * (model.vocab.size + 1)
+        for head in range(model.vocab.size):
+            read = {table_keys(model, head, body[:position])
+                    for bodies, _, _ in reference[head :: model.vocab.size] for body in bodies
+                    for position in range(min(len(body) + 1, model.max_len))}
+            kept = {key for key in read if all(len(ctx) < 2 for ctx in key[1])}
+            assert len(read) > bound  # a table of every key read would break the bound
+            assert set(model._head_cache[head].steps) == kept
+            assert len(kept) <= bound
 
 
 class TestSave:
