@@ -22,7 +22,6 @@ from .extractor import (  # ``ground_rule`` is unused here; perfbench/tracing.py
     ExtractorWeights,
     ground_rule,
 )
-from .generator import RuleGenerator
 
 LOCK_NAME = ".lock"
 
@@ -104,6 +103,45 @@ def _echo(config: dict) -> None:
     sys.stdout.flush()
 
 
+def write_run_rules(run_dir: Path, rulesets: dict[int, core.RuleSet], weights: ExtractorWeights,
+                    vocab: core.RelationVocab) -> None:
+    """A run directory's ``vocab.txt`` and ``rules.txt``, the rules that ``infer`` scores with.
+
+    ``rules.txt`` lists the rule sets head by head in id order, one line per
+    occurrence in rule-set order, each with its rule's weight in ``weights``.
+    """
+    core.write_vocab_file(run_dir / "vocab.txt", vocab)
+    core.write_rules_file(
+        run_dir / "rules.txt",
+        ((rule, weights.get_rule_weight(head, rule)) for head in sorted(rulesets) for rule in rulesets[head]),
+        vocab,
+    )
+
+
+def read_run_rules(path: Path, weights: ExtractorWeights, vocab: core.RelationVocab,
+                   max_len: int) -> dict[int, core.RuleSet]:
+    """The rule set of every head relation, read from the ``rules.txt`` that ``write_run_rules`` wrote.
+
+    Each line's weight must equal the rule's weight in ``weights`` exactly,
+    and every head must have a rule; a bad line raises ``ValueError`` naming
+    ``path:line``.
+    """
+
+    def check(rule: core.Rule, weight: float) -> None:
+        core.validate_rule(rule, vocab, max_len)
+        stored = weights.get_rule_weight(rule.head, rule)
+        if weight != stored:
+            raise ValueError(f"weight {weight!r} differs from the extractor's {stored!r}")
+
+    by_head: dict[int, list[core.Rule]] = {}
+    for rule, _ in core.read_rules_file(path, vocab, check):
+        by_head.setdefault(rule.head, []).append(rule)
+    for head in range(vocab.size):
+        if head not in by_head:
+            raise ValueError(f"{path}: no rules for head relation {vocab.name_of(head)!r}")
+    return {head: core.RuleSet(by_head[head]) for head in range(vocab.size)}
+
+
 def cmd_synth(args) -> int:
     section = _load_config_section(args.config, "synth")
     if args.seed is not None:
@@ -146,6 +184,9 @@ def cmd_train(args) -> int:
             fh.write("\n")
         result.model.save(out / "generator.json")
         result.weights.save(out / "extractor.json", vocab)
+        # Inference scores with these rule sets and never loads the generator.
+        rulesets = em.inference_rulesets(result.model, vocab, config, np.random.default_rng(config.seed))
+        write_run_rules(out, rulesets, result.weights, vocab)
         with open(out / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "l_g", "l_r", "train_f1"])
@@ -157,16 +198,17 @@ def cmd_train(args) -> int:
 def cmd_infer(args) -> int:
     run_dir = Path(args.run)
     config = em.EMConfig.from_json(_load_config_section(run_dir / "config.json", "em"))
-    model = RuleGenerator.load(run_dir / "generator.json")
-    vocab = model.vocab
+    vocab = core.read_vocab_file(run_dir / "vocab.txt")
     weights = ExtractorWeights.load(run_dir / "extractor.json", vocab)
+    # ``train`` computed the rule sets once, with ``em.inference_rulesets``,
+    # and wrote them to rules.txt; the generator is not loaded here.
+    rulesets = read_run_rules(run_dir / "rules.txt", weights, vocab, config.max_rule_len)
     resolved = {"em": config.to_json(), "run": str(run_dir), "documents": args.documents, "out": args.out}
     _echo(resolved)
     # The run directory is only read, so it is not locked: inferences from
     # one run may overlap.
     corpus = core.load_corpus(args.documents, vocab)
-    rng = np.random.default_rng(config.seed)
-    terms = em.inference_terms(em.inference_rulesets(model, vocab, config, rng), weights, vocab)
+    terms = em.inference_terms(rulesets, weights, vocab)
     predictions = metrics.PredictionSet()
     explanations: dict[str, dict[tuple[int, int, int], list]] = {}
     text_of = dict(zip(terms.rules, terms.texts))

@@ -131,10 +131,13 @@ def build_vocab(names: Sequence[str], self_inverse: Iterable[str] = ()) -> Relat
 
 
 def read_vocab_file(path) -> RelationVocab:
-    """Read a vocabulary file: one base name per line, '#self' marks self-inverse."""
+    """Read a vocabulary file: one base name per line, '#self' marks self-inverse.
+
+    A repeated name raises ``ValueError`` naming its line.
+    """
     names, self_inverse = [], set()
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("//"):
                 continue
@@ -143,8 +146,13 @@ def read_vocab_file(path) -> RelationVocab:
                 self_inverse.add(name)
             else:
                 name = line
+            if name in names:
+                raise ValueError(f"{path}:{lineno}: duplicate relation name: {name!r}")
             names.append(name)
-    return build_vocab(names, self_inverse)
+    try:
+        return build_vocab(names, self_inverse)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_vocab_file(path, vocab: RelationVocab) -> None:
@@ -223,7 +231,13 @@ def parse_rule(line: str, vocab: RelationVocab) -> tuple[Rule, float]:
     return Rule(vocab.id_of(head_text.strip()), body), weight
 
 
-def read_rules_file(path, vocab: RelationVocab) -> list[tuple[Rule, float]]:
+def read_rules_file(path, vocab: RelationVocab, check=None) -> list[tuple[Rule, float]]:
+    """Every (rule, weight) of a rules file in line order.
+
+    ``check(rule, weight)``, when given, runs on each parsed line.  A line
+    that does not parse, or that ``check`` rejects with ``ValueError``,
+    raises ``ValueError`` naming ``path:line``.
+    """
     rules = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -231,6 +245,8 @@ def read_rules_file(path, vocab: RelationVocab) -> list[tuple[Rule, float]]:
                 continue
             try:
                 rules.append(parse_rule(line, vocab))
+                if check is not None:
+                    check(*rules[-1])
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return rules

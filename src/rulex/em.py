@@ -903,7 +903,8 @@ def infer(
     them, so with the same ``rng`` (or none) the probability equals its
     score's.  Each call draws them afresh; to explain many queries, build
     ``inference_terms`` of ``inference_rulesets`` once and call
-    ``explain_document``, as ``rulex infer`` does.
+    ``explain_document``, as ``rulex infer`` does with the rule sets that
+    ``rulex train`` wrote.
     """
     rulesets = inference_rulesets(model, model.vocab, config, rng)
     return explain(doc, query, rulesets[query[1]], weights, model.vocab)
@@ -915,7 +916,12 @@ def inference_rulesets(
     config: EMConfig,
     rng: np.random.Generator | None = None,
 ) -> dict[int, RuleSet]:
-    """The rule multiset per head relation that inference scores against."""
+    """The rule multiset per head relation that inference scores against.
+
+    ``rulex train`` calls this once, with a fresh ``default_rng(config.seed)``,
+    and writes the result to the run directory's ``rules.txt``; ``rulex
+    infer`` reads that file and never loads the generator.
+    """
     rulesets = {}
     for relation in range(vocab.size):
         if config.inference_mode == "top":

@@ -425,12 +425,18 @@ class RuleGenerator:
         candidate in the exact top ``beam`` therefore survives, ties at the
         beam-th score included, and sorting the survivors by (-score,
         prefix) keeps the same first ``beam``.
+
+        The result is kept per ``(n, beam)`` until ``fit_bodies`` changes
+        the head's counts.
         """
         if n < 1:
             raise ValueError("ruleset size must be >= 1")
         if beam < n:
             raise ValueError(f"beam width {beam} smaller than requested rule count {n}")
         self.vocab.check_relation(head)
+        kept = self._head(head).top
+        if (n, beam) in kept:
+            return kept[n, beam]
         frontier = np.zeros((1, 0), dtype=np.intp)  # one prefix per row
         scores = np.zeros(1)
         completed: list[tuple[float, tuple[int, ...]]] = []
@@ -458,7 +464,8 @@ class RuleGenerator:
         best = [Rule(head, body) for _, body in completed[:n]]
         while len(best) < n:
             best.append(best[0])
-        return RuleSet(best)
+        kept[n, beam] = RuleSet(best)
+        return kept[n, beam]
 
     # -- fitting -----------------------------------------------------------
 
@@ -781,10 +788,10 @@ class _RuleSpace:
         new = [body for body in dict.fromkeys(bodies) if body not in index]
         lengths = np.fromiter(map(len, new), dtype=np.intp, count=len(new))
         owners = np.repeat(np.arange(len(new)), lengths)
-        # Floats, so that an id too large for an int64 reads as out of range, and NaN fails too.
+        # Floats, so that an id too large for an int64 reads as out of range; NaN and non-integral ids fail too.
         tokens = np.fromiter(itertools.chain.from_iterable(new), dtype=float, count=len(owners))
         bad = (lengths < 1) | (lengths > self.max_len)
-        bad[owners[~((tokens >= 0) & (tokens < self.size))]] = True
+        bad[owners[~((tokens >= 0) & (tokens < self.size) & (tokens == np.trunc(tokens)))]] = True
         if bad.any():
             raise ValueError(f"bad rule body {new[int(np.argmax(bad))]!r}")
         table = np.full((len(new), self.max_len), -1, dtype=np.intp)
@@ -799,15 +806,17 @@ class _HeadCache:
     """What one head's counts determine, dropped by ``fit_bodies`` when they change.
 
     ``enumeration`` is the head's ``_EnumeratedHead``, built on first use
-    while the space is enumerable, and ``steps`` is ``_draw_body``'s table of
-    next-token distributions.
+    while the space is enumerable, ``steps`` is ``_draw_body``'s table of
+    next-token distributions, and ``top`` holds ``top_rules``' results by
+    ``(n, beam)``.
     """
 
-    __slots__ = ("enumeration", "steps")
+    __slots__ = ("enumeration", "steps", "top")
 
     def __init__(self):
         self.enumeration: _EnumeratedHead | None = None
         self.steps: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self.top: dict[tuple[int, int], RuleSet] = {}
 
 
 class _EnumeratedHead:

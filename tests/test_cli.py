@@ -1,4 +1,3 @@
-import base64
 import json
 import os
 import subprocess
@@ -12,9 +11,10 @@ import pytest
 import rulex
 from rulex import cli
 from rulex.core import load_corpus, parse_rule, read_vocab_file
-from rulex.em import EMConfig, inference_rulesets
+from rulex.em import EMConfig, inference_rulesets, predict_document
 from rulex.extractor import ExtractorWeights, ground_rule
 from rulex.generator import RuleGenerator
+from rulex.metrics import read_predictions
 
 # The benchmark's output checks, read from perfbench/ without changing it.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -196,7 +196,7 @@ class TestTrain:
         assert cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config_file),
                          "--out", str(run)]) == 0
         assert {p.name for p in run.iterdir()} == {"config.json", "generator.json", "extractor.json",
-                                                   "diagnostics.csv"}
+                                                   "diagnostics.csv", "vocab.txt", "rules.txt"}
         lines = (run / "diagnostics.csv").read_text().strip().splitlines()
         assert lines[0] == "iteration,l_g,l_r,train_f1"
         assert len(lines) == 1 + TINY_CONFIG["em"]["iterations"]
@@ -248,6 +248,48 @@ def run_dir(tmp_path, config_file, corpus_dir):
     return run
 
 
+def write_cold_run(run, vocab, weights):
+    """A run directory of an untrained generator and the given weights, its files written as train writes them."""
+    model = RuleGenerator(vocab)
+    config = EMConfig.from_json(TINY_CONFIG["em"])
+    model.save(run / "generator.json")
+    weights.save(run / "extractor.json", vocab)
+    (run / "config.json").write_text(json.dumps({"em": config.to_json()}))
+    cli.write_run_rules(run, inference_rulesets(model, vocab, config, np.random.default_rng(config.seed)),
+                        weights, vocab)
+
+
+def rules_text_with(run, edit):
+    """Rewrite the run's rules.txt through ``edit(lines) -> lines``."""
+    lines = (run / "rules.txt").read_text(encoding="utf-8").splitlines()
+    (run / "rules.txt").write_text("".join(line + "\n" for line in edit(lines)), encoding="utf-8")
+
+
+def one_ulp_off(line):
+    """A rules.txt line whose bracketed weight is the next float above the written one."""
+    at = line.rindex("[")
+    return line[:at] + f"[{float(np.nextafter(float(line[at + 1 : -1]), np.inf))!r}]"
+
+
+# (how a run directory is broken, the text its error line must hold)
+BROKEN_RUNS = [
+    (lambda run: (run / "rules.txt").unlink(), "rules.txt"),
+    (lambda run: (run / "vocab.txt").unlink(), "vocab.txt"),
+    (lambda run: rules_text_with(run, lambda lines: [lines[0], "r0 r1 [0.0]", *lines[1:]]),
+     "rules.txt:2: missing '<-'"),
+    (lambda run: rules_text_with(run, lambda lines: [*lines[:2], "r0 <- ghost [0.0]", *lines[2:]]),
+     "rules.txt:3: unknown relation name: 'ghost'"),
+    (lambda run: rules_text_with(run, lambda lines: [*lines, "r1 <- r0 & r0 & r0 & r0 [0.0]"]),
+     "rules.txt:49: rule body length 4 outside [1, 3]"),
+    (lambda run: rules_text_with(run, lambda lines: [line for line in lines if not line.startswith("r2 <-")]),
+     "rules.txt: no rules for head relation 'r2'"),
+    (lambda run: rules_text_with(run, lambda lines: [one_ulp_off(lines[0]), *lines[1:]]),
+     "rules.txt:1: weight"),
+    (lambda run: (run / "vocab.txt").write_text("r0\nr1\nr0\nr2\nr3\n", encoding="utf-8"),
+     "vocab.txt:3: duplicate relation name: 'r0'"),
+]
+
+
 class TestInfer:
     def test_cold_checkpoint_yields_empty_positives(self, tmp_path, config_file, corpus_dir):
         # A freshly initialized generator with zero weights scores everything
@@ -255,9 +297,7 @@ class TestInfer:
         cold = tmp_path / "cold_run"
         cold.mkdir()
         vocab = read_vocab_file(corpus_dir / "vocab.txt")
-        RuleGenerator(vocab).save(cold / "generator.json")
-        ExtractorWeights().save(cold / "extractor.json", vocab)
-        (cold / "config.json").write_text(json.dumps({"em": TINY_CONFIG["em"]}))
+        write_cold_run(cold, vocab, ExtractorWeights())
         out = tmp_path / "cold_preds.jsonl"
         assert cli.main(["infer", "--run", str(cold), "--documents", str(corpus_dir / "test.jsonl"),
                          "--out", str(out)]) == 0
@@ -270,11 +310,9 @@ class TestInfer:
         cold = tmp_path / "cold_run"
         cold.mkdir()
         vocab = read_vocab_file(corpus_dir / "vocab.txt")
-        RuleGenerator(vocab).save(cold / "generator.json")
         weights = ExtractorWeights()
         weights.bias = {relation: 1e-17 for relation in range(vocab.size)}
-        weights.save(cold / "extractor.json", vocab)
-        (cold / "config.json").write_text(json.dumps({"em": TINY_CONFIG["em"]}))
+        write_cold_run(cold, vocab, weights)
         out = tmp_path / "cold_preds.jsonl"
         assert cli.main(["infer", "--run", str(cold), "--documents", str(corpus_dir / "test.jsonl"),
                          "--out", str(out)]) == 0
@@ -311,17 +349,14 @@ class TestInfer:
         assert "extractor.json: " in error and message in error
         assert not (tmp_path / "preds.jsonl").exists()
 
-    def test_malformed_generator_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys):
-        obj = json.loads((run_dir / "generator.json").read_text())
-        values = np.frombuffer(base64.b64decode(obj["counts"]["values"]), dtype="<f8").copy()
-        values[0] = np.nan
-        obj["counts"]["values"] = base64.b64encode(values.tobytes()).decode()
-        (run_dir / "generator.json").write_text(json.dumps(obj))
+    @pytest.mark.parametrize(("broken", "named"), BROKEN_RUNS, ids=[named for _, named in BROKEN_RUNS])
+    def test_malformed_rules_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys, broken, named):
+        broken(run_dir)
+        capsys.readouterr()
         rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
                        "--out", str(tmp_path / "preds.jsonl")])
         assert rc == 1
-        err = capsys.readouterr().err
-        assert "error:" in err and "generator.json: counts.values" in err
+        assert named in only_error_line(capsys.readouterr().err)
         assert not (tmp_path / "preds.jsonl").exists()
 
     def test_output_meets_the_benchmark_contract(self, tmp_path, run_dir, corpus_dir):
@@ -399,6 +434,66 @@ class TestInfer:
                     assert list(ground_rule(doc, rule, h, t).best_path) == item["path"]
                     explained += 1
         assert explained > 0
+
+
+class TestRunRules:
+    """``train`` writes the inference rule sets to rules.txt, and ``infer`` scores with them alone."""
+
+    def trained(self, tmp_path, config_file, corpus_dir, mode):
+        run = tmp_path / f"run_{mode}"
+        assert cli.main(["train", "--corpus", str(corpus_dir), "--config", str(config_file),
+                         "--inference-mode", mode, "--out", str(run)]) == 0
+        return run
+
+    @pytest.mark.parametrize("mode", ["top", "sample"])
+    def test_infer_without_the_generator_predicts_what_the_generator_does(self, tmp_path, config_file,
+                                                                          corpus_dir, mode):
+        run = self.trained(tmp_path, config_file, corpus_dir, mode)
+        model = RuleGenerator.load(run / "generator.json")
+        vocab = model.vocab
+        weights = ExtractorWeights.load(run / "extractor.json", vocab)
+        config = EMConfig.from_json(json.loads((run / "config.json").read_text())["em"])
+        outs = [tmp_path / "with.jsonl", tmp_path / "without.jsonl"]
+        assert cli.main(["infer", "--run", str(run), "--documents", str(corpus_dir / "test.jsonl"),
+                         "--out", str(outs[0])]) == 0
+        (run / "generator.json").unlink()
+        assert cli.main(["infer", "--run", str(run), "--documents", str(corpus_dir / "test.jsonl"),
+                         "--out", str(outs[1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        corpus = load_corpus(corpus_dir / "test.jsonl", vocab)
+        expected = {doc_id: predict_document(doc, vocab, model, weights, config) for doc_id, doc in corpus.docs.items()}
+        assert read_predictions(outs[1], vocab).by_doc == expected
+        assert any(expected.values())
+
+    @pytest.mark.parametrize("mode", ["top", "sample"])
+    def test_rules_file_reads_back_as_the_generators_rule_sets(self, tmp_path, config_file, corpus_dir, mode):
+        run = self.trained(tmp_path, config_file, corpus_dir, mode)
+        model = RuleGenerator.load(run / "generator.json")
+        assert read_vocab_file(run / "vocab.txt") == model.vocab
+        config = EMConfig.from_json(json.loads((run / "config.json").read_text())["em"])
+        weights = ExtractorWeights.load(run / "extractor.json", model.vocab)
+        expected = inference_rulesets(model, model.vocab, config, np.random.default_rng(config.seed))
+        got = cli.read_run_rules(run / "rules.txt", weights, model.vocab, config.max_rule_len)
+        assert list(got) == list(expected) == list(range(model.vocab.size))
+        for head, ruleset in expected.items():
+            assert got[head].rules == ruleset.rules
+            assert got[head].counts() == ruleset.counts()
+        lines = (run / "rules.txt").read_text(encoding="utf-8").splitlines()
+        assert len(lines) == model.vocab.size * config.n_rules
+        assert [parse_rule(line, model.vocab)[1] for line in lines] == [
+            weights.get_rule_weight(head, rule) for head, ruleset in expected.items() for rule in ruleset
+        ]
+
+    def test_rules_file_is_an_eval_rules_file(self, tmp_path, run_dir, corpus_dir, capsys):
+        preds = tmp_path / "preds.jsonl"
+        assert cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
+                         "--out", str(preds)]) == 0
+        report = tmp_path / "report.json"
+        assert cli.main(["eval", "--predictions", str(preds), "--gold", str(corpus_dir / "test.jsonl"),
+                         "--vocab", str(run_dir / "vocab.txt"), "--eval-rules", str(run_dir / "rules.txt"),
+                         "--out", str(report)]) == 0
+        assert "logic" in json.loads(report.read_text())
+
 
 class TestEval:
     def test_self_eval_is_perfect(self, tmp_path, run_dir, corpus_dir, capsys):

@@ -296,6 +296,21 @@ class TestTopRules:
         top = model.top_rules(3, 3, beam=32)
         assert Rule(3, (1, 2)) in set(top)
 
+    @pytest.mark.parametrize("names", [("a", "b"), tuple(f"r{i}" for i in range(24))])
+    def test_kept_result_never_outlives_a_refit(self, names):
+        # top_rules keeps its result per (n, beam); fit_bodies must drop it.
+        model = fresh(names)
+        model.fit_weighted(1, [(Rule(1, (0,)), 3.0)])
+        before = model.top_rules(1, 4, beam=8)
+        assert model.top_rules(1, 4, beam=8) is before
+        model.fit_weighted(1, [(Rule(1, (2, 3)), 40.0), (Rule(1, (3,)), 20.0)])
+        after = model.top_rules(1, 4, beam=8)
+        assert list(after) != list(before)
+        loaded = RuleGenerator.from_json(json.loads(json.dumps(model.to_json())))
+        for n, beam in ((4, 8), (2, 2)):
+            assert list(model.top_rules(1, n, beam)) == list(loaded.top_rules(1, n, beam))
+            assert model.top_rules(1, n, beam).counts() == loaded.top_rules(1, n, beam).counts()
+
 
 class TestFitWeighted:
     def test_mle_monotonicity_on_own_support(self):
@@ -701,6 +716,7 @@ class TestRuleIds:
         ([(5, 2), (0, -1), (48,)], (0, -1)),
         ([(5, 2), (2**70,), (48,)], (2**70,)),
         ([(5, 2), (None,), ()], (None,)),
+        ([(5, 2), (1.5,), (48,)], (1.5,)),
         ([(5, 2), (7,), (5, 2), (48,), (1, 1, 1, 1)], (48,)),
     ])
     def test_past_enum_limit_names_the_first_bad_body_and_interns_none(self, bodies, bad):
