@@ -64,8 +64,11 @@ class RuleGenerator:
         # lambdas are given deepest-first; store per depth index for lookup.
         self.lambda_by_depth = tuple(float(lambdas[order - d]) for d in range(order + 1))
         self.max_len = max_len
-        # (head, context tuple) -> count vector over relation ids + STOP.
-        self.counts: dict[tuple[int, tuple[int, ...]], np.ndarray] = {}
+        # A context of d tokens has the code code_offsets[d] + its tokens read
+        # as base-``size`` digits, so code order sorts contexts by (length, tokens).
+        self._code_offsets = np.cumsum([0] + [vocab.size**d for d in range(order + 1)])
+        # Each head's count rows; a head with no counts has no block.
+        self._counts: dict[int, _Counts] = {}
         self._head_cache: dict[int, _HeadCache] = {}
         self._space: _RuleSpace | None = None
         self._rules: dict[int, dict[int, Rule]] = {}
@@ -91,7 +94,10 @@ class RuleGenerator:
         """Next-token distribution after ``prefix``; returns (support ids, probabilities).
 
         STOP is excluded from the support at position 0 and is a point mass
-        at ``max_len``.  Callers must not mutate the returned arrays.
+        at ``max_len``.  Callers must not mutate the returned arrays.  Each
+        stored context's count row is rebuilt dense, ``size + 1`` floats, and
+        read up to the support's width, so its total is numpy's pairwise sum
+        over that slice, zeros included.
         """
         position = len(prefix)
         if position >= self.max_len:
@@ -99,14 +105,15 @@ class RuleGenerator:
         first = position == 0
         support = self._supports[0 if first else 1]
         width = len(support)
+        block = self._counts.get(head, _NO_COUNTS)
         probs = None
         uniform_mass = 0.0
         for d, w in self._depth_weights[position]:
-            vec = self.counts.get((head, prefix[position - d :]))
-            if vec is None:
+            row = block.index.get(prefix[position - d :])
+            if row is None:
                 uniform_mass += w  # untouched context: smoothing alone gives the uniform
                 continue
-            c = vec[:width]
+            c = block.row(row, self.vocab.size + 1)[:width]
             if probs is None:
                 probs = np.zeros(width)
             probs += w * (c + self.alpha) / (c.sum() + self.alpha * width)
@@ -120,11 +127,13 @@ class RuleGenerator:
         """``conditional`` for every row of ``prefixes``, an int array of equal-length prefixes.
 
         Returns (support ids, probabilities with one row per prefix).  Each
-        depth's context is coded as a base-``size`` int, and each distinct
-        context's count row and its sum are read once.  Per element the
-        arithmetic is ``conditional``'s, in the same order: the depth terms
-        accumulate in depth order, then the uniform mass of the untouched
-        depths is added.
+        depth's context is coded as in the count store, the distinct codes
+        are looked up with one ``searchsorted``, and their count rows are
+        gathered into one dense block of the support's width; each row's
+        total is its sum along that contiguous block, which equals
+        ``conditional``'s ``c.sum()``.  Per element the arithmetic is
+        ``conditional``'s, in the same order: the depth terms accumulate in
+        depth order, then the uniform mass of the untouched depths is added.
         """
         prefixes = np.asarray(prefixes, dtype=np.intp)
         if prefixes.ndim != 2:
@@ -135,26 +144,18 @@ class RuleGenerator:
         first = position == 0
         support = self._supports[0 if first else 1]
         width = len(support)
-        size, alpha = self.vocab.size, self.alpha
+        alpha = self.alpha
+        block = self._counts.get(head, _NO_COUNTS)
         probs = np.zeros((n, width))
         uniform_mass = np.zeros(n)
         seen = np.zeros(n, dtype=bool)
         for d, w in self._depth_weights[position]:
-            contexts = prefixes[:, position - d :]
-            codes = np.zeros(n, dtype=np.intp)
-            for j in range(d):
-                codes = codes * size + contexts[:, j]
-            _, where, inverse = np.unique(codes, return_index=True, return_inverse=True)
-            vecs = [self.counts.get((head, tuple(context))) for context in contexts[where].tolist()]
-            present = np.array([vec is not None for vec in vecs], dtype=bool)
-            rows = np.zeros((len(vecs), width))
-            totals = np.zeros(len(vecs))
-            if present.any():
-                # Row sums along the contiguous axis: each equals ``c.sum()`` of its row.
-                rows[present] = np.array([vec for vec in vecs if vec is not None])[:, :width]
-                totals[present] = rows[present].sum(axis=1)
-            hit = present[inverse]
-            terms = w * (rows + alpha) / (totals + alpha * width)[:, None]
+            unique, inverse = np.unique(self._context_codes(prefixes[:, position - d :]), return_inverse=True)
+            rows = block.find(unique)
+            counts = block.dense(rows, width)
+            totals = counts.sum(axis=1)  # along the contiguous axis: each equals ``c.sum()`` of its row
+            hit = (rows >= 0)[inverse]
+            terms = w * (counts + alpha) / (totals + alpha * width)[:, None]
             probs[hit] += terms[inverse[hit]]
             uniform_mass[~hit] += w
             seen |= hit
@@ -211,14 +212,14 @@ class RuleGenerator:
         it with the head's other cached values.
         """
         self.vocab.check_relation(head)
-        counts, steps = self.counts, self._head(head).steps
+        stored, steps = self._counts.get(head, _NO_COUNTS).index, self._head(head).steps
         order, stop, max_len = self.order, self.vocab.stop_id, self.max_len
         body: list[int] = []
         total = 0.0
         while True:
             position = len(body)
             contexts = [tuple(body[position - d :]) for d in range(min(position, order) + 1)]
-            present = tuple([ctx for ctx in contexts if (head, ctx) in counts])
+            present = tuple([ctx for ctx in contexts if ctx in stored])
             key = (position, present)
             entry = steps.get(key)
             if entry is None:
@@ -271,11 +272,13 @@ class RuleGenerator:
         Returns the rows' unique ids, multiplicities and log-probs
         concatenated, plus the number of unique ids per row.  When the space
         is enumerable, row i draws N ids by inverse-CDF lookup of N uniforms,
-        then deduplicates them after a sort.  The uniforms come from one
+        then deduplicates them.  The uniforms come from one
         ``rng.random((len(heads), n))`` call, which reads the same stream as
         one ``rng.random(n)`` call per head and leaves ``rng`` in the same
-        state.  Past ``ENUM_LIMIT`` each row is one ``sample_unique_rules``
-        draw, interned.
+        state.  Each row's uniforms are sorted before the lookup; since
+        ``searchsorted`` is monotone, the ids come out sorted, the same ids
+        as a sort after the lookup gives.  Past ``ENUM_LIMIT`` each row is
+        one ``sample_unique_rules`` draw, interned.
         """
         if n < 1:
             raise ValueError("ruleset size must be >= 1")
@@ -290,11 +293,11 @@ class RuleGenerator:
             )
         enums = {int(head): self._enumeration(int(head)) for head in np.unique(heads)}
         uniforms = rng.random((len(heads), n))
+        uniforms.sort(axis=1)
         idx = np.empty(uniforms.shape, dtype=np.intp)
         for head, enum in enums.items():
             rows = heads == head
             idx[rows] = np.searchsorted(enum.cdf, uniforms[rows], side="right")
-        idx.sort(axis=1)
         first = np.ones(idx.shape, dtype=bool)
         first[:, 1:] = idx[:, 1:] != idx[:, :-1]
         uidx = idx[first]
@@ -497,9 +500,14 @@ class RuleGenerator:
         was an actual choice: at maximum length it is forced and carries no
         information.  Zero-weight bodies add nothing, not even a context.
 
-        All events go through one ``np.add.at`` into the touched contexts'
-        count rows, in body order, so every count receives the same additions
-        in the same order as one scalar update per event.
+        Only the head's block is rebuilt.  The distinct (context, token)
+        cells of the events are merged with the head's stored cells into one
+        sorted array, each stored cell starting from its count and each new
+        one from 0.0.  All events go through one ``np.add.at`` into those
+        cells, in body order, so every count receives the same additions in
+        the same order as one scalar update per event into a dense row.  The
+        work and memory are those of the head's nonzero counts and the
+        events, whatever the vocabulary size.
         """
         self.vocab.check_relation(head)
         size, max_len = self.vocab.size, self.max_len
@@ -523,49 +531,56 @@ class RuleGenerator:
         table = np.full((len(weights), max_len), -1, dtype=np.intp)
         table[:, : min(bodies.shape[1], max_len)] = bodies[keep, :max_len]
         bodies = table
-        # One slot per (position, depth) event of a body, in the order the
-        # body's events are counted; a context of depth d is coded as
-        # offset[d] + its tokens read as base-``size`` digits.
-        offsets = np.cumsum([0] + [size**d for d in range(self.order)])
-        slots, codes, tokens, valid = [], [], [], []
+        # One column per (position, depth) event of a body, in the order the
+        # body's events are counted, each holding the event's context code.
+        codes, tokens, valid = [], [], []
         for position in range(max_len):
             token = np.where(position < lengths, bodies[:, position], self.vocab.stop_id)
             for d in range(min(position, self.order) + 1):
-                code = np.full(len(bodies), offsets[d])
-                for j in range(position - d, position):
-                    code = code + bodies[:, j] * size ** (position - 1 - j)
-                slots.append((position, d))
-                codes.append(code)
+                codes.append(self._context_codes(bodies[:, position - d : position]))
                 tokens.append(token)
                 valid.append(position <= lengths)
         valid = np.stack(valid, axis=1)
-        events = np.flatnonzero(valid)
         codes = np.stack(codes, axis=1)[valid]
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        # Count rows follow the contexts' first appearance, which is also the
-        # order a new context enters ``counts``.
-        appearance = np.argsort(first, kind="stable")
-        row_of = np.empty(len(first), dtype=np.intp)
-        row_of[appearance] = np.arange(len(first))
-        keys = []
-        block = np.zeros((len(first), size + 1))
-        for row, event in enumerate(events[first[appearance]].tolist()):
-            body, slot = divmod(event, len(slots))
-            position, d = slots[slot]
-            key = (head, tuple(bodies[body, position - d : position].tolist()))
-            existing = self.counts.get(key)
-            if existing is not None:
-                block[row] = existing
-            keys.append(key)
-        np.add.at(
-            block,
-            (row_of[inverse], np.stack(tokens, axis=1)[valid]),
-            np.broadcast_to(weights[:, None], valid.shape)[valid],
-        )
-        for key, row in zip(keys, block):
-            self.counts[key] = row
+        # A cell is coded as context code * (size + 1) + token: code order, then token order.
+        touched, inverse = np.unique(codes * (size + 1) + np.stack(tokens, axis=1)[valid], return_inverse=True)
+        old = self._counts.get(head, _NO_COUNTS)
+        stored = np.repeat(old.codes, np.diff(old.starts)) * (size + 1) + old.tokens
+        cells = np.union1d(stored, touched)
+        values = np.zeros(len(cells))
+        values[np.searchsorted(cells, stored)] = old.values
+        events = np.searchsorted(cells, touched)[inverse]
+        np.add.at(values, events, np.broadcast_to(weights[:, None], valid.shape)[valid])
+        contexts = np.union1d(old.codes, touched // (size + 1))
+        starts = np.append(np.searchsorted(cells // (size + 1), contexts), len(cells))
+        self._counts[head] = self._block(contexts, starts, (cells % (size + 1)).astype(np.int32), values)
         self._head_cache.pop(head, None)
         return self
+
+    def _context_codes(self, contexts: np.ndarray) -> np.ndarray:
+        """The code of each row of ``contexts``, an int array of equal-length contexts (see ``_code_offsets``)."""
+        codes = np.zeros(len(contexts), dtype=np.int64)
+        for column in contexts.T:
+            codes = codes * self.vocab.size + column
+        return codes + self._code_offsets[contexts.shape[1]]
+
+    def _block(self, codes: np.ndarray, starts: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> "_Counts":
+        """The ``_Counts`` of one head's CSR arrays, with each context's tuple decoded from its code."""
+        lengths, table = self._contexts_of(codes)
+        index = {tuple(row[:length]): i for i, (row, length) in enumerate(zip(table.tolist(), lengths.tolist()))}
+        return _Counts(index, codes, starts, tokens, values)
+
+    def _contexts_of(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The length and tokens of each coded context, tokens padded with -1 to ``order`` columns."""
+        size, offsets = self.vocab.size, self._code_offsets
+        lengths = np.searchsorted(offsets, codes, side="right") - 1
+        rest = codes - offsets[lengths]
+        table = np.full((len(codes), self.order), -1, dtype=np.int64)
+        for j in range(self.order):
+            place = lengths - 1 - j  # the base-``size`` digit that column j holds
+            has = place >= 0
+            table[has, j] = rest[has] // size ** place[has] % size
+        return lengths, table
 
     # -- whole-space enumeration --------------------------------------------
 
@@ -611,22 +626,25 @@ class RuleGenerator:
         sorted by (head, context length, tokens).  ``nnz`` (``<i4``) is the
         number of stored entries in each row, ``tokens`` (``<i4``) the token
         of each entry, ascending within a row, and ``values`` (``<f8``) the
-        nonzero counts, which round-trip exactly as raw bytes.
+        nonzero counts, which round-trip exactly as raw bytes.  Each head's
+        block is already in that order, so the arrays are its arrays
+        concatenated, heads ascending.
         """
-        keys = sorted(self.counts, key=lambda key: (key[0], len(key[1]), key[1]))
-        contexts = np.full((len(keys), self.max_len + 1), -1, dtype=np.intp)
-        for row, (head, ctx) in enumerate(keys):
-            contexts[row, : len(ctx) + 1] = (head, *ctx)
-        block = np.array([self.counts[key] for key in keys], dtype=float).reshape(-1, self.vocab.size + 1)
-        rows, tokens = np.nonzero(block)
+        heads = sorted(self._counts)
+        blocks = [self._counts[head] for head in heads]
+        codes = np.concatenate([np.zeros(0, dtype=np.int64)] + [block.codes for block in blocks])
+        contexts = np.full((len(codes), self.max_len + 1), -1, dtype=np.int32)
+        contexts[:, 0] = np.repeat(heads, [len(block.codes) for block in blocks])
+        width = min(self.order, self.max_len)
+        contexts[:, 1 : 1 + width] = self._contexts_of(codes)[1][:, :width]
         arrays = {
             "contexts": contexts,
-            "nnz": np.bincount(rows, minlength=len(keys)),
-            "tokens": tokens,
-            "values": block[rows, tokens],
+            "nnz": np.concatenate([np.zeros(0, dtype=np.int64)] + [np.diff(block.starts) for block in blocks]),
+            "tokens": np.concatenate([np.zeros(0, dtype=np.int32)] + [block.tokens for block in blocks]),
+            "values": np.concatenate([np.zeros(0)] + [block.values for block in blocks]),
         }
         counts = {
-            name: base64.b64encode(arrays[name].astype(dtype).tobytes()).decode("ascii")
+            name: base64.b64encode(arrays[name].astype(dtype, copy=False).tobytes()).decode("ascii")
             for name, dtype in _COUNT_ARRAYS
         }
         return {
@@ -643,11 +661,9 @@ class RuleGenerator:
     def from_json(cls, obj: dict) -> "RuleGenerator":
         """The generator that ``to_json`` wrote; ``ValueError`` names a bad field.
 
-        The counts are scattered into one ``(contexts, size + 1)`` block by a
-        single assignment, and ``counts`` maps each context to a row view of
-        that block.  The views are safe only because no code writes into a
-        stored count row in place: ``fit_bodies`` copies each touched row
-        into a new block and stores rows of that block instead.
+        Rows may come in any order.  They are sorted by (head, context code)
+        and each head's rows become its block, entries gathered with array
+        operations; no dense row is built.
         """
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
@@ -693,27 +709,32 @@ class RuleGenerator:
             )
         if np.any((tokens < 0) | (tokens > size)):
             raise ValueError(f"counts.tokens: a token outside [0, {size}]")
+        starts = np.cumsum(nnz, dtype=np.int64) - nnz
         rising = np.ones(len(tokens), dtype=bool)
         rising[1:] = tokens[1:] > tokens[:-1]
-        rising[(np.cumsum(nnz, dtype=np.int64) - nnz)[nnz > 0]] = True  # each row's first entry
+        rising[starts[nnz > 0]] = True  # each row's first entry
         if not rising.all():
             raise ValueError("counts.tokens: unsorted or duplicate tokens within a row")
         if not np.all(np.isfinite(values) & (values > 0)):
             raise ValueError("counts.values: a count that is not finite and positive")
-        block = np.zeros((n, size + 1))
-        block[np.repeat(np.arange(n), nnz), tokens] = values
-        # One tuple per distinct context, shared by the keys of all its heads.
-        by_context = np.lexsort(ctx.T[::-1])
-        ordered = ctx[by_context]
-        starts = np.ones(n, dtype=bool)
-        starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-        firsts = zip(ordered[starts].tolist(), lengths[by_context][starts].tolist())
-        distinct = [tuple(row[:length]) for row, length in firsts]
-        which = np.empty(n, dtype=np.intp)
-        which[by_context] = np.cumsum(starts) - 1
-        model.counts = dict(zip(zip(heads.tolist(), map(distinct.__getitem__, which.tolist())), block))
-        if len(model.counts) != n:
+        codes = np.empty(n, dtype=np.int64)
+        for length in range(model.order + 1):
+            rows = lengths == length
+            codes[rows] = model._context_codes(ctx[rows, :length])
+        order = np.lexsort((codes, heads))
+        heads, codes, nnz = heads[order], codes[order], nnz[order].astype(np.int64)
+        if np.any((heads[1:] == heads[:-1]) & (codes[1:] == codes[:-1])):
             raise ValueError("counts.contexts: a duplicate context")
+        entries = _entries(starts[order], nnz)
+        tokens, values = tokens[entries], values[entries]
+        starts = np.append(0, np.cumsum(nnz))
+        bounds = np.searchsorted(heads, np.arange(size + 1))
+        for head in np.unique(heads).tolist():
+            lo, hi = bounds[head], bounds[head + 1]
+            rows = starts[lo : hi + 1]
+            model._counts[head] = model._block(
+                codes[lo:hi], rows - rows[0], tokens[rows[0] : rows[-1]], values[rows[0] : rows[-1]]
+            )
         return model
 
     def save(self, path) -> None:
@@ -737,6 +758,11 @@ def _math_logs(values: list[float]) -> np.ndarray:
     return np.fromiter(map(math.log, values), dtype=float, count=len(values))
 
 
+def _entries(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The indices of the entries of CSR rows with the given starts and sizes, row after row."""
+    return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
+
+
 def _decode_array(fields: dict, name: str, dtype: str) -> np.ndarray:
     """The read-only array whose little-endian bytes ``fields[name]`` holds in base64."""
     if name not in fields:
@@ -748,6 +774,60 @@ def _decode_array(fields: dict, name: str, dtype: str) -> np.ndarray:
     if len(data) % np.dtype(dtype).itemsize:
         raise ValueError(f"counts.{name}: {len(data)} bytes is not a whole number of {dtype} values")
     return np.frombuffer(data, dtype=dtype)
+
+
+class _Counts:
+    """One head's count rows in CSR form, one row per stored context.
+
+    Rows are in context-code order (see ``RuleGenerator._code_offsets``),
+    which sorts contexts by (length, tokens), the order of
+    ``generator.json``; ``codes`` holds each row's code.  Row r's entries
+    are ``tokens[starts[r]:starts[r + 1]]`` (int32, ascending) and their
+    counts ``values`` (float64, positive): only nonzero counts are stored,
+    and a row may have none.  ``index`` maps each context tuple to its row.
+    A block is never changed in place; ``fit_bodies`` builds a new one.
+    """
+
+    __slots__ = ("index", "codes", "starts", "tokens", "values")
+
+    def __init__(self, index: dict, codes: np.ndarray, starts: np.ndarray, tokens: np.ndarray, values: np.ndarray):
+        self.index: dict[tuple[int, ...], int] = index
+        self.codes, self.starts, self.tokens, self.values = codes, starts, tokens, values
+
+    def row(self, row: int, width: int) -> np.ndarray:
+        """Row ``row`` as a dense vector of ``width`` floats; ``width`` exceeds every stored token."""
+        lo, hi = self.starts[row], self.starts[row + 1]
+        vec = np.zeros(width)
+        vec[self.tokens[lo:hi]] = self.values[lo:hi]
+        return vec
+
+    def find(self, codes: np.ndarray) -> np.ndarray:
+        """The row of each context code, or -1 where the context is not stored."""
+        pos = np.searchsorted(self.codes, codes)
+        inside = pos < len(self.codes)
+        hit = np.zeros(len(codes), dtype=bool)
+        hit[inside] = self.codes[pos[inside]] == codes[inside]
+        return np.where(hit, pos, -1)
+
+    def dense(self, rows: np.ndarray, width: int) -> np.ndarray:
+        """The rows ``rows`` as one dense ``(len(rows), width)`` block, a zero row for each -1.
+
+        Entries at tokens ``>= width`` are left out.
+        """
+        out = np.zeros((len(rows), width))
+        present = np.flatnonzero(rows >= 0)
+        lo = self.starts[rows[present]]
+        sizes = self.starts[rows[present] + 1] - lo
+        entries = _entries(lo, sizes)
+        owners = np.repeat(present, sizes)
+        tokens = self.tokens[entries]
+        kept = tokens < width
+        out[owners[kept], tokens[kept]] = self.values[entries[kept]]
+        return out
+
+
+# The block of a head without counts.
+_NO_COUNTS = _Counts({}, np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0))
 
 
 class _RuleSpace:

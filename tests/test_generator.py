@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 import rulex.generator
 from rulex.core import Rule, build_vocab, pad_bodies
 from rulex.generator import ENUM_LIMIT, RuleGenerator
+
+from conftest import count_arrays, dense_counts, set_count_arrays, with_counts
 
 
 def fresh(names=("a", "b"), self_inverse=(), **kwargs):
@@ -27,7 +30,7 @@ def per_event_counts(model, head, weighted_bodies):
     The reference for ``fit_bodies``: termination counts below ``max_len``
     only, and zero-weight bodies touch nothing.
     """
-    counts = {key: vec.copy() for key, vec in model.counts.items()}
+    counts = dense_counts(model)
     for body, weight in weighted_bodies:
         if weight == 0.0:
             continue
@@ -41,11 +44,11 @@ def per_event_counts(model, head, weighted_bodies):
                 if vec is None:
                     vec = counts[key] = np.zeros(model.vocab.size + 1)
                 vec[token] += weight
-    return counts
+    return {key: counts[key] for key in sorted(counts, key=lambda key: (key[0], len(key[1]), key[1]))}
 
 
 def assert_same_counts(got, want):
-    assert list(got) == list(want)  # the same contexts, entered in the same order
+    assert list(got) == list(want)  # the same contexts, in generator.json's order
     for key, vec in want.items():
         assert np.array_equal(got[key], vec), key
 
@@ -171,8 +174,7 @@ class TestSampling:
         first[model.vocab.stop_id] = 1e9  # read only at positions where STOP is allowed
         after = np.zeros(width)
         after[model.vocab.stop_id] = 1e9
-        model.counts[(0, ())] = first
-        model.counts[(0, (2,))] = after
+        model = with_counts(model, {(0, ()): first, (0, (2,)): after})
         for _ in range(20):
             assert model.sample_rule(0, rng) == Rule(0, (2,))
 
@@ -396,14 +398,15 @@ class TestSerialization:
             model.save(path)
             loaded = RuleGenerator.load(path)
             assert loaded.vocab == model.vocab
-            assert set(loaded.counts) == set(model.counts)
-            for key, vec in model.counts.items():
-                assert loaded.counts[key].tobytes() == vec.tobytes(), key
+            counts, loaded_counts = dense_counts(model), dense_counts(loaded)
+            assert set(loaded_counts) == set(counts)
+            for key, vec in counts.items():
+                assert loaded_counts[key].tobytes() == vec.tobytes(), key
             size = model.vocab.size
             for head in range(size):
                 # Every body of length 1, and bodies that read each stored context of the head.
                 checked = [(r,) for r in range(size)]
-                checked += [ctx + (r,) for h, ctx in model.counts if h == head and ctx for r in range(3)]
+                checked += [ctx + (r,) for h, ctx in counts if h == head and ctx for r in range(3)]
                 for body in checked:
                     assert loaded.log_prob(head, body) == model.log_prob(head, body)
                 assert list(loaded.top_rules(head, 5, 8)) == list(model.top_rules(head, 5, 8))
@@ -412,30 +415,16 @@ class TestSerialization:
         assert list(a) == list(b)
 
 
-# The little-endian dtype of each array of generator.json's count block.
-COUNT_DTYPES = {"contexts": "<i4", "nnz": "<i4", "tokens": "<i4", "values": "<f8"}
-
-
 def save_to(model, tmp_path):
     path = tmp_path / "generator.json"
     model.save(path)
     return path
 
 
-def count_arrays(obj):
-    return {name: np.frombuffer(base64.b64decode(obj["counts"][name]), dtype=dtype).copy()
-            for name, dtype in COUNT_DTYPES.items()}
-
-
-def set_count_arrays(obj, arrays):
-    obj["counts"] = {name: base64.b64encode(np.asarray(array, dtype=COUNT_DTYPES[name]).tobytes()).decode()
-                     for name, array in arrays.items()}
-
-
 def dense_layout(model):
     """The generator.json layout from before format 2: every count vector as a JSON list."""
     obj = {key: value for key, value in model.to_json().items() if key not in ("format", "counts")}
-    obj["counts"] = {f"{head}|" + ",".join(map(str, ctx)): vec.tolist() for (head, ctx), vec in model.counts.items()}
+    obj["counts"] = {f"{head}|" + ",".join(map(str, ctx)): vec.tolist() for (head, ctx), vec in dense_counts(model).items()}
     return obj
 
 
@@ -631,24 +620,25 @@ class TestFitBodies:
             want = per_event_counts(model, head, weighted)
             model.fit_bodies(head, pad_bodies([b for b, _ in weighted], max_len),
                              np.array([w for _, w in weighted]))
-            assert_same_counts(model.counts, want)
+            assert_same_counts(dense_counts(model), want)
 
     def test_stop_events_only_below_max_len(self):
         model = fresh(max_len=2)
         model.fit_bodies(0, np.array([[1, 2], [3, -1]]), np.array([1.0, 2.0]))
         stop = model.vocab.stop_id
-        assert model.counts[(0, (1,))][2] == 1.0
-        assert model.counts[(0, (1,))][stop] == 0.0  # (1, 2) ends at max_len: the stop is forced
-        assert model.counts[(0, (3,))][stop] == 2.0
-        assert model.counts[(0, ())][stop] == 2.0
-        assert (0, (1, 2)) not in model.counts
+        counts = dense_counts(model)
+        assert counts[(0, (1,))][2] == 1.0
+        assert counts[(0, (1,))][stop] == 0.0  # (1, 2) ends at max_len: the stop is forced
+        assert counts[(0, (3,))][stop] == 2.0
+        assert counts[(0, ())][stop] == 2.0
+        assert (0, (1, 2)) not in counts
 
     @pytest.mark.parametrize("bodies", [[[0], [2]], [[0, -1, -1, -1], [2, -1, -1, -1]]])
     def test_any_padding_width_and_fit_weighted_agree(self, bodies):
         a, b = fresh(), fresh()
         a.fit_bodies(1, np.array(bodies), np.array([1.5, 0.5]))
         b.fit_weighted(1, [(Rule(1, (0,)), 1.5), (Rule(1, (2,)), 0.5)])
-        assert_same_counts(a.counts, b.counts)
+        assert_same_counts(dense_counts(a), dense_counts(b))
 
     @pytest.mark.parametrize("bodies,weights", [
         ([[1, -1, -1]], [float("nan")]),
@@ -665,10 +655,10 @@ class TestFitBodies:
     def test_rejects_bad_input_and_leaves_counts_alone(self, bodies, weights):
         model = fresh()
         model.fit_weighted(0, [(Rule(0, (3,)), 1.0)])
-        before = {key: vec.copy() for key, vec in model.counts.items()}
+        before = dense_counts(model)
         with pytest.raises(ValueError):
             model.fit_bodies(0, np.array(bodies), np.array(weights))
-        assert_same_counts(model.counts, before)
+        assert_same_counts(dense_counts(model), before)
 
     def test_rejects_bad_head(self):
         with pytest.raises(ValueError):
@@ -766,6 +756,31 @@ class TestBatchedDraws:
             end += size
         assert batched_rng.bit_generator.state == reference_rng.bit_generator.state
         assert batched_rng.random() == reference_rng.random()
+
+    @pytest.mark.parametrize("n", [1, 50, 400])
+    def test_equal_sorting_each_row_of_ids_after_the_lookup(self, n):
+        # The reference sorts each row's ids after the inverse-CDF lookup
+        # instead of sorting its uniforms before it.
+        model = fitted_model(tuple(f"r{i}" for i in range(10)), picks=30)  # 20 ids, an 8,420-entry CDF
+        heads = np.random.default_rng(2).integers(0, model.vocab.size, size=60)
+        rng, reference_rng = np.random.default_rng(9), np.random.default_rng(9)
+        got = model.sample_unique_index_rows(heads, n, rng)
+        uniforms = reference_rng.random((len(heads), n))
+        idx = np.empty(uniforms.shape, dtype=np.intp)
+        for head in np.unique(heads).tolist():
+            rows = heads == head
+            idx[rows] = np.searchsorted(model._enumeration(head).cdf, uniforms[rows], side="right")
+        idx.sort(axis=1)
+        first = np.ones(idx.shape, dtype=bool)
+        first[:, 1:] = idx[:, 1:] != idx[:, :-1]
+        ids, sizes = idx[first], np.count_nonzero(first, axis=1)
+        counts = np.diff(np.append(np.flatnonzero(first), idx.size))
+        log_probs = np.concatenate([model.log_probs_by_index(head, row)
+                                    for head, row in zip(heads.tolist(), np.split(ids, np.cumsum(sizes)[:-1]))])
+        assert n < 400 or np.any(counts > 1)
+        for g, w in zip(got, (ids, counts, log_probs, sizes)):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
 
     def test_past_enum_limit_interns_one_ancestral_draw_per_row(self):
         model = fresh(tuple(f"r{i}" for i in range(24)))
@@ -1000,11 +1015,14 @@ def drawn_per_token(model, heads, n, rng):
     return rows
 
 
-def table_keys(model, head, prefix):
-    """The key of a prefix in ``_draw_body``'s table: the position and the stored contexts it reads."""
+def table_keys(model, counts, head, prefix):
+    """The key of a prefix in ``_draw_body``'s table: the position and the stored contexts it reads.
+
+    ``counts`` is ``dense_counts(model)``.
+    """
     position = len(prefix)
     contexts = [tuple(prefix[position - d :]) for d, _ in model._depth_weights[position]]
-    return position, tuple(ctx for ctx in contexts if (head, ctx) in model.counts)
+    return position, tuple(ctx for ctx in contexts if (head, ctx) in counts)
 
 
 class TestDrawTable:
@@ -1067,8 +1085,9 @@ class TestDrawTable:
         reference = drawn_per_token(model, heads, 100, np.random.default_rng(5))
         model.sample_unique_index_rows(heads, 100, np.random.default_rng(5))
         bound = model.max_len * 2 * (model.vocab.size + 1)
+        counts = dense_counts(model)
         for head in range(model.vocab.size):
-            read = {table_keys(model, head, body[:position])
+            read = {table_keys(model, counts, head, body[:position])
                     for bodies, _, _ in reference[head :: model.vocab.size] for body in bodies
                     for position in range(min(len(body) + 1, model.max_len))}
             kept = {key for key in read if all(len(ctx) < 2 for ctx in key[1])}
@@ -1085,7 +1104,159 @@ class TestSave:
             RuleGenerator.load(tmp_path / "first.json").save(tmp_path / "second.json")
             assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
+    def test_fit_and_to_json_memory_follows_the_nonzero_counts(self):
+        # 60 ids: a dense row per context would take 61 floats, 488 bytes,
+        # where about 2.4 of them are nonzero.  The bound allows 64 bytes per
+        # nonzero count and 384 per context, for the store (tokens, counts,
+        # codes, row starts and the context index) and to_json's arrays and
+        # base64 text, with fit_bodies' temporaries on top.
+        model = fresh(tuple(f"r{i}" for i in range(30)))
+        assert model.enumerable_size() > ENUM_LIMIT
+        rng = np.random.default_rng(0)
+        size = model.vocab.size
+        fits = []
+        for head in range(size):
+            lengths = rng.integers(1, 4, size=300)
+            bodies = np.where(np.arange(3) < lengths[:, None], rng.integers(0, size, size=(300, 3)), -1)
+            fits.append((head, bodies, rng.random(300) + 0.1))
+        tracemalloc.start()
+        try:
+            for head, bodies, weights in fits:
+                model.fit_bodies(head, bodies, weights)
+            obj = model.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        arrays = count_arrays(obj)
+        nnz, contexts = len(arrays["tokens"]), len(arrays["nnz"])
+        assert contexts > 10_000 and nnz < 4 * contexts
+        assert peak <= 64 * nnz + 384 * contexts
+
     def test_file_is_smaller_than_the_dense_layout(self, tmp_path):
         model = fitted_model(tuple(f"r{i}" for i in range(24)), picks=3)
         dense = len(json.dumps(dense_layout(model), sort_keys=True)) + 1
         assert save_to(model, tmp_path).stat().st_size * 4 <= dense
+
+
+class DenseRows(RuleGenerator):
+    """The next-token kernels over dense count rows, as they read before counts were stored sparse.
+
+    ``rows`` maps (head, context) to a dense row of ``size + 1`` floats.
+    Everything else (the stored-context keys of ``_draw_body``'s table
+    included) is the generator's own, so every method built on the kernels
+    reads the dense formula: the reference for the sparse store.
+    """
+
+    rows: dict
+
+    def conditional(self, head, prefix):
+        position = len(prefix)
+        if position >= self.max_len:
+            return self._stop_dist
+        width = self.vocab.size if position == 0 else self.vocab.size + 1
+        probs = None
+        uniform_mass = 0.0
+        for d, w in self._depth_weights[position]:
+            vec = self.rows.get((head, prefix[position - d :]))
+            if vec is None:
+                uniform_mass += w
+                continue
+            c = vec[:width]
+            if probs is None:
+                probs = np.zeros(width)
+            probs += w * (c + self.alpha) / (c.sum() + self.alpha * width)
+        if probs is None:
+            return self._supports[position > 0], self._uniforms[position > 0]
+        if uniform_mass:
+            probs += uniform_mass / width
+        return self._supports[position > 0], probs
+
+    def conditionals(self, head, prefixes):
+        prefixes = np.asarray(prefixes, dtype=np.intp)
+        if prefixes.shape[1] >= self.max_len:
+            return self._stop_dist[0], np.ones((len(prefixes), 1))
+        support, _ = self.conditional(head, (0,) * prefixes.shape[1])
+        rows = [self.conditional(head, tuple(prefix))[1] for prefix in prefixes.tolist()]
+        return support, np.array(rows).reshape(len(prefixes), len(support))
+
+
+def rounding_row(rng, size, widths):
+    """A dense count row whose sum up to each width differs from numpy's sum of its nonzeros alone.
+
+    Large and small counts at random tokens spread the nonzeros over
+    numpy's eight pairwise-sum accumulators and its sequential tail.
+    """
+    while True:
+        vec = np.zeros(size + 1)
+        tokens = rng.choice(size + 1, size=int(rng.integers(4, 10)), replace=False)
+        vec[tokens] = rng.choice([1e16, 1.0, 3.0, 0.5, 1e-3], size=len(tokens))
+        if all(vec[:width].sum() != vec[:width][vec[:width] > 0].sum() for width in widths):
+            return vec
+
+
+def rounding_counts(model, heads, seed):
+    """Count rows for ``heads`` that round apart from a nonzero-only sum, plus one empty row per depth."""
+    rng = np.random.default_rng(seed)
+    size = model.vocab.size
+    rows = {}
+    for head in heads:
+        rows[head, ()] = rounding_row(rng, size, (size, size + 1))  # read at position 0 and after it
+        for length in range(1, min(model.order, model.max_len - 1) + 1):
+            for _ in range(6):
+                ctx = tuple(int(t) for t in rng.integers(0, size, size=length))
+                rows[head, ctx] = rounding_row(rng, size, (size + 1,))
+            rows[head, (head,) * length] = np.zeros(size + 1)  # stored, with no nonzero count
+    return rows
+
+
+class TestSparseCountsEqualDenseRows:
+    """Every number the generator derives from its counts equals the dense formula, bit for bit."""
+
+    def twins(self, names, heads, seed, **kwargs):
+        rows = rounding_counts(fresh(names, **kwargs), heads, seed)
+        model = with_counts(fresh(names, **kwargs), rows)
+        reference = DenseRows.from_json(model.to_json())
+        reference.rows = rows
+        assert set(dense_counts(model)) == set(rows)
+        assert 0 in count_arrays(model.to_json())["nnz"]  # the file holds contexts with nnz = 0
+        return model, reference
+
+    def test_kernels_log_probs_beam_and_enumeration(self):
+        names = tuple(f"r{i}" for i in range(10))  # 20 ids: 8,420 enumerable bodies, rows of 21 floats
+        model, reference = self.twins(names, heads=[0, 3, 19], seed=1)
+        size = model.vocab.size
+        assert model.enumerable_size() <= ENUM_LIMIT
+        everything = np.arange(model.enumerable_size())
+        for head in (0, 3, 7, 19):  # head 7 has no counts
+            for position in range(model.max_len + 1):
+                prefixes = np.array(list(itertools.product(range(size), repeat=position)), dtype=np.intp)
+                prefixes = prefixes.reshape(len(prefixes), position)
+                support, probs = model.conditionals(head, prefixes)
+                want_support, want = reference.conditionals(head, prefixes)
+                assert np.array_equal(support, want_support) and probs.tobytes() == want.tobytes()
+                for prefix, row in zip(prefixes.tolist()[:50], probs):
+                    assert model.conditional(head, tuple(prefix))[1].tobytes() == row.tobytes()
+            bodies = [(head,), (head, head), (head, head, head), (1, 2), (5, 0, 19)]
+            for body in bodies:
+                assert model.log_prob(head, body) == reference.log_prob(head, body)
+            assert model.log_probs_by_index(head, everything).tobytes() == \
+                reference.log_probs_by_index(head, everything).tobytes()
+            assert model._enumeration(head).cdf.tobytes() == reference._enumeration(head).cdf.tobytes()
+            assert list(model.top_rules(head, 5, 20)) == list(reference.top_rules(head, 5, 20))
+
+    def test_ancestral_draws_past_enum_limit(self):
+        names = tuple(f"r{i}" for i in range(30))  # 60 ids, past ENUM_LIMIT
+        model, reference = self.twins(names, heads=[0, 7, 59], seed=2)
+        assert model.enumerable_size() > ENUM_LIMIT
+        heads = [0, 7, 59, 7, 12, 0]
+        rng, reference_rng = np.random.default_rng(3), np.random.default_rng(3)
+        got = model.sample_unique_index_rows(heads, 200, rng)
+        want = reference.sample_unique_index_rows(heads, 200, reference_rng)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+        assert model.body_table().tolist() == reference.body_table().tolist()
+        for head in (0, 7, 12, 59):
+            ids = np.arange(len(model.body_table()))
+            assert model.log_probs_by_index(head, ids).tobytes() == reference.log_probs_by_index(head, ids).tobytes()
+            assert list(model.top_rules(head, 5, 20)) == list(reference.top_rules(head, 5, 20))
