@@ -240,6 +240,12 @@ def cmd_eval(args) -> int:
     _echo(resolved)
     predictions = metrics.read_predictions(args.predictions, vocab)
     gold_corpus = core.load_corpus(args.gold, vocab)
+    for doc_id, triples in predictions.by_doc.items():
+        doc = gold_corpus.docs.get(doc_id)  # ``metrics.f1`` refuses a document the gold lacks
+        for h, r, t in triples if doc is not None else ():
+            if max(h, t) >= doc.num_entities:
+                raise ValueError(f"{args.predictions}: doc {doc_id!r}: entity id out of range in predicted triple "
+                                 f"[{h}, {vocab.name_of(r)!r}, {t}]; the gold document has {doc.num_entities} entities")
     gold = metrics.gold_by_doc(gold_corpus.docs)
     report: dict = {"f1": metrics.f1(predictions, gold).to_json()}
     if args.train_facts:

@@ -300,11 +300,11 @@ class RuleSet:
 class Document:
     """An entity list plus a sparse atom-confidence store and gold facts.
 
-    Immutable after construction: all derived indexes are built lazily and
+    Immutable after construction: the adjacency index is built lazily and
     cached, which keeps concurrent reads safe.
     """
 
-    __slots__ = ("doc_id", "entities", "atoms", "gold_facts", "num_relations", "_adjacency", "_atom_array")
+    __slots__ = ("doc_id", "entities", "atoms", "gold_facts", "num_relations", "_adjacency")
 
     def __init__(
         self,
@@ -336,7 +336,6 @@ class Document:
                 raise ValueError(f"doc {doc_id}: id out of range in gold fact ({h}, {r}, {t})")
         self.gold_facts = facts
         self._adjacency = None
-        self._atom_array = None
 
     @property
     def num_entities(self) -> int:
@@ -358,25 +357,14 @@ class Document:
         return self._adjacency
 
     def atom_array(self) -> np.ndarray:
-        """Dense read-only atom confidences, ``[r, h, t]``, shape (relations, entities, entities).
-
-        Built once by ``fill_atom_array`` and kept; costs
-        ``num_relations * num_entities**2 * 8`` bytes per document.
-        """
-        if self._atom_array is None:
-            n = len(self.entities)
-            arr = np.zeros((self.num_relations, n, n))
-            self.fill_atom_array(arr)
-            arr.flags.writeable = False
-            self._atom_array = arr
-        return self._atom_array
+        """Dense atom confidences ``[r, h, t]``, built afresh at each call: ``relations * entities**2 * 8`` bytes."""
+        n = len(self.entities)
+        arr = np.zeros((self.num_relations, n, n))
+        self.fill_atom_array(arr)
+        return arr
 
     def fill_atom_array(self, out: np.ndarray) -> None:
-        """Write the atom confidences into ``out[r, h, t]``, a zero array shaped like ``atom_array``.
-
-        Keeps nothing, so a store that holds its own copy of the atoms does
-        not leave a second one cached on the document.
-        """
+        """Write the atom confidences into ``out[r, h, t]``, a zero array shaped like ``atom_array``."""
         if self.atoms:
             h, r, t = np.array(list(self.atoms), dtype=np.intp).T
             out[r, h, t] = list(self.atoms.values())
@@ -390,6 +378,22 @@ def atom_conf(doc: Document, h: int, r: int, t: int) -> float:
     if not 0 <= r < doc.num_relations:
         raise ValueError(f"relation id out of range: {r}")
     return doc.atoms.get((h, r, t), 0.0)
+
+
+def body_paths(triples: Iterable[tuple[int, int, int]],
+               bodies: Iterable[Sequence[int]]) -> list[list[tuple[int, ...]]]:
+    """Each body's entity paths ``(e0, ..., el)``, repeats allowed, whose steps ``(e_i, body[i], e_i+1)`` all occur."""
+    adjacency: dict[int, dict[int, list[int]]] = {}
+    for h, r, t in triples:
+        adjacency.setdefault(r, {}).setdefault(h, []).append(t)
+    found = []
+    for body in bodies:
+        paths = [(h,) for h in adjacency.get(body[0], ())]
+        for r in body:
+            edges = adjacency.get(r, {})
+            paths = [path + (t,) for path in paths for t in edges.get(path[-1], ())]
+        found.append(paths)
+    return found
 
 
 def close_inverses(doc: Document, vocab: RelationVocab) -> Document:
@@ -425,10 +429,6 @@ class LabeledInstance:
     def __post_init__(self):
         if self.label not in (-1, 1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
-
-    @property
-    def query(self) -> tuple[int, int, int]:
-        return (self.head, self.relation, self.tail)
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .core import (
     LabeledInstance,
     RelationVocab,
     Rule,
+    body_paths,
     build_vocab,
     parse_rule,
 )
@@ -79,18 +80,6 @@ class SynthResult:
     planted: list[Rule]
 
 
-def _bindings(facts: set[tuple[int, int, int]], body: tuple[int, ...]) -> list[tuple[int, int]]:
-    """Endpoint pairs of every entity path instantiating ``body`` over ``facts``."""
-    adjacency: dict[int, dict[int, list[int]]] = {}
-    for h, r, t in facts:
-        adjacency.setdefault(r, {}).setdefault(h, []).append(t)
-    paths = [(h,) for h in sorted(adjacency.get(body[0], ()))]
-    for r in body:
-        edges = adjacency.get(r, {})
-        paths = [path + (t,) for path in paths for t in edges.get(path[-1], ())]
-    return sorted({(path[0], path[-1]) for path in paths})
-
-
 def _canonical(h: int, r: int, t: int, vocab: RelationVocab) -> tuple[int, int, int]:
     return min((h, r, t), (t, vocab.inverse_of[r], h))
 
@@ -127,10 +116,9 @@ def _gen_doc(
     # visible to later rules, but no fixpoint iteration happens.
     derived: set[tuple[int, int, int]] = set()
     for rule in planted:
-        new = []
-        for e0, el in _bindings(facts, rule.body):
-            if e0 != el and (e0, rule.head, el) not in facts:
-                new.append((e0, rule.head, el))
+        (paths,) = body_paths(facts, [rule.body])
+        ends = sorted({(path[0], path[-1]) for path in paths})
+        new = [(e0, rule.head, el) for e0, el in ends if e0 != el and (e0, rule.head, el) not in facts]
         for h, r, t in new:
             add(h, r, t)
             derived.add(_canonical(h, r, t, vocab))

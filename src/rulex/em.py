@@ -22,7 +22,7 @@ document in one pass (``explain_document``) over one stack of all-pairs
 grounding matrices; ``predict_document``, ``explain`` and ``infer`` call the
 same code, so an explanation's contributions sum to the score bit for bit.
 Training and inference compose matrices through one max-product kernel
-(``_max_product``).
+(``_max_product``), in the same chunks by body length (``_chunks_by_length``).
 """
 
 from __future__ import annotations
@@ -80,6 +80,15 @@ def _max_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chunks_by_length(lengths: np.ndarray, n: int):
+    """``(length, indices)`` of the entries of each body length > 0, in chunks sized for n-entity documents."""
+    chunk = max(1, GATHER_CELLS // max(1, n * n))
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        selected = np.flatnonzero(lengths == length)
+        for start in range(0, selected.size, chunk):
+            yield length, selected[start : start + chunk]
+
+
 @dataclass
 class EMConfig(JsonConfig):
     """Knobs for one training run; defaults follow the engine's standard setup."""
@@ -113,15 +122,15 @@ class GroundingCache:
 
     Block ``n`` stacks the atom confidences of every stored document with n
     entities, ``A[row, r, h, t]``, without padding.  ``Document.fill_atom_array``
-    writes them straight into the block, so no ``atom_array`` stays cached
-    on the document beside it.  Documents are immutable and key the store
+    writes them straight into the block, the only dense copy of them that
+    training holds.  Documents are immutable and key the store
     by identity, never by ``doc_id``, so rows never invalidate and corpora
     with colliding ids can share one store.  ``ground`` reads many
     (document, body, head, tail) values in one gather per block; a
     length-3 body reads ``max_k (max_j A[d, r1, h, j] * A[d, r2, j, k]) *
     A[d, r3, k, t]``.  Products multiply left to right as in
-    ``ground_body_value`` and max commutes with monotone rounding, so the
-    values agree with it exactly.
+    ``ground_rule`` and max commutes with monotone rounding, so the values
+    agree with its dynamic program exactly.
 
     Memory: the blocks hold each document's atoms once, ``sum_d V * N_d**2 *
     8`` bytes for V relation ids and N_d entities in document d (0.8 MB for
@@ -170,19 +179,15 @@ class GroundingCache:
         lengths = np.count_nonzero(bodies >= 0, axis=1)
         for n, block in self._blocks.items():
             inside = (rows[:, 0] == n) & (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n)
-            chunk = max(1, GATHER_CELLS // max(1, n * n))
-            for length in range(1, bodies.shape[1] + 1):
-                selected = np.flatnonzero(inside & (lengths == length))
-                for start in range(0, selected.size, chunk):
-                    idx = selected[start : start + chunk]
-                    d, body, h, t = rows[idx, 1], bodies[idx], heads[idx], tails[idx]
-                    if length == 1:
-                        values[idx] = block[d, body[:, 0], h, t]
-                        continue
-                    best = block[d, body[:, 0], h][:, None]  # (m, 1, n): the best product reaching each entity
-                    for pos in range(1, length - 1):
-                        best = _max_product(best, block[d, body[:, pos]])
-                    values[idx] = _max_product(best, block[d, body[:, length - 1], :, t][:, :, None])[:, 0, 0]
+            for length, idx in _chunks_by_length(np.where(inside, lengths, 0), n):
+                d, body, h, t = rows[idx, 1], bodies[idx], heads[idx], tails[idx]
+                if length == 1:
+                    values[idx] = block[d, body[:, 0], h, t]
+                    continue
+                best = block[d, body[:, 0], h][:, None]  # (m, 1, n): the best product reaching each entity
+                for pos in range(1, length - 1):
+                    best = _max_product(best, block[d, body[:, pos]])
+                values[idx] = _max_product(best, block[d, body[:, length - 1], :, t][:, :, None])[:, 0, 0]
         return values
 
     def value_body(self, doc: Document, body: tuple[int, ...], h: int, t: int) -> float:
@@ -608,12 +613,15 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
     cache = GroundingCache()
     diagnostics: list[IterationStats] = []
     previous = None
-    stopped_early = False
     relations = [inst.relation for inst in corpus.instances]
     carried: Draws | None = None
+
+    def update_extractor(weights: TrainingWeights, mode: str) -> MStepResult:
+        return m_step_extractor(corpus, model, weights, config.fit, rng, n_rules=config.n_rules, mode=mode,
+                                beam=config.beam, cache=cache, reset=mode != config.train_ruleset_mode)
+
     for iteration in range(1, config.iterations + 1):
-        final = iteration == config.iterations
-        mode = config.inference_mode if final else config.train_ruleset_mode
+        mode = config.inference_mode if iteration == config.iterations else config.train_ruleset_mode
         try:
             # The previous extractor update's freshly sampled rule sets came
             # from the same prior this E-step targets, so they serve as its
@@ -622,18 +630,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             posteriors = e_step(corpus, draws, model, weights, config.n_rules, cache)
             m_step_generator(posteriors, model)
             l_g = _generator_log_likelihood(posteriors, model, config.n_rules)
-            m_result = m_step_extractor(
-                corpus,
-                model,
-                weights,
-                config.fit,
-                rng,
-                n_rules=config.n_rules,
-                mode=mode,
-                beam=config.beam,
-                cache=cache,
-                reset=final and mode != config.train_ruleset_mode,
-            )
+            m_result = update_extractor(weights, mode)
             weights = m_result.weights
         except Exception as exc:
             raise RuntimeError(f"EM iteration {iteration} failed: {exc}") from exc
@@ -643,22 +640,10 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
         carried = m_result.samples
         current = l_g + m_result.l_r
         if previous is not None and abs(current - previous) < config.convergence_eps:
-            stopped_early = iteration < config.iterations and mode != config.inference_mode
             break
         previous = current
-    if stopped_early:
-        weights = m_step_extractor(
-            corpus,
-            model,
-            weights,
-            config.fit,
-            rng,
-            n_rules=config.n_rules,
-            mode=config.inference_mode,
-            beam=config.beam,
-            cache=cache,
-            reset=config.inference_mode != config.train_ruleset_mode,
-        ).weights
+    if mode != config.inference_mode:  # stopped early, on training rule sets
+        weights = update_extractor(weights, config.inference_mode).weights
     return EMResult(model, weights.to_extractor(model), diagnostics)
 
 
@@ -749,23 +734,19 @@ def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
     ``bodies`` holds one body per row, relation ids padded with -1.  Row k
     equals ``ground_rule_all_pairs`` of body k bit for bit: the bodies of one
     length chain their relation matrices together, left to right, through
-    ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes.
+    ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes, from
+    an ``atom_array`` built for this call.
     """
     atoms = doc.atom_array()
     n = atoms.shape[1]
     if bodies.size and bodies.max() >= atoms.shape[0]:
         raise ValueError(f"relation id out of range: {int(bodies.max())}")
     stack = np.empty((len(bodies), n, n))
-    lengths = np.count_nonzero(bodies >= 0, axis=1)
-    chunk = max(1, GATHER_CELLS // max(1, n * n))
-    for length in np.unique(lengths).tolist():
-        selected = np.flatnonzero(lengths == length)
-        for start in range(0, selected.size, chunk):
-            idx = selected[start : start + chunk]
-            mats = atoms[bodies[idx, 0]]
-            for pos in range(1, length):
-                mats = _max_product(mats, atoms[bodies[idx, pos]])
-            stack[idx] = mats
+    for length, idx in _chunks_by_length(np.count_nonzero(bodies >= 0, axis=1), n):
+        mats = atoms[bodies[idx, 0]]
+        for pos in range(1, length):
+            mats = _max_product(mats, atoms[bodies[idx, pos]])
+        stack[idx] = mats
     return stack
 
 

@@ -79,31 +79,14 @@ def ground_rule(doc: Document, rule: Rule, h: int, t: int) -> GroundingResult:
 
 
 def ground_body_value(doc: Document, body: tuple[int, ...], h: int, t: int) -> float:
-    """Value-only max-product grounding of a body between two entities.
+    """``ground_rule``'s value of a body between two entities, 0.0 when either lies outside the document.
 
-    Hot-path helper: skips id validation and parent pointers; agrees with
-    ``ground_rule(...).value`` exactly.  Bodies ground independently of the
-    owning rule's head, so values are shared across heads.
+    A relation id outside the vocabulary raises ``ValueError``, as in ``ground_rule``.
     """
-    adjacency = doc.adjacency()
-    frontier = {h: 1.0}
-    for r in body:
-        edges = adjacency.get(r)
-        if not edges:
-            return 0.0
-        nxt: dict[int, float] = {}
-        for e, value in frontier.items():
-            hop = edges.get(e)
-            if hop:
-                for e2, conf in hop:
-                    cand = value * conf
-                    prev = nxt.get(e2)
-                    if prev is None or cand > prev:
-                        nxt[e2] = cand
-        if not nxt:
-            return 0.0
-        frontier = nxt
-    return frontier.get(t, 0.0)
+    n = doc.num_entities
+    if not (0 <= h < n and 0 <= t < n):
+        return 0.0
+    return ground_rule(doc, Rule(0, body), h, t).value
 
 
 def ground_rule_all_pairs(doc: Document, rule: Rule) -> np.ndarray:
@@ -111,8 +94,7 @@ def ground_rule_all_pairs(doc: Document, rule: Rule) -> np.ndarray:
 
     Chains the document's per-relation confidence matrices under the
     max-product composition ``(A * B)[i, j] = max_k A[i, k] * B[k, j]``;
-    agrees with ``ground_rule`` entrywise.  The result may be a read-only
-    view of the document's atom array.
+    agrees with ``ground_rule`` entrywise.
     """
     for r in rule.body:
         if not 0 <= r < doc.num_relations:

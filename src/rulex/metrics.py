@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import Document, RelationVocab, Rule
+from .core import Document, RelationVocab, Rule, body_paths
 
 Triple = tuple[int, int, int]
 
@@ -16,15 +16,6 @@ class PredictionSet:
     """Predicted positive triples per document with their probabilities."""
 
     by_doc: dict[str, dict[Triple, float]] = field(default_factory=dict)
-
-    def validate(self) -> None:
-        for doc_id, triples in self.by_doc.items():
-            for triple, p in triples.items():
-                if not 0.0 <= p <= 1.0:
-                    raise ValueError(f"doc {doc_id}: probability {p} outside [0, 1] for {triple}")
-
-    def add(self, doc_id: str, triple: Triple, probability: float) -> None:
-        self.by_doc.setdefault(doc_id, {})[triple] = probability
 
 
 @dataclass
@@ -126,18 +117,9 @@ def logic_score(predictions: PredictionSet, eval_rules: Sequence[Rule]) -> Logic
     """
     total = satisfied = 0
     for preds in predictions.by_doc.values():
-        adjacency: dict[int, dict[int, list[int]]] = {}
-        for h, r, t in preds:
-            adjacency.setdefault(r, {}).setdefault(h, []).append(t)
-        for rule in eval_rules:
-            paths = [(h,) for h in adjacency.get(rule.body[0], ())]
-            for r in rule.body:
-                edges = adjacency.get(r, {})
-                paths = [path + (t,) for path in paths for t in edges.get(path[-1], ())]
-            for path in paths:
-                total += 1
-                if (path[0], rule.head, path[-1]) in preds:
-                    satisfied += 1
+        for rule, paths in zip(eval_rules, body_paths(preds, [rule.body for rule in eval_rules])):
+            total += len(paths)
+            satisfied += sum((path[0], rule.head, path[-1]) in preds for path in paths)
     if total == 0:
         return LogicScore(1.0, 0, 0, True)
     return LogicScore(satisfied / total, total, satisfied, False)
@@ -181,6 +163,11 @@ def write_predictions(
 
 
 def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
+    """The predictions ``write_predictions`` wrote; a bad record raises ``ValueError`` naming ``path:line``.
+
+    Entity ids must be JSON integers >= 0, probabilities JSON numbers in [0, 1]
+    (not ``true``), and triples and ``doc_id``s unique.
+    """
     predictions = PredictionSet()
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -189,8 +176,15 @@ def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
             try:
                 obj = json.loads(line)
                 doc_id = obj["doc_id"]
+                if doc_id in predictions.by_doc:
+                    raise ValueError(f"duplicate doc_id {doc_id!r}")
                 triples = {}
+                # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
                 for h, r_name, t, p in obj["triples"]:
+                    if type(h) is not int or type(t) is not int or h < 0 or t < 0:
+                        raise ValueError(f"entity ids must be integers >= 0, got {json.dumps(h)} and {json.dumps(t)}")
+                    if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
+                        raise ValueError(f"probability must be a number in [0, 1], got {json.dumps(p)}")
                     triple = (h, vocab.id_of(r_name), t)
                     if triple in triples:
                         raise ValueError(f"duplicate predicted triple {triple}")
@@ -198,5 +192,4 @@ def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}") from None
             predictions.by_doc[doc_id] = triples
-    predictions.validate()
     return predictions

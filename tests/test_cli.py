@@ -530,6 +530,42 @@ class TestEval:
         assert rc == 1
         assert "ghost_relation" in capsys.readouterr().err
 
+    def eval_error(self, tmp_path, corpus_dir, capsys, records):
+        """The one error line of ``rulex eval`` on a predictions file of ``records``, which must fail."""
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("".join(json.dumps(record) + "\n" for record in records))
+        rc = cli.main(["eval", "--predictions", str(preds), "--gold", str(corpus_dir / "test.jsonl"),
+                       "--vocab", str(corpus_dir / "vocab.txt"), "--train-facts", str(corpus_dir / "train.jsonl")])
+        assert rc == 1
+        return only_error_line(capsys.readouterr().err)
+
+    @staticmethod
+    def first_test_doc(corpus_dir):
+        return json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[0])["doc_id"]
+
+    @pytest.mark.parametrize(("triple", "message"), [
+        ([0, "r0", 1, "0.5"], "probability must be a number in [0, 1]"),
+        ([0, "r0", 1, True], "probability must be a number in [0, 1]"),
+        ([0, "r0", 1, 1.5], "probability must be a number in [0, 1]"),
+        (["x", "r0", 1, 0.5], "entity ids must be integers >= 0"),
+        ([0, "r0", -1, 0.5], "entity ids must be integers >= 0"),
+    ], ids=["string-probability", "true-probability", "probability-above-1", "string-entity", "negative-entity"])
+    def test_malformed_triple_names_its_line(self, tmp_path, corpus_dir, capsys, triple, message):
+        record = {"doc_id": self.first_test_doc(corpus_dir), "triples": [[0, "r1", 1, 0.5], triple]}
+        line = self.eval_error(tmp_path, corpus_dir, capsys, [record])
+        assert "preds.jsonl:1:" in line and message in line
+
+    def test_entity_outside_the_gold_document_names_it(self, tmp_path, corpus_dir, capsys):
+        doc_id = self.first_test_doc(corpus_dir)
+        line = self.eval_error(tmp_path, corpus_dir, capsys, [{"doc_id": doc_id, "triples": [[99, "r0", 0, 0.5]]}])
+        assert f"doc {doc_id!r}" in line and "entity id out of range" in line
+
+    def test_repeated_doc_id_names_its_line(self, tmp_path, corpus_dir, capsys):
+        doc_id = self.first_test_doc(corpus_dir)
+        records = [{"doc_id": doc_id, "triples": [[0, "r0", 1, 0.9]]}, {"doc_id": doc_id, "triples": []}]
+        line = self.eval_error(tmp_path, corpus_dir, capsys, records)
+        assert "preds.jsonl:2:" in line and "duplicate doc_id" in line
+
 
 class TestOracle:
     def test_all_oracles_pass_with_report_lines(self, capsys):

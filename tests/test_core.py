@@ -130,7 +130,6 @@ class TestAtomConf:
             doc = make_doc(atoms, pair_vocab.size, n_entities=3)
             arr = doc.atom_array()
             assert arr.shape == (pair_vocab.size, 3, 3)
-            assert not arr.flags.writeable
             for h in range(3):
                 for t in range(3):
                     for r in range(pair_vocab.size):

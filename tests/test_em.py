@@ -316,7 +316,7 @@ class TestGroundingCache:
         # Twenty 4-entity documents and one of 200 entities, 20 relation ids.
         # Padded to the largest, the store would take 21 * 20 * 200**2 * 8
         # bytes (134 MB); by entity count it holds the documents' atoms once,
-        # as much as their own arrays, which are built before the measurement.
+        # as much as their own arrays take.
         num_relations = 20
         docs, entries = [], []
         for i, (n, k) in enumerate([(4, 40)] * 20 + [(200, 20_000)]):
@@ -358,7 +358,6 @@ class TestGroundingCache:
         docs = [random_doc(rng, 4, max_entities=5) for _ in range(12)]
         cache = GroundingCache()
         rows = np.concatenate([cache.rows(docs[:5]), cache.rows(docs)])
-        assert all(doc._atom_array is None for doc in docs)
         for doc, row in zip(docs[:5] + docs, rows):
             r, h, t = (idx.ravel() for idx in np.indices(doc.atom_array().shape))
             values = cache.ground(np.tile(row, (len(r), 1)), r[:, None], h, t)
@@ -732,6 +731,33 @@ class TestRunEm:
         for head in heads:
             stored = {rule for relation, rule in out.weights.rule_weight if relation == head}
             assert stored == set(out.model.top_rules(head, config.n_rules, config.beam).counts())
+
+    @pytest.mark.parametrize("early_stop", [False, True])
+    @pytest.mark.parametrize("inference_mode", ["sample", "top"])
+    @pytest.mark.parametrize("train_ruleset_mode", ["sample", "top"])
+    def test_extractor_update_schedule(self, monkeypatch, train_ruleset_mode, inference_mode, early_stop):
+        # Every iteration but the last updates the extractor on training rule
+        # sets, warm-started; the last one, or one more update after an early
+        # stop, trains on inference rule sets, from scratch when the modes differ.
+        calls = []
+        update = rulex.em.m_step_extractor
+
+        def recording(*args, mode, reset, **kwargs):
+            calls.append((mode, reset))
+            return update(*args, mode=mode, reset=reset, **kwargs)
+
+        monkeypatch.setattr(rulex.em, "m_step_extractor", recording)
+        result = tiny_synth(docs=8)
+        config = EMConfig(n_rules=4, iterations=3, seed=0, fit=FitConfig(lr=0.5, epochs=2),
+                          convergence_eps=1e9 if early_stop else 0.0, beam=8,
+                          train_ruleset_mode=train_ruleset_mode, inference_mode=inference_mode)
+        out = run_em(result.splits["train"], result.vocab, config)
+        # With a huge epsilon, the second iteration is the first that can converge.
+        assert len(out.diagnostics) == (2 if early_stop else 3)
+        want = [(train_ruleset_mode, False)] * 2
+        if not early_stop or inference_mode != train_ruleset_mode:
+            want.append((inference_mode, inference_mode != train_ruleset_mode))
+        assert calls == want
 
     def test_empty_corpus_rejected(self):
         result = tiny_synth()

@@ -18,6 +18,7 @@ from rulex.extractor import (
     prob,
     _DesignMatrix,
 )
+from rulex.oracles import enumerate_grounding
 
 from conftest import make_doc, random_doc
 
@@ -79,7 +80,14 @@ class TestGroundRule:
             want, found = enumerate_best_path(doc, rule, h, t)
             assert got.value == want
             assert (got.best_path is not None) == found
-            assert got.value == ground_body_value(doc, rule.body, h, t)
+            assert (got.value, got.best_path is not None) == enumerate_grounding(doc, rule, h, t)
+
+    def test_body_value_is_the_rule_value_and_zero_outside_the_document(self):
+        doc = make_doc({(0, 0, 1): 0.5, (1, 1, 2): 0.25}, num_relations=4, n_entities=3)
+        assert ground_body_value(doc, (0, 1), 0, 2) == ground_rule(doc, Rule(3, (0, 1)), 0, 2).value == 0.125
+        assert ground_body_value(doc, (0, 1), 0, 3) == ground_body_value(doc, (0, 1), -1, 2) == 0.0
+        with pytest.raises(ValueError, match="relation id out of range"):
+            ground_body_value(doc, (4,), 0, 2)
 
     def test_witness_path_product_matches_value(self, rng):
         for _ in range(100):
