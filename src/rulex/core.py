@@ -133,7 +133,9 @@ def build_vocab(names: Sequence[str], self_inverse: Iterable[str] = ()) -> Relat
 def read_vocab_file(path) -> RelationVocab:
     """Read a vocabulary file: one base name per line, '#self' marks self-inverse.
 
-    A repeated name raises ``ValueError`` naming its line.
+    A repeated name, an empty one or one holding ``<-``, ``&``, ``[`` or
+    ``]``, which the rule format cannot read back, raises ``ValueError``
+    naming its line.
     """
     names, self_inverse = [], set()
     with open(path, encoding="utf-8") as fh:
@@ -146,6 +148,8 @@ def read_vocab_file(path) -> RelationVocab:
                 self_inverse.add(name)
             else:
                 name = line
+            if not name or any(mark in name for mark in ("<-", "&", "[", "]")):
+                raise ValueError(f"{path}:{lineno}: relation name {name!r} is empty or holds '<-', '&', '[' or ']'")
             if name in names:
                 raise ValueError(f"{path}:{lineno}: duplicate relation name: {name!r}")
             names.append(name)
@@ -457,7 +461,9 @@ def load_corpus(path, vocab: RelationVocab) -> Corpus:
     Each line holds one document object; its ``facts`` list carries the
     labeled instances (label +1 entries double as the document's gold facts).
     Atom stores are closed under inversion after ingestion.  Any invalid
-    record fails with the file's path and line number: among others, an
+    record fails with the file's path and line number: among others, a
+    ``doc_id`` that is not a JSON string or repeats an earlier one,
+    ``entities`` that are not a list of strings, an
     entity id that is not a JSON integer or falls outside the document, a
     confidence that is not a JSON number, an atom listed twice with
     confidences more than 1e-9 apart (within that, the first is kept), a
@@ -472,7 +478,17 @@ def load_corpus(path, vocab: RelationVocab) -> Corpus:
             try:
                 obj = json.loads(line)
                 doc_id = obj["doc_id"]
+                if type(doc_id) is not str:
+                    raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")
+                if doc_id in corpus.docs:
+                    raise ValueError(f"duplicate doc_id {doc_id!r}")
                 entities = obj["entities"]
+                if type(entities) is not list:
+                    raise ValueError(f"entities must be a list of strings, got {type(entities).__name__}")
+                bad = next((i for i, name in enumerate(entities) if type(name) is not str), None)
+                if bad is not None:
+                    kind = type(entities[bad]).__name__
+                    raise ValueError(f"entities must be a list of strings, got {kind} at index {bad}")
                 n = len(entities)
                 atoms = {}
                 # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
@@ -502,8 +518,6 @@ def load_corpus(path, vocab: RelationVocab) -> Corpus:
                 doc = close_inverses(Document(doc_id, entities, atoms, gold, num_relations=vocab.size), vocab)
             except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad document record: {exc}") from None
-            if doc_id in corpus.docs:
-                raise ValueError(f"{path}:{lineno}: duplicate doc_id {doc_id!r}")
             corpus.docs[doc_id] = doc
             corpus.instances.extend(instances)
     return corpus

@@ -74,8 +74,7 @@ class RuleGenerator:
         self._rules: dict[int, dict[int, Rule]] = {}
         size = vocab.size
         self._supports = (np.arange(size), np.arange(size + 1))
-        self._uniforms = (np.full(size, 1.0 / size), np.full(size + 1, 1.0 / (size + 1)))
-        self._stop_dist = (np.array([vocab.stop_id]), np.array([1.0]))
+        self._stop_support = np.array([vocab.stop_id])
         # Normalized interpolation weights per position over the usable depths.
         self._depth_weights: list[tuple[tuple[int, float], ...]] = []
         for position in range(max_len):
@@ -93,54 +92,30 @@ class RuleGenerator:
     def conditional(self, head: int, prefix: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
         """Next-token distribution after ``prefix``; returns (support ids, probabilities).
 
-        STOP is excluded from the support at position 0 and is a point mass
-        at ``max_len``.  Callers must not mutate the returned arrays.  Each
-        stored context's count row is rebuilt dense, ``size + 1`` floats, and
-        read up to the support's width, so its total is numpy's pairwise sum
-        over that slice, zeros included.
+        Row 0 of ``conditionals(head, [prefix])``.  STOP is excluded from the
+        support at position 0 and is a point mass at ``max_len``.
         """
-        position = len(prefix)
-        if position >= self.max_len:
-            return self._stop_dist
-        first = position == 0
-        support = self._supports[0 if first else 1]
-        width = len(support)
-        block = self._counts.get(head, _NO_COUNTS)
-        probs = None
-        uniform_mass = 0.0
-        for d, w in self._depth_weights[position]:
-            row = block.index.get(prefix[position - d :])
-            if row is None:
-                uniform_mass += w  # untouched context: smoothing alone gives the uniform
-                continue
-            c = block.row(row, self.vocab.size + 1)[:width]
-            if probs is None:
-                probs = np.zeros(width)
-            probs += w * (c + self.alpha) / (c.sum() + self.alpha * width)
-        if probs is None:
-            return support, self._uniforms[0 if first else 1]
-        if uniform_mass:
-            probs += uniform_mass / width
-        return support, probs
+        support, probs = self.conditionals(head, np.array(prefix, dtype=np.intp).reshape(1, len(prefix)))
+        return support, probs[0]
 
     def conditionals(self, head: int, prefixes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``conditional`` for every row of ``prefixes``, an int array of equal-length prefixes.
+        """The next-token distribution after each row of ``prefixes``, an int array of equal-length prefixes.
 
         Returns (support ids, probabilities with one row per prefix).  Each
         depth's context is coded as in the count store, the distinct codes
         are looked up with one ``searchsorted``, and their count rows are
         gathered into one dense block of the support's width; each row's
-        total is its sum along that contiguous block, which equals
-        ``conditional``'s ``c.sum()``.  Per element the arithmetic is
-        ``conditional``'s, in the same order: the depth terms accumulate in
-        depth order, then the uniform mass of the untouched depths is added.
+        total is numpy's pairwise sum along that contiguous block, zeros
+        included.  The smoothed terms of the stored contexts accumulate in
+        depth order, then the weight of the untouched ones is added as
+        uniform mass; a prefix with no stored context gets the uniform.
         """
         prefixes = np.asarray(prefixes, dtype=np.intp)
         if prefixes.ndim != 2:
             raise ValueError("prefixes must be a 2-D array, one prefix per row")
         n, position = prefixes.shape
         if position >= self.max_len:
-            return self._stop_dist[0], np.ones((n, 1))
+            return self._stop_support, np.ones((n, 1))
         first = position == 0
         support = self._supports[0 if first else 1]
         width = len(support)
@@ -153,7 +128,7 @@ class RuleGenerator:
             unique, inverse = np.unique(self._context_codes(prefixes[:, position - d :]), return_inverse=True)
             rows = block.find(unique)
             counts = block.dense(rows, width)
-            totals = counts.sum(axis=1)  # along the contiguous axis: each equals ``c.sum()`` of its row
+            totals = counts.sum(axis=1)  # along the contiguous axis, each row's pairwise sum
             hit = (rows >= 0)[inverse]
             terms = w * (counts + alpha) / (totals + alpha * width)[:, None]
             probs[hit] += terms[inverse[hit]]
@@ -172,72 +147,100 @@ class RuleGenerator:
             raise ValueError(f"body length {len(body)} outside [1, {self.max_len}]")
         for r in body:
             self.vocab.check_relation(r)
+        events = body if len(body) == self.max_len else body + (self.vocab.stop_id,)  # STOP is forced at max_len
         total = 0.0
-        for i, token in enumerate(body):
-            _, probs = self.conditional(head, body[:i])
-            total += math.log(probs[token])  # support ids are positional
-        if len(body) < self.max_len:
-            _, probs = self.conditional(head, body)
-            total += math.log(probs[self.vocab.stop_id])
+        for i, token in enumerate(events):
+            total += math.log(self.conditional(head, body[:i])[1][token])  # support ids are positional
         return total
 
     # -- sampling ----------------------------------------------------------
 
     def sample_rule(self, head: int, rng: np.random.Generator) -> Rule:
         """Draw one rule token by token from the conditionals."""
-        return Rule(head, self._draw_body(head, rng)[0])
+        return Rule(head, self._draw_bodies(head, 1, rng)[0][0])
 
-    def _draw_body(self, head: int, rng: np.random.Generator) -> tuple[tuple[int, ...], float]:
-        """One body drawn token by token, with its log-probability.
+    def _draw_bodies(self, head: int, n: int, rng: np.random.Generator) -> list[tuple[tuple[int, ...], float]]:
+        """N bodies drawn one after another, token by token, each with its log-probability.
 
-        Each token is the inverse-CDF lookup ``bisect_right(cdf, rng.random())``
-        in the cumulative sum of ``conditional``'s probabilities, its last
-        bucket raised to at least 1 against rounding.  The draw reads every
-        conditional that ``log_prob`` reads for the body it draws, so it adds
-        ``math.log`` of each drawn probability left to right, termination
-        included, and the total equals ``log_prob``'s.
-
-        ``conditional(head, prefix)`` reads only the position and which of
-        the contexts ``prefix[position - d:]`` of the position's depths are
-        stored, besides their counts, which change only through
-        ``fit_bodies``.  So that pair keys the head's table of (cdf,
-        probabilities) entries.  An entry comes from the same ``conditional`` and
-        ``np.cumsum`` calls as a draw without the table, so the bodies,
-        log-probabilities and rng state are the same bit for bit.  An entry
-        whose key holds a stored context of two or more tokens serves few
-        prefixes, so it is used once and not kept.  The table therefore holds
-        at most ``max_len * 2 * (size + 1)`` entries per head, however many
-        draws it serves: per position, the empty context stored or not, times
-        no stored one-token context or one of ``size``.  ``fit_bodies`` drops
-        it with the head's other cached values.
+        A token is ``bisect_right(_cdf(probs), rng.random())`` in the
+        conditional's probabilities, and ``math.log`` of each drawn one is
+        added left to right, termination included, as ``log_prob`` adds them.
+        A conditional depends on the counts only through the position and the
+        codes of the stored contexts it reads, in depth order: that pair keys
+        the head's table of (cdf, probabilities) entries.  Entries whose key
+        holds a context of two or more tokens serve few prefixes and are not
+        kept, so the table holds at most ``max_len * 2 * (size + 1)`` entries.
+        A missing kept entry is filled with those of the prefixes that differ
+        from it in the last token only, in one ``conditionals`` call.  A step
+        at the last position reads one uniform whatever it draws; one whose
+        entry is not kept takes its uniform and waits for one ``conditionals``
+        call after the N draws.  Each row of a batch equals ``conditional``'s,
+        so the bodies, totals and rng state are those of uncached draws.
+        ``fit_bodies`` drops the table and the head's set of stored codes.
         """
         self.vocab.check_relation(head)
-        stored, steps = self._counts.get(head, _NO_COUNTS).index, self._head(head).steps
-        order, stop, max_len = self.order, self.vocab.stop_id, self.max_len
-        body: list[int] = []
-        total = 0.0
-        while True:
-            position = len(body)
-            contexts = [tuple(body[position - d :]) for d in range(min(position, order) + 1)]
-            present = tuple([ctx for ctx in contexts if ctx in stored])
-            key = (position, present)
-            entry = steps.get(key)
-            if entry is None:
-                _, probs = self.conditional(head, tuple(body))
-                cdf = np.cumsum(probs)
-                cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
-                entry = cdf, probs
-                if not present or len(present[-1]) < 2:  # contexts come in depth order
-                    steps[key] = entry
-            cdf, probs = entry
-            token = bisect.bisect_right(cdf, rng.random())  # support ids are positional
-            total += math.log(probs[token])
-            if token == stop:
-                break
-            body.append(token)
-            if len(body) == max_len:
-                break
-        return tuple(body), total
+        cache = self._head(head)
+        if cache.stored is None:
+            cache.stored = set(self._counts.get(head, _NO_COUNTS).codes.tolist())
+        stored, steps = cache.stored, cache.steps
+        order, size, stop, max_len = self.order, self.vocab.size, self.vocab.stop_id, self.max_len
+        offsets = self._code_offsets.tolist()
+
+        def key_of(prefix: list[int]) -> tuple[tuple[int, tuple[int, ...]], bool]:
+            """The table key of ``prefix``, and whether its entry is kept."""
+            position = len(prefix)
+            present, deepest = [], 0
+            value = 0  # the last d tokens read as base-``size`` digits
+            for d in range(min(position, order) + 1):
+                if d:
+                    value += prefix[position - d] * size ** (d - 1)
+                code = offsets[d] + value
+                if code in stored:
+                    present.append(code)
+                    deepest = d
+            return (position, tuple(present)), deepest < 2
+
+        drawn: list[tuple[list[int], float]] = []
+        last: list[tuple[int, float]] = []  # (draw, uniform) of each last step left to the batch
+        for _ in range(n):
+            body: list[int] = []
+            total = 0.0
+            while True:
+                key, kept = key_of(body)
+                entry = steps.get(key)
+                if entry is None and kept:
+                    fill: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+                    for sibling in [body[:-1] + [x] for x in range(size)] if body else [body]:
+                        sibling_key, sibling_kept = key_of(sibling)
+                        if sibling_kept and sibling_key not in steps:
+                            fill.setdefault(sibling_key, sibling)
+                    rows = self.conditionals(head, np.array(list(fill.values()), dtype=np.intp))[1]
+                    steps.update((k, (_cdf(probs), probs)) for k, probs in zip(fill, rows))
+                    entry = steps[key]
+                elif entry is None:
+                    if len(body) == max_len - 1:
+                        last.append((len(drawn), rng.random()))
+                        break
+                    probs = self.conditional(head, tuple(body))[1]
+                    entry = _cdf(probs), probs
+                cdf, probs = entry
+                token = bisect.bisect_right(cdf, rng.random())  # support ids are positional
+                total += math.log(probs[token])
+                if token == stop:
+                    break
+                body.append(token)
+                if len(body) == max_len:
+                    break
+            drawn.append((body, total))
+        if last:
+            rows = self.conditionals(head, np.array([drawn[i][0] for i, _ in last], dtype=np.intp))[1]
+            for (i, uniform), probs in zip(last, rows):
+                token = bisect.bisect_right(_cdf(probs), uniform)
+                body, total = drawn[i]
+                if token != stop:
+                    body.append(token)
+                drawn[i] = body, total + math.log(probs[token])
+        return [(tuple(body), total) for body, total in drawn]
 
     def sample_ruleset(self, head: int, n: int, rng: np.random.Generator) -> RuleSet:
         """Draw N independent rules for one head relation.
@@ -252,7 +255,7 @@ class RuleGenerator:
         if enum is not None:
             idx = np.searchsorted(enum.cdf, rng.random(n), side="right")
             return RuleSet([self.rule_at(head, int(i)) for i in idx])
-        return RuleSet([self.sample_rule(head, rng) for _ in range(n)])
+        return RuleSet([Rule(head, body) for body, _ in self._draw_bodies(head, n, rng)])
 
     def sample_unique_indices(
         self, head: int, n: int, rng: np.random.Generator
@@ -318,14 +321,14 @@ class RuleGenerator:
         Multiplicities sum to N.  The unique-rule ordering is canonical
         (lexicographic bodies) so downstream consumers are deterministic.
         Past ``ENUM_LIMIT`` the draws are ancestral, and each body's
-        log-probability is summed while it is drawn (see ``_draw_body``).
+        log-probability is summed while it is drawn (see ``_draw_bodies``).
         """
         if n < 1:
             raise ValueError("ruleset size must be >= 1")
         if self._enumeration(head) is not None:
             uidx, counts, log_probs = self.sample_unique_indices(head, n, rng)
             return [self.rule_at(head, int(i)) for i in uidx], counts, log_probs
-        drawn = [self._draw_body(head, rng) for _ in range(n)]
+        drawn = self._draw_bodies(head, n, rng)
         multiplicity = Counter(body for body, _ in drawn)
         log_prob_of = dict(drawn)
         bodies = sorted(log_prob_of)
@@ -553,7 +556,7 @@ class RuleGenerator:
         np.add.at(values, events, np.broadcast_to(weights[:, None], valid.shape)[valid])
         contexts = np.union1d(old.codes, touched // (size + 1))
         starts = np.append(np.searchsorted(cells // (size + 1), contexts), len(cells))
-        self._counts[head] = self._block(contexts, starts, (cells % (size + 1)).astype(np.int32), values)
+        self._counts[head] = _Counts(contexts, starts, (cells % (size + 1)).astype(np.int32), values)
         self._head_cache.pop(head, None)
         return self
 
@@ -563,24 +566,6 @@ class RuleGenerator:
         for column in contexts.T:
             codes = codes * self.vocab.size + column
         return codes + self._code_offsets[contexts.shape[1]]
-
-    def _block(self, codes: np.ndarray, starts: np.ndarray, tokens: np.ndarray, values: np.ndarray) -> "_Counts":
-        """The ``_Counts`` of one head's CSR arrays, with each context's tuple decoded from its code."""
-        lengths, table = self._contexts_of(codes)
-        index = {tuple(row[:length]): i for i, (row, length) in enumerate(zip(table.tolist(), lengths.tolist()))}
-        return _Counts(index, codes, starts, tokens, values)
-
-    def _contexts_of(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The length and tokens of each coded context, tokens padded with -1 to ``order`` columns."""
-        size, offsets = self.vocab.size, self._code_offsets
-        lengths = np.searchsorted(offsets, codes, side="right") - 1
-        rest = codes - offsets[lengths]
-        table = np.full((len(codes), self.order), -1, dtype=np.int64)
-        for j in range(self.order):
-            place = lengths - 1 - j  # the base-``size`` digit that column j holds
-            has = place >= 0
-            table[has, j] = rest[has] // size ** place[has] % size
-        return lengths, table
 
     # -- whole-space enumeration --------------------------------------------
 
@@ -603,10 +588,7 @@ class RuleGenerator:
 
     def rule_log_probs(self, head: int, rules: Sequence[Rule]) -> np.ndarray:
         """Log-probabilities for a batch of same-head rules (enumeration-backed when possible)."""
-        enum = self._enumeration(head)
-        if enum is None:
-            return np.array([self.log_prob(head, rule.body) for rule in rules])
-        return enum.log_probs[self.rule_ids(rule.body for rule in rules)]
+        return self.log_probs_by_index(head, self.rule_ids(rule.body for rule in rules))
 
     def enumerate_rules(self, head: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
         """All valid bodies for a head with their probabilities (enumerable vocabularies only)."""
@@ -635,8 +617,13 @@ class RuleGenerator:
         codes = np.concatenate([np.zeros(0, dtype=np.int64)] + [block.codes for block in blocks])
         contexts = np.full((len(codes), self.max_len + 1), -1, dtype=np.int32)
         contexts[:, 0] = np.repeat(heads, [len(block.codes) for block in blocks])
-        width = min(self.order, self.max_len)
-        contexts[:, 1 : 1 + width] = self._contexts_of(codes)[1][:, :width]
+        size, offsets = self.vocab.size, self._code_offsets
+        lengths = np.searchsorted(offsets, codes, side="right") - 1
+        rest = codes - offsets[lengths]  # each context's tokens as base-``size`` digits
+        for j in range(min(self.order, self.max_len)):
+            place = lengths - 1 - j  # token j is the digit of this place value
+            has = place >= 0
+            contexts[has, 1 + j] = rest[has] // size ** place[has] % size
         arrays = {
             "contexts": contexts,
             "nnz": np.concatenate([np.zeros(0, dtype=np.int64)] + [np.diff(block.starts) for block in blocks]),
@@ -732,9 +719,8 @@ class RuleGenerator:
         for head in np.unique(heads).tolist():
             lo, hi = bounds[head], bounds[head + 1]
             rows = starts[lo : hi + 1]
-            model._counts[head] = model._block(
-                codes[lo:hi], rows - rows[0], tokens[rows[0] : rows[-1]], values[rows[0] : rows[-1]]
-            )
+            span = slice(rows[0], rows[-1])
+            model._counts[head] = _Counts(codes[lo:hi], rows - rows[0], tokens[span], values[span])
         return model
 
     def save(self, path) -> None:
@@ -756,6 +742,13 @@ class RuleGenerator:
 def _math_logs(values: list[float]) -> np.ndarray:
     """``math.log`` of each value, as the float array that ``log_prob``'s sums need bit for bit."""
     return np.fromiter(map(math.log, values), dtype=float, count=len(values))
+
+
+def _cdf(probs: np.ndarray) -> np.ndarray:
+    """The cumulative sum of ``probs``, its last bucket raised to at least 1 against rounding."""
+    cdf = np.cumsum(probs)
+    cdf[-1] = max(cdf[-1], 1.0)
+    return cdf
 
 
 def _entries(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -784,22 +777,14 @@ class _Counts:
     ``generator.json``; ``codes`` holds each row's code.  Row r's entries
     are ``tokens[starts[r]:starts[r + 1]]`` (int32, ascending) and their
     counts ``values`` (float64, positive): only nonzero counts are stored,
-    and a row may have none.  ``index`` maps each context tuple to its row.
-    A block is never changed in place; ``fit_bodies`` builds a new one.
+    and a row may have none.  A block is never changed in place;
+    ``fit_bodies`` builds a new one.
     """
 
-    __slots__ = ("index", "codes", "starts", "tokens", "values")
+    __slots__ = ("codes", "starts", "tokens", "values")
 
-    def __init__(self, index: dict, codes: np.ndarray, starts: np.ndarray, tokens: np.ndarray, values: np.ndarray):
-        self.index: dict[tuple[int, ...], int] = index
+    def __init__(self, codes: np.ndarray, starts: np.ndarray, tokens: np.ndarray, values: np.ndarray):
         self.codes, self.starts, self.tokens, self.values = codes, starts, tokens, values
-
-    def row(self, row: int, width: int) -> np.ndarray:
-        """Row ``row`` as a dense vector of ``width`` floats; ``width`` exceeds every stored token."""
-        lo, hi = self.starts[row], self.starts[row + 1]
-        vec = np.zeros(width)
-        vec[self.tokens[lo:hi]] = self.values[lo:hi]
-        return vec
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """The row of each context code, or -1 where the context is not stored."""
@@ -827,7 +812,7 @@ class _Counts:
 
 
 # The block of a head without counts.
-_NO_COUNTS = _Counts({}, np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0))
+_NO_COUNTS = _Counts(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int32), np.zeros(0))
 
 
 class _RuleSpace:
@@ -886,16 +871,17 @@ class _HeadCache:
     """What one head's counts determine, dropped by ``fit_bodies`` when they change.
 
     ``enumeration`` is the head's ``_EnumeratedHead``, built on first use
-    while the space is enumerable, ``steps`` is ``_draw_body``'s table of
-    next-token distributions, and ``top`` holds ``top_rules``' results by
-    ``(n, beam)``.
+    while the space is enumerable.  ``stored`` is the set of the head's
+    context codes and ``steps`` its table of next-token distributions, both
+    ``_draw_bodies``'s.  ``top`` holds ``top_rules``' results by ``(n, beam)``.
     """
 
-    __slots__ = ("enumeration", "steps", "top")
+    __slots__ = ("enumeration", "stored", "steps", "top")
 
     def __init__(self):
         self.enumeration: _EnumeratedHead | None = None
-        self.steps: dict[tuple[int, tuple[tuple[int, ...], ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self.stored: set[int] | None = None
+        self.steps: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
         self.top: dict[tuple[int, int], RuleSet] = {}
 
 
@@ -927,7 +913,4 @@ class _EnumeratedHead:
             prefix_logs = next_logs.ravel()
         log_chunks.append(prefix_logs)  # maximum-length bodies terminate with certainty
         self.log_probs = np.concatenate(log_chunks)[space.order]
-        probs = np.exp(self.log_probs)
-        cdf = np.cumsum(probs)
-        cdf[-1] = max(cdf[-1], 1.0)  # guard the last bucket against rounding
-        self.cdf = cdf
+        self.cdf = _cdf(np.exp(self.log_probs))

@@ -165,8 +165,9 @@ def write_predictions(
 def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
     """The predictions ``write_predictions`` wrote; a bad record raises ``ValueError`` naming ``path:line``.
 
-    Entity ids must be JSON integers >= 0, probabilities JSON numbers in [0, 1]
-    (not ``true``), and triples and ``doc_id``s unique.
+    ``doc_id``s must be JSON strings, entity ids JSON integers >= 0,
+    probabilities JSON numbers in [0, 1] (not ``true``), and triples and
+    ``doc_id``s unique.
     """
     predictions = PredictionSet()
     with open(path, encoding="utf-8") as fh:
@@ -176,6 +177,8 @@ def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
             try:
                 obj = json.loads(line)
                 doc_id = obj["doc_id"]
+                if type(doc_id) is not str:
+                    raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")
                 if doc_id in predictions.by_doc:
                     raise ValueError(f"duplicate doc_id {doc_id!r}")
                 triples = {}

@@ -287,6 +287,10 @@ BROKEN_RUNS = [
      "rules.txt:1: weight"),
     (lambda run: (run / "vocab.txt").write_text("r0\nr1\nr0\nr2\nr3\n", encoding="utf-8"),
      "vocab.txt:3: duplicate relation name: 'r0'"),
+    (lambda run: (run / "vocab.txt").write_text("r0\nr1\nr2\nr3\n#self\n", encoding="utf-8"),
+     "vocab.txt:5: relation name ''"),
+    (lambda run: (run / "vocab.txt").write_text("r0\nr1\nx <- y\nr2\nr3\n", encoding="utf-8"),
+     "vocab.txt:3: relation name 'x <- y'"),
 ]
 
 
@@ -565,6 +569,55 @@ class TestEval:
         records = [{"doc_id": doc_id, "triples": [[0, "r0", 1, 0.9]]}, {"doc_id": doc_id, "triples": []}]
         line = self.eval_error(tmp_path, corpus_dir, capsys, records)
         assert "preds.jsonl:2:" in line and "duplicate doc_id" in line
+
+
+    @pytest.mark.parametrize("doc_id", [5, ["a"], None], ids=["number", "list", "null"])
+    def test_doc_id_that_is_not_a_string_names_its_line(self, tmp_path, corpus_dir, capsys, doc_id):
+        line = self.eval_error(tmp_path, corpus_dir, capsys, [{"doc_id": doc_id, "triples": []}])
+        assert "preds.jsonl:1:" in line and "doc_id must be a string" in line
+
+
+# (a bad field of a document record, the text its error line must hold)
+BAD_DOCUMENTS = [
+    ({"doc_id": ["a"]}, "doc_id must be a string, got list"),
+    ({"doc_id": 5}, "doc_id must be a string, got int"),
+    ({"entities": "xyz"}, "entities must be a list of strings, got str"),
+    ({"entities": ["x", 7, "y"]}, "entities must be a list of strings, got int at index 1"),
+    ({"doc_id": "first"}, "duplicate doc_id 'first'"),
+]
+BAD_DOCUMENT_IDS = ["list-doc_id", "number-doc_id", "string-entities", "number-entity", "repeated-doc_id"]
+
+
+class TestDocumentRecords:
+    """A bad document record stops ``eval --gold`` and ``infer --documents`` with one error naming its line."""
+
+    @staticmethod
+    def documents(tmp_path, corpus_dir, fields):
+        """A copy of the corpus' first test document as ``first``, then one record with ``fields`` changed."""
+        record = {**json.loads((corpus_dir / "test.jsonl").read_text().splitlines()[0]), "doc_id": "first"}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(record) + "\n" + json.dumps({**record, "doc_id": "second", **fields}) + "\n")
+        return path
+
+    @pytest.mark.parametrize(("fields", "message"), BAD_DOCUMENTS, ids=BAD_DOCUMENT_IDS)
+    def test_eval_gold(self, tmp_path, corpus_dir, capsys, fields, message):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        rc = cli.main(["eval", "--predictions", str(preds), "--gold", str(self.documents(tmp_path, corpus_dir, fields)),
+                       "--vocab", str(corpus_dir / "vocab.txt")])
+        assert rc == 1
+        line = only_error_line(capsys.readouterr().err)
+        assert "docs.jsonl:2:" in line and message in line
+
+    @pytest.mark.parametrize(("fields", "message"), BAD_DOCUMENTS, ids=BAD_DOCUMENT_IDS)
+    def test_infer_documents(self, tmp_path, run_dir, corpus_dir, capsys, fields, message):
+        capsys.readouterr()
+        rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(self.documents(tmp_path, corpus_dir, fields)),
+                       "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 1
+        line = only_error_line(capsys.readouterr().err)
+        assert "docs.jsonl:2:" in line and message in line
+        assert not (tmp_path / "preds.jsonl").exists()
 
 
 class TestOracle:

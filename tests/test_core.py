@@ -194,6 +194,22 @@ class TestFiles:
         write_vocab_file(path, vocab)
         assert read_vocab_file(path) == vocab
 
+    def test_names_the_rule_format_reads_back_load(self, tmp_path):
+        names = [f"r{i}" for i in range(30)] + ["born in", "x-y", "<y", "a|b", "e⁻¹"]
+        path = tmp_path / "vocab.txt"
+        path.write_text("// a comment\n" + "".join(name + "\n" for name in names) + "twin #self\n", encoding="utf-8")
+        vocab = read_vocab_file(path)
+        assert list(vocab.names[: vocab.num_base]) == [*names, "twin"]
+        rule = Rule(vocab.id_of("r0"), tuple(vocab.id_of(name) for name in names[30:]))
+        assert parse_rule(format_rule(rule, vocab, 0.5), vocab) == (rule, 0.5)
+
+    @pytest.mark.parametrize("name", ["#self", "x <- y", "a & b", "w[1]", "w]"])
+    def test_a_name_the_rule_format_cannot_read_back_names_its_line(self, tmp_path, name):
+        path = tmp_path / "vocab.txt"
+        path.write_text(f"r0\n{name}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="vocab.txt:2: relation name"):
+            read_vocab_file(path)
+
     def test_rules_file_round_trip(self, tmp_path, pair_vocab):
         path = tmp_path / "rules.txt"
         rules = [(Rule(0, (1,)), 0.5), (Rule(2, (3, 0)), 0.0)]

@@ -127,18 +127,19 @@ class TestNormalization:
 
     @pytest.mark.parametrize("order,max_len", [(0, 2), (1, 3), (2, 3), (3, 4)])
     def test_enumeration_equals_per_prefix_conditionals_bit_for_bit(self, order, max_len, rng):
-        # Reference: one ``conditional`` call per prefix, level by level, the
-        # log-probabilities then sorted into lexicographic body order.
+        # Reference: one dense-row ``conditional`` call per prefix, level by
+        # level, the log-probabilities then sorted into lexicographic body order.
         model = fresh(("a", "b"), order=order, lambdas=[0.4] * (order + 1), max_len=max_len, alpha=0.3)
         size = model.vocab.size
         bodies = list(all_bodies(size, max_len))
         for head in range(size):
             picks = rng.integers(0, len(bodies), size=6)
             model.fit_weighted(head, [(Rule(head, bodies[int(i)]), float(rng.random()) + 0.1) for i in picks])
+        reference = dense_reference(model)
         for head in (0, 2):
             generated, chunks, prefixes, prefix_logs = [], [], [()], np.zeros(1)
             for level in range(max_len):
-                conds = np.array([model.conditional(head, prefix)[1] for prefix in prefixes])
+                conds = np.array([reference.conditional(head, prefix)[1] for prefix in prefixes])
                 log_conds = np.log(conds)
                 if level > 0:
                     generated.extend(prefixes)
@@ -851,10 +852,12 @@ def python_beam(model, head, n, beam):
 class TestConditionals:
     @pytest.mark.parametrize("order,max_len", [(0, 2), (1, 3), (2, 3), (3, 4)])
     def test_equal_conditional_bit_for_bit(self, order, max_len):
-        # Head 1 is fitted on a few bodies, so its contexts are touched at
-        # some depths and not at others; head 3 is untouched.
+        # Against the dense reference's scalar ``conditional``.  Head 1 is
+        # fitted on a few bodies, so its contexts are touched at some depths
+        # and not at others; head 3 is untouched.
         model = fitted_model(order=order, lambdas=[0.3 + 0.1 * d for d in range(order + 1)],
                              max_len=max_len, heads=[1], picks=5, seed=order)
+        reference = dense_reference(model)
         size = model.vocab.size
         for head in (1, 3):
             for position in range(max_len + 1):
@@ -862,16 +865,17 @@ class TestConditionals:
                 support, probs = model.conditionals(head, np.array(prefixes, dtype=np.intp).reshape(len(prefixes), position))
                 assert probs.shape == (len(prefixes), len(support))
                 for prefix, row in zip(prefixes, probs):
-                    want_support, want = model.conditional(head, prefix)
+                    want_support, want = reference.conditional(head, prefix)
                     assert np.array_equal(support, want_support)
                     assert np.array_equal(row, want), (head, prefix)
 
     def test_rows_in_any_order_with_repeats(self):
         model = fitted_model()
+        reference = dense_reference(model)
         prefixes = np.array([[3, 1], [0, 0], [3, 1], [2, 3], [0, 0]])
         _, probs = model.conditionals(2, prefixes)
         for prefix, row in zip(prefixes.tolist(), probs):
-            assert np.array_equal(row, model.conditional(2, tuple(prefix))[1])
+            assert np.array_equal(row, reference.conditional(2, tuple(prefix))[1])
         _, none = model.conditionals(2, np.zeros((0, 2), dtype=np.intp))
         assert none.shape == (0, model.vocab.size + 1)
 
@@ -956,6 +960,7 @@ class TestBatchedLogProbs:
         for head in (4, 9, 20):
             got = model.log_probs_by_index(head, ids)
             assert got.dtype == float and got.tolist() == [model.log_prob(head, body) for body in bodies]
+            assert model.rule_log_probs(head, [Rule(head, body) for body in bodies]).tolist() == got.tolist()
         assert model.log_probs_by_index(4, np.array([], dtype=np.intp)).shape == (0,)
 
     def test_ancestral_draws_sum_log_prob_while_drawing_bit_for_bit(self):
@@ -1015,14 +1020,22 @@ def drawn_per_token(model, heads, n, rng):
     return rows
 
 
+def context_code(size, ctx):
+    """The code of a context: the number of shorter contexts, plus its tokens read as base-``size`` digits."""
+    code = 0
+    for token in ctx:
+        code = code * size + token
+    return sum(size**j for j in range(len(ctx))) + code
+
+
 def table_keys(model, counts, head, prefix):
-    """The key of a prefix in ``_draw_body``'s table: the position and the stored contexts it reads.
+    """The key of a prefix in ``_draw_bodies``'s table: the position and the codes of the stored contexts it reads.
 
     ``counts`` is ``dense_counts(model)``.
     """
     position = len(prefix)
     contexts = [tuple(prefix[position - d :]) for d, _ in model._depth_weights[position]]
-    return position, tuple(ctx for ctx in contexts if (head, ctx) in counts)
+    return position, tuple(context_code(model.vocab.size, ctx) for ctx in contexts if (head, ctx) in counts)
 
 
 class TestDrawTable:
@@ -1068,6 +1081,20 @@ class TestDrawTable:
         assert build().enumerable_size() > ENUM_LIMIT
         self.assert_draws_equal_per_token(build, [0, 7, 59, 31, 7], 50, seed=3)
 
+    def test_draws_at_the_default_length_score_prefixes_in_batches(self, monkeypatch):
+        # Kept entries are filled a row per sibling prefix and the last steps
+        # in one batch, so no draw pays for a one-row ``conditional``.
+        model = fitted_model(tuple(f"r{i}" for i in range(30)), heads=[0, 7, 59], picks=60)
+        reference = fitted_model(tuple(f"r{i}" for i in range(30)), heads=[0, 7, 59], picks=60)
+        monkeypatch.setattr(RuleGenerator, "conditional", None)
+        drawn = [model.sample_unique_rules(head, 200, np.random.default_rng(head)) for head in (0, 7, 59)]
+        monkeypatch.undo()
+        for head, (rules, counts, log_probs) in zip((0, 7, 59), drawn):
+            want_bodies, want_counts, want_log_probs = drawn_per_token(reference, [head], 200,
+                                                                       np.random.default_rng(head))[0]
+            assert [rule.body for rule in rules] == want_bodies and counts.tolist() == want_counts
+            assert log_probs.tolist() == want_log_probs
+
     def test_a_draw_after_fit_bodies_reads_the_new_counts(self, no_limit):
         def build():
             model = fitted_model(("a", "b", "c"), heads=[1], picks=20)
@@ -1077,7 +1104,7 @@ class TestDrawTable:
             return model
 
         model = self.assert_draws_equal_per_token(build, [1, 4], 40, seed=1)
-        assert model._head_cache[1].steps[(0, ((),))][1][2] > 0.9  # (2,) now leads at position 0
+        assert model._head_cache[1].steps[(0, (0,))][1][2] > 0.9  # (2,) now leads after the empty context, code 0
 
     def test_the_table_keeps_at_most_two_entries_per_position_and_token(self, no_limit):
         model = fitted_model(("a", "b", "c"), order=3, lambdas=[0.25] * 4, max_len=4, picks=200, seed=2)
@@ -1086,11 +1113,12 @@ class TestDrawTable:
         model.sample_unique_index_rows(heads, 100, np.random.default_rng(5))
         bound = model.max_len * 2 * (model.vocab.size + 1)
         counts = dense_counts(model)
+        two = context_code(model.vocab.size, (0, 0))  # the least code of a two-token context
         for head in range(model.vocab.size):
             read = {table_keys(model, counts, head, body[:position])
                     for bodies, _, _ in reference[head :: model.vocab.size] for body in bodies
                     for position in range(min(len(body) + 1, model.max_len))}
-            kept = {key for key in read if all(len(ctx) < 2 for ctx in key[1])}
+            kept = {key for key in read if all(code < two for code in key[1])}
             assert len(read) > bound  # a table of every key read would break the bound
             assert set(model._head_cache[head].steps) == kept
             assert len(kept) <= bound
@@ -1108,8 +1136,9 @@ class TestSave:
         # 60 ids: a dense row per context would take 61 floats, 488 bytes,
         # where about 2.4 of them are nonzero.  The bound allows 64 bytes per
         # nonzero count and 384 per context, for the store (tokens, counts,
-        # codes, row starts and the context index) and to_json's arrays and
-        # base64 text, with fit_bodies' temporaries on top.
+        # codes and row starts) and to_json's arrays and base64 text, with
+        # fit_bodies' temporaries on top.  A loaded generator holds its CSR
+        # arrays and little else.
         model = fresh(tuple(f"r{i}" for i in range(30)))
         assert model.enumerable_size() > ENUM_LIMIT
         rng = np.random.default_rng(0)
@@ -1131,6 +1160,15 @@ class TestSave:
         nnz, contexts = len(arrays["tokens"]), len(arrays["nnz"])
         assert contexts > 10_000 and nnz < 4 * contexts
         assert peak <= 64 * nnz + 384 * contexts
+        tracemalloc.start()
+        try:
+            loaded = RuleGenerator.from_json(obj)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        blocks = loaded._counts.values()
+        arrays_bytes = sum(b.codes.nbytes + b.starts.nbytes + b.tokens.nbytes + b.values.nbytes for b in blocks)
+        assert held <= 2 * arrays_bytes
 
     def test_file_is_smaller_than_the_dense_layout(self, tmp_path):
         model = fitted_model(tuple(f"r{i}" for i in range(24)), picks=3)
@@ -1139,12 +1177,13 @@ class TestSave:
 
 
 class DenseRows(RuleGenerator):
-    """The next-token kernels over dense count rows, as they read before counts were stored sparse.
+    """The next-token kernels as one scalar formula over dense count rows: the reference.
 
     ``rows`` maps (head, context) to a dense row of ``size + 1`` floats.
-    Everything else (the stored-context keys of ``_draw_body``'s table
-    included) is the generator's own, so every method built on the kernels
-    reads the dense formula: the reference for the sparse store.
+    ``conditional`` computes one prefix's distribution on its own, and
+    ``conditionals`` stacks its rows.  Everything else (the stored-context
+    keys of ``_draw_bodies``'s table included) is the generator's own, so every
+    method built on the kernels reads the dense formula.
     """
 
     rows: dict
@@ -1152,7 +1191,7 @@ class DenseRows(RuleGenerator):
     def conditional(self, head, prefix):
         position = len(prefix)
         if position >= self.max_len:
-            return self._stop_dist
+            return self._stop_support, np.ones(1)
         width = self.vocab.size if position == 0 else self.vocab.size + 1
         probs = None
         uniform_mass = 0.0
@@ -1166,7 +1205,7 @@ class DenseRows(RuleGenerator):
                 probs = np.zeros(width)
             probs += w * (c + self.alpha) / (c.sum() + self.alpha * width)
         if probs is None:
-            return self._supports[position > 0], self._uniforms[position > 0]
+            return self._supports[position > 0], np.full(width, 1.0 / width)
         if uniform_mass:
             probs += uniform_mass / width
         return self._supports[position > 0], probs
@@ -1174,10 +1213,17 @@ class DenseRows(RuleGenerator):
     def conditionals(self, head, prefixes):
         prefixes = np.asarray(prefixes, dtype=np.intp)
         if prefixes.shape[1] >= self.max_len:
-            return self._stop_dist[0], np.ones((len(prefixes), 1))
+            return self._stop_support, np.ones((len(prefixes), 1))
         support, _ = self.conditional(head, (0,) * prefixes.shape[1])
         rows = [self.conditional(head, tuple(prefix))[1] for prefix in prefixes.tolist()]
         return support, np.array(rows).reshape(len(prefixes), len(support))
+
+
+def dense_reference(model):
+    """``DenseRows`` over the counts of ``model``, as ``dense_counts`` reads them."""
+    reference = DenseRows.from_json(model.to_json())
+    reference.rows = dense_counts(model)
+    return reference
 
 
 def rounding_row(rng, size, widths):
@@ -1234,7 +1280,7 @@ class TestSparseCountsEqualDenseRows:
                 support, probs = model.conditionals(head, prefixes)
                 want_support, want = reference.conditionals(head, prefixes)
                 assert np.array_equal(support, want_support) and probs.tobytes() == want.tobytes()
-                for prefix, row in zip(prefixes.tolist()[:50], probs):
+                for prefix, row in zip(prefixes.tolist()[:50], want):
                     assert model.conditional(head, tuple(prefix))[1].tobytes() == row.tobytes()
             bodies = [(head,), (head, head), (head, head, head), (1, 2), (5, 0, 19)]
             for body in bodies:
