@@ -14,9 +14,9 @@ then grounds all of them in one chunked gather per block.  A step's draws
 instance with the rows concatenated, and ``e_step`` scores all the instances
 in one pass.  Every step works on integer ids from the generator's one
 rule-id space (``RuleGenerator.rule_ids``), whatever the size of the
-vocabulary, and the extractor weights train as arrays over rule ids
-(``TrainingWeights``); ``run_em`` builds ``Rule`` objects once, for the
-weights it returns.  Inference reads the rule sets and the weights once per
+vocabulary, and the extractor weights train as arrays keyed by codes of
+(relation, rule id) that never change (``TrainingWeights``); ``run_em``
+builds ``Rule`` objects once, for the weights it returns.  Inference reads the rule sets and the weights once per
 run, as flat term arrays (``inference_terms``), and scores and explains each
 document in one pass (``explain_document``) over one stack of all-pairs
 grounding matrices; ``predict_document``, ``explain`` and ``infer`` call the
@@ -291,63 +291,53 @@ def posterior_over_rules(
 
 
 class TrainingWeights:
-    """The extractor weights while EM runs: arrays over the stored keys.
+    """The extractor weights while EM runs: the stored keys' codes and weights, as two arrays.
 
     A stored key is any key that has been a design column since the last
     reset; keys whose weight is exactly 0 stay, because their columns still
-    enter the descent's sums.  ``bias_rel``/``bias_val`` hold the stored
-    biases, sorted by relation.  ``rule_rel``/``rule_id``/``rule_val`` hold
-    the stored rule weights by relation and rule id (``RuleGenerator.rule_ids``)
-    in (relation, body) order, the order of the design's stored columns.
-    Memory: 16 bytes per stored bias and 24 per stored rule weight, whatever
-    the number of relations and rule ids.
-    Keys code as ints: a bias as ``-1 - relation``, a rule weight as
-    ``relation * E + id`` for a table of E rule ids.
+    enter the descent's sums.  Keys code as ints: a bias as ``-1 -
+    relation``, a rule weight as ``id * R + relation`` for the rule id
+    (``RuleGenerator.rule_ids``) and the R relation ids of the vocabulary, so
+    a key's code never changes once its rule has an id.  ``codes`` holds the
+    biases by relation, then the rule weights in (relation, body) order, the
+    order of the design's stored columns, and ``values`` their weights;
+    ``by_code`` is the codes' sort order, found once.  Memory: 24 bytes per
+    stored key, whatever the number of relations and rule ids.
     """
 
-    def __init__(self, bias_rel=(), bias_val=(), rule_rel=(), rule_id=(), rule_val=()):
-        self.bias_rel = np.asarray(bias_rel, dtype=np.intp)
-        self.bias_val = np.asarray(bias_val, dtype=float)
-        self.rule_rel = np.asarray(rule_rel, dtype=np.intp)
-        self.rule_id = np.asarray(rule_id, dtype=np.intp)
-        self.rule_val = np.asarray(rule_val, dtype=float)
+    def __init__(self, codes=(), values=()):
+        self.codes = np.asarray(codes, dtype=np.intp)
+        self.values = np.asarray(values, dtype=float)
+        self.by_code = np.argsort(self.codes)
 
     @classmethod
-    def from_codes(cls, codes: np.ndarray, w: np.ndarray, table: np.ndarray) -> "TrainingWeights":
-        """The keys ``codes`` with the weights ``w``, for the rule-id table ``table``."""
-        bias_rel, (rel, ids) = -1 - codes[codes < 0], np.divmod(codes[codes >= 0], len(table))
-        by_rel = np.argsort(bias_rel)
-        order = np.lexsort((*table[ids].T[::-1], rel))  # (relation, body) order
-        return cls(bias_rel[by_rel], w[codes < 0][by_rel], rel[order], ids[order], w[codes >= 0][order])
+    def from_design(cls, codes: np.ndarray, w: np.ndarray, model: RuleGenerator) -> "TrainingWeights":
+        """The design's column keys ``codes`` with their weights ``w``, in stored order."""
+        biases, rules = np.flatnonzero(codes < 0), np.flatnonzero(codes >= 0)
+        ids, relations = np.divmod(codes[rules], model.vocab.size)
+        by_body = np.lexsort((*model.body_table()[ids].T[::-1], relations))  # (relation, body) order
+        at = np.concatenate([biases[np.argsort(-codes[biases])], rules[by_body]])
+        return cls(codes[at], w[at])
 
-    def codes(self, size: int) -> np.ndarray:
-        """The stored keys' codes for a table of ``size`` rule ids: biases, then rule weights."""
-        return np.concatenate([-1 - self.bias_rel, self.rule_rel * size + self.rule_id])
-
-    def values(self) -> np.ndarray:
-        """The stored weights in the order of ``codes``."""
-        return np.concatenate([self.bias_val, self.rule_val])
-
-    def find(self, keys: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the codes ``keys`` are stored, and where each stored one sits in ``codes(size)``."""
-        columns = self.codes(size)
-        by_code = np.argsort(columns)
-        stored = columns[by_code]
+    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the codes ``keys`` are stored, and where each stored one sits in ``codes``."""
+        stored = self.codes[self.by_code]
         at = np.searchsorted(stored, keys)
         found = at < len(stored)
         found[found] = stored[at[found]] == keys[found]
         positions = np.zeros(len(keys), dtype=np.intp)
-        positions[found] = by_code[at[found]]
+        positions[found] = self.by_code[at[found]]
         return found, positions
 
     def to_extractor(self, model: RuleGenerator) -> ExtractorWeights:
         """The same keys and weights as ``ExtractorWeights``, one ``Rule`` per stored rule weight."""
         weights = ExtractorWeights()
-        weights.bias = dict(zip(self.bias_rel.tolist(), self.bias_val.tolist()))
-        weights.rule_weight = {
-            (relation, model.rule_at(relation, i)): value
-            for relation, i, value in zip(self.rule_rel.tolist(), self.rule_id.tolist(), self.rule_val.tolist())
-        }
+        for code, value in zip(self.codes.tolist(), self.values.tolist()):
+            if code < 0:
+                weights.bias[-1 - code] = value
+            else:
+                i, relation = divmod(code, model.vocab.size)
+                weights.rule_weight[relation, model.rule_at(relation, i)] = value
         return weights
 
 
@@ -415,11 +405,10 @@ def e_step(
     relations = np.array([inst.relation for inst in instances], dtype=np.intp)
     labels = np.array([inst.label for inst in instances], dtype=float)
     owner = np.repeat(np.arange(len(instances)), draws.sizes)
-    size = len(model.body_table())
-    keys = np.concatenate([-1 - relations, relations[owner] * size + draws.support])
-    found, at = weights.find(keys, size)
+    keys = np.concatenate([-1 - relations, draws.support * model.vocab.size + relations[owner]])
+    found, at = weights.find(keys)
     stored = np.zeros(len(keys))
-    stored[found] = weights.values()[at[found]]
+    stored[found] = weights.values[at[found]]
     bias, w = stored[: len(instances)], stored[len(instances) :]
     extract = np.zeros(len(w))
     nz = np.flatnonzero(w)
@@ -430,17 +419,23 @@ def e_step(
     return Posteriors(relations, draws.sizes, draws.support, h_values, _row_softmax(h_values, draws.sizes))
 
 
-def m_step_generator(posteriors: Posteriors, model: RuleGenerator) -> RuleGenerator:
-    """Refit the generator on posterior-weighted rules, grouped by query relation.
+def m_step_generator(posteriors: Posteriors, model: RuleGenerator, n_rules: int) -> float:
+    """Refit the generator on posterior-weighted rules, grouped by query relation, and return l_g.
 
     Count additivity makes the per-head aggregate equivalent to one
     ``fit_weighted`` call per instance.  Each head's weights sum per rule id
-    in row order, and the nonzero sums refit in body order.
+    in row order, and the nonzero sums refit in body order.  l_g is the mean
+    over instances of N times the posterior-weighted log-prior of their
+    rules.  A refit changes only its own head, so each head's log-priors come
+    from one ``log_probs_by_index`` call right after its refit.  The rows'
+    dot products run as one stacked ``matmul`` per row length, each equal to
+    the row's own ``weights @ log_probs``.
     """
     if not len(posteriors.sizes):
         raise ValueError("no posteriors to fit the generator on")
     heads = np.repeat(posteriors.relations, posteriors.sizes)
     table = model.body_table()
+    log_probs = np.empty(len(heads))
     for head in np.unique(posteriors.relations).tolist():
         mine = heads == head
         acc = np.zeros(len(table))
@@ -448,20 +443,6 @@ def m_step_generator(posteriors: Posteriors, model: RuleGenerator) -> RuleGenera
         nonzero = np.flatnonzero(acc)
         nonzero = nonzero[np.lexsort(table[nonzero].T[::-1])]
         model.fit_bodies(head, table[nonzero], acc[nonzero])
-    return model
-
-
-def _generator_log_likelihood(posteriors: Posteriors, model: RuleGenerator, n_rules: int) -> float:
-    """Mean over instances of N times the posterior-weighted log-prior of the instance's rules.
-
-    Each head's log-priors come from one ``log_probs_by_index`` call.  The
-    rows' dot products run as one stacked ``matmul`` per row length, each
-    row's equal to its own ``weights @ log_probs``.
-    """
-    heads = np.repeat(posteriors.relations, posteriors.sizes)
-    log_probs = np.empty(len(heads))
-    for head in np.unique(posteriors.relations).tolist():
-        mine = heads == head
         log_probs[mine] = model.log_probs_by_index(head, posteriors.indices[mine])
     dots = np.empty(len(posteriors.sizes))
     for rows, idx in _row_blocks(posteriors.sizes):
@@ -508,14 +489,13 @@ def m_step_extractor(
     if reset:
         weights = TrainingWeights()
     design, draws = _index_design(corpus, model, weights, rng, n_rules=n_rules, mode=mode, beam=beam, cache=cache)
-    stored = weights.values()
-    result = fit_design(design, np.concatenate([stored, np.zeros(len(design.keys) - len(stored))]), fit_config)
+    result = fit_design(design, np.append(weights.values, np.zeros(len(design.keys) - len(weights.values))), fit_config)
     predicted = result.final_scores > 0
     actual = result.labels > 0
     tp = int(np.sum(predicted & actual))
     fp = int(np.sum(predicted & ~actual))
     fn = int(np.sum(~predicted & actual))
-    trained = TrainingWeights.from_codes(design.keys, result.w, model.body_table())
+    trained = TrainingWeights.from_design(design.keys, result.w, model)
     samples = draws if mode == "sample" else None
     return MStepResult(trained, result.losses, result.data_log_likelihood, prf(tp, fp, fn).f1, samples)
 
@@ -531,7 +511,7 @@ def _index_design(
     beam: int,
     cache: GroundingCache,
 ) -> tuple[_DesignMatrix, Draws]:
-    """Feature build over rule ids, with the codes of the keys (``TrainingWeights.codes``) as column keys.
+    """Feature build over rule ids, with the keys' codes (see ``TrainingWeights``) as column keys.
 
     Returns the design and the grounded draws it was built from.  Each
     instance contributes one entry per unique drawn rule, then one bias
@@ -554,22 +534,20 @@ def _index_design(
     else:
         draws = draw_all_rules(model, relations, n_rules, rng)
     draws = draws._replace(values=_ground_draws(cache, corpus, draws, model))
-    size = len(model.body_table())  # every drawn rule has its id by now
     per_row = draws.sizes + 1
     bias_at = np.cumsum(per_row) - 1
     is_rule = np.ones(int(per_row.sum()), dtype=bool)
     is_rule[bias_at] = False
     codes = np.empty(is_rule.size, dtype=np.intp)
-    codes[is_rule] = np.repeat(relations * size, draws.sizes) + draws.support
+    codes[is_rule] = draws.support * model.vocab.size + np.repeat(relations, draws.sizes)
     codes[bias_at] = -1 - relations
-    found, cols = weights.find(codes, size)
+    found, cols = weights.find(codes)
     new_codes, first, inverse = np.unique(codes[~found], return_index=True, return_inverse=True)
     appearance = np.argsort(first, kind="stable")
     rank = np.empty(len(new_codes), dtype=np.intp)
     rank[appearance] = np.arange(len(new_codes))
-    columns = weights.codes(size)
-    cols[~found] = len(columns) + rank[inverse]
-    columns = np.concatenate([columns, new_codes[appearance]])
+    cols[~found] = len(weights.codes) + rank[inverse]
+    columns = np.concatenate([weights.codes, new_codes[appearance]])
     vals = np.ones(is_rule.size)
     vals[is_rule] = draws.counts * draws.values
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
@@ -628,8 +606,7 @@ def run_em(corpus: Corpus, vocab: RelationVocab, config: EMConfig) -> EMResult:
             # draws, grounded already.
             draws = carried if carried is not None else draw_all_rules(model, relations, config.n_rules, rng)
             posteriors = e_step(corpus, draws, model, weights, config.n_rules, cache)
-            m_step_generator(posteriors, model)
-            l_g = _generator_log_likelihood(posteriors, model, config.n_rules)
+            l_g = m_step_generator(posteriors, model, config.n_rules)
             m_result = update_extractor(weights, mode)
             weights = m_result.weights
         except Exception as exc:
@@ -859,9 +836,12 @@ def explain(
     label is 1 when the probability is above 0.5.  Contributions list the
     rules whose term is nonzero, ordered by decreasing contribution and then
     by rule text; only the first ``top`` of them (all when ``top`` is None)
-    are returned, each with its witness path.
+    are returned, each with its witness path.  An entity id outside the
+    document raises ``ValueError``, as in ``ground_rule``.
     """
     h, relation, t = query
+    if not (0 <= h < doc.num_entities and 0 <= t < doc.num_entities):
+        raise ValueError(f"entity id out of range: ({h}, {t}) in doc {doc.doc_id}")
     terms = inference_terms({relation: ruleset}, weights, vocab)
     scores = score_document(doc, terms)
     logit = float(scores.logits[0, h, t])
@@ -885,8 +865,9 @@ def infer(
     score's.  Each call draws them afresh; to explain many queries, build
     ``inference_terms`` of ``inference_rulesets`` once and call
     ``explain_document``, as ``rulex infer`` does with the rule sets that
-    ``rulex train`` wrote.
+    ``rulex train`` wrote.  An unknown relation id raises ``ValueError``.
     """
+    model.vocab.check_relation(query[1])
     rulesets = inference_rulesets(model, model.vocab, config, rng)
     return explain(doc, query, rulesets[query[1]], weights, model.vocab)
 

@@ -24,7 +24,7 @@ from .core import DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, pad_bodies
 
 # Above this many enumerable bodies per head, ruleset sampling falls back to
 # token-wise ancestral draws instead of one multinomial over the rule space,
-# and rule ids are interned in first-seen order instead of enumerated.
+# and the rule-id table starts empty instead of holding the enumeration.
 ENUM_LIMIT = 100_000
 
 # The layout of ``generator.json`` (see ``RuleGenerator.to_json``), and the
@@ -344,9 +344,9 @@ class RuleGenerator:
     def rule_ids(self, bodies: Iterable[tuple[int, ...]]) -> np.ndarray:
         """Ids of many bodies in the generator's rule-id space, the same for every head.
 
-        When the space is enumerable the ids are enumeration indices.  Past
-        ``ENUM_LIMIT`` a body not seen before is interned with the next id,
-        so ids follow first-seen order.
+        A body without an id is checked and interned with the next id
+        (``_RuleSpace``).  On an enumerable space every body has one from the
+        start, its enumeration index; past ``ENUM_LIMIT`` ids follow first-seen order.
         """
         return self._rule_space().ids(list(bodies))
 
@@ -590,13 +590,6 @@ class RuleGenerator:
         """Log-probabilities for a batch of same-head rules (enumeration-backed when possible)."""
         return self.log_probs_by_index(head, self.rule_ids(rule.body for rule in rules))
 
-    def enumerate_rules(self, head: int) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """All valid bodies for a head with their probabilities (enumerable vocabularies only)."""
-        enum = self._enumeration(head)
-        if enum is None:
-            raise ValueError("rule space too large to enumerate")
-        return self._rule_space().bodies, np.exp(enum.log_probs)
-
     # -- serialization -------------------------------------------------------
 
     def to_json(self) -> dict:
@@ -818,38 +811,37 @@ _NO_COUNTS = _Counts(np.zeros(0, dtype=np.int64), np.zeros(1, dtype=np.int64), n
 class _RuleSpace:
     """The rule-id table: one body per id, the same ids for every head.
 
-    When the space is enumerable, ids follow the enumeration order, which
-    sorts bodies lexicographically.  It depends on neither the head nor the
-    counts, so a generator builds it once.  ``order`` maps ids to positions
-    in the generation order: the bodies of each length in turn, each length
-    extending every body of the previous one by each relation id.  Past
-    ``ENUM_LIMIT`` the table starts empty and ``ids`` interns bodies in
-    first-seen order.
+    ``ids`` checks each body it has not seen before and interns it with the
+    next id, so ids follow first-seen order.  When the space is enumerable,
+    the table starts with the whole enumeration, interned that way in
+    lexicographic order, and so depends on neither the head nor the counts.
+    ``order`` then maps ids to positions in the generation order: the bodies
+    of each length in turn, each length extending every body of the previous
+    one by each relation id.  Past ``ENUM_LIMIT`` the table starts empty.
     """
 
-    __slots__ = ("size", "max_len", "enumerated", "order", "bodies", "index", "table")
+    __slots__ = ("size", "max_len", "order", "bodies", "index", "table")
 
     def __init__(self, size: int, max_len: int, enumerated: bool):
-        self.size, self.max_len, self.enumerated = size, max_len, enumerated
+        self.size, self.max_len = size, max_len
         self.order: list[int] = []
         self.bodies: list[tuple[int, ...]] = []
+        self.index: dict[tuple[int, ...], int] = {}
+        self.table = np.zeros((0, max_len), dtype=np.intp)
         if enumerated:
             levels: list[list[tuple[int, ...]]] = [[()]]
             for _ in range(max_len):
                 levels.append([prefix + (x,) for prefix in levels[-1] for x in range(size)])
             generated = list(itertools.chain.from_iterable(levels[1:]))
             self.order = sorted(range(len(generated)), key=generated.__getitem__)
-            self.bodies = [generated[i] for i in self.order]
-        self.index = {body: i for i, body in enumerate(self.bodies)}
-        self.table = pad_bodies(self.bodies, max_len)
+            self.ids([generated[i] for i in self.order])
 
     def ids(self, bodies: list[tuple[int, ...]]) -> np.ndarray:
         index = self.index
         try:
             return np.fromiter(map(index.__getitem__, bodies), dtype=np.intp, count=len(bodies))
-        except KeyError as exc:
-            if self.enumerated:
-                raise ValueError(f"rule body {exc.args[0]!r} is not in the enumeration") from None
+        except KeyError:
+            pass
         new = [body for body in dict.fromkeys(bodies) if body not in index]
         lengths = np.fromiter(map(len, new), dtype=np.intp, count=len(new))
         owners = np.repeat(np.arange(len(new)), lengths)
@@ -862,7 +854,7 @@ class _RuleSpace:
         table = np.full((len(new), self.max_len), -1, dtype=np.intp)
         table[owners, np.arange(len(owners)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = tokens
         index.update(zip(new, range(len(self.bodies), len(self.bodies) + len(new))))
-        self.bodies.extend(new)
+        self.bodies.extend(tuple(row[:n]) for row, n in zip(table.tolist(), lengths.tolist()))  # as Python ints
         self.table = np.concatenate([self.table, table])
         return np.fromiter(map(index.__getitem__, bodies), dtype=np.intp, count=len(bodies))
 

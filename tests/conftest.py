@@ -35,6 +35,16 @@ def random_doc(rng, num_relations, max_entities=6, density=0.25):
     return Document("rand", [f"e{i}" for i in range(n)], atoms, num_relations=num_relations)
 
 
+def enumeration(model, head):
+    """Every body of an enumerable rule space in id order, and each one's probability under ``head``.
+
+    Read from ``body_table`` and ``log_probs_by_index``.
+    """
+    table = model.body_table()
+    bodies = [tuple(r for r in row if r >= 0) for row in table.tolist()]
+    return bodies, np.exp(model.log_probs_by_index(head, np.arange(len(table))))
+
+
 # The little-endian dtype of each array of generator.json's count block.
 COUNT_DTYPES = {"contexts": "<i4", "nnz": "<i4", "tokens": "<i4", "values": "<f8"}
 

@@ -19,7 +19,7 @@ from rulex import cli
 from rulex.em import log_sigmoid_taylor
 from rulex.oracles import gradient_oracle, grounding_oracle, normalization_oracle, posterior_oracle
 
-from replica_support import run_replica
+from replica_support import QUALITY_FIXTURE, quality_mismatches, run_replica
 
 FIXTURES = Path(__file__).parent / "fixtures" / "metrics"
 N_SEEDS = 10
@@ -110,6 +110,12 @@ def test_criterion_7_rule_recovery_across_seeds(replica_grid):
         summary = {seed: result.recovered_rules for seed, result in sorted(replica_grid.items())}
         assert len(replica_grid) == N_SEEDS
         assert passing >= 8, summary
+
+
+def test_replicas_learn_what_they_learned_when_recorded(replica_grid):
+    """Criterion 7's replicas against ``fixtures/replica_quality.json``, without training again."""
+    seeds, table = quality_mismatches(json.loads(QUALITY_FIXTURE.read_text(encoding="utf-8")), replica_grid)
+    assert not seeds, f"seeds {seeds} differ from {QUALITY_FIXTURE.name}:\n{table}"
 
 
 def test_criterion_8_em_diagnostics(main_replica):

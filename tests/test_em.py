@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -30,7 +31,6 @@ from rulex.em import (
     predict_document,
     rule_score_H,
     run_em,
-    _generator_log_likelihood,
     _softmax,
 )
 from rulex.extractor import (
@@ -48,7 +48,7 @@ from rulex.generator import ENUM_LIMIT, RuleGenerator
 from rulex.metrics import PredictionSet, f1, gold_by_doc
 from rulex.oracles import enumerate_grounding
 
-from conftest import dense_counts, make_doc, random_doc
+from conftest import dense_counts, enumeration, make_doc, random_doc
 
 
 def exact_log_sigmoid(x):
@@ -142,8 +142,7 @@ class TestSoftmaxPosterior:
         model = RuleGenerator(vocab, max_len=2)
         doc = make_doc({(0, 1, 1): 0.6, (0, 2, 1): 0.3}, vocab.size, n_entities=2)
         relation = 0
-        rules = [Rule(relation, body) for body, _ in
-                 zip(*model.enumerate_rules(relation))]
+        rules = [Rule(relation, body) for body in enumeration(model, relation)[0]]
         weights = ExtractorWeights()
         weights.bias[relation] = 0.4
         for rule in rules[::3]:
@@ -225,7 +224,8 @@ class TestEStep:
         model = RuleGenerator(vocab)
         doc = make_doc({(0, 1, 1): 0.9, (0, 2, 1): 0.5, (1, 1, 1): 0.7}, vocab.size, n_entities=2)
         bodies = [(1,), (1, 1), (2,), (3,)]  # (relation, body) order; (3,) stores an exact 0
-        weights = TrainingWeights([0, 2], [0.75, -0.5], [0] * 4, model.rule_ids(bodies), [2.0, 0.25, -1.0, 0.0])
+        codes = [-1, -3, *(model.rule_ids(bodies) * vocab.size).tolist()]  # biases of 0 and 2, rules of 0
+        weights = TrainingWeights(codes, [0.75, -0.5, 2.0, 0.25, -1.0, 0.0])
         reference = weights.to_extractor(model)
         draws = draw_all_rules(model, [0], 400, np.random.default_rng(2))
         for label in (1, -1):
@@ -251,20 +251,18 @@ class TestEStep:
         assert len(set(relations)) > 2 and {instance.label for instance in train.instances} == {1, -1}
         draws = draw_all_rules(model, relations, 60, np.random.default_rng(8))
         assert draws.sizes.min() > 8 and len(np.unique(draws.sizes)) > 4
-        size = len(model.body_table())
-        codes = np.unique(np.repeat(relations, draws.sizes) * size + draws.support)[::3]
+        drawn = np.repeat(relations, draws.sizes) + draws.support * vocab.size
+        pairs = np.unique(np.column_stack([np.repeat(relations, draws.sizes), draws.support]), axis=0)[::3]
+        codes = pairs[:, 0] + pairs[:, 1] * vocab.size  # a third of the drawn keys, by (relation, id)
         rng = np.random.default_rng(9)
         w = np.where(np.arange(len(codes)) % 8 == 0, 0.0, rng.normal(size=len(codes)))
         bias_codes = -1 - np.unique(relations)
-        weights = TrainingWeights.from_codes(np.concatenate([bias_codes, codes]),
-                                             np.concatenate([rng.normal(size=len(bias_codes)), w]),
-                                             model.body_table())
+        weights = TrainingWeights.from_design(np.concatenate([bias_codes, codes]),
+                                              np.concatenate([rng.normal(size=len(bias_codes)), w]), model)
         cache = GroundingCache()
         grounded = draws._replace(values=rulex.em._ground_draws(cache, train, draws, model))
-        assert np.any(grounded.values[np.isin(np.repeat(relations, draws.sizes) * size + draws.support,
-                                              codes[w != 0.0])] > 0.0)
-        zero_rules = TrainingWeights(weights.bias_rel, weights.bias_val, weights.rule_rel, weights.rule_id,
-                                     np.zeros(len(weights.rule_val)))
+        assert np.any(grounded.values[np.isin(drawn, codes[w != 0.0])] > 0.0)
+        zero_rules = TrainingWeights(weights.codes, np.where(weights.codes < 0, weights.values, 0.0))
         for given, trained, store in ((draws, weights, cache), (grounded, weights, NoGather()),
                                       (draws, zero_rules, NoGather()), (draws, TrainingWeights(), NoGather())):
             posteriors = e_step(train, given, model, trained, 60, store)
@@ -450,7 +448,7 @@ class TestMStepGenerator:
         rule = Rule(0, (1, 2))
         posterior = posterior_over_rules(instance, [rule], model, ExtractorWeights(), doc, 50)
         before = model.log_prob(0, rule.body)
-        m_step_generator(posterior, model)
+        m_step_generator(posterior, model, 50)
         assert model.log_prob(0, rule.body) > before
 
     def test_two_identical_posteriors_equal_one_with_doubled_weights(self, rng):
@@ -461,7 +459,7 @@ class TestMStepGenerator:
         model_a = RuleGenerator(vocab)
         model_b = RuleGenerator(vocab)
         posterior = posterior_over_rules(instance, rules, model_a, ExtractorWeights(), doc, 50)
-        m_step_generator(Posteriors(*(np.concatenate([field, field]) for field in posterior)), model_a)
+        m_step_generator(Posteriors(*(np.concatenate([field, field]) for field in posterior)), model_a, 50)
         model_b.fit_weighted(0, [(rule, 2 * float(w)) for rule, w in zip(rules, posterior.weights)])
         counts_a, counts_b = dense_counts(model_a), dense_counts(model_b)
         for key in counts_a:
@@ -473,14 +471,14 @@ class TestMStepGenerator:
         instance = LabeledInstance("d", 0, 0, 1, 1)
         eps = 1e-6
         model = RuleGenerator(vocab)
-        _, before = model.enumerate_rules(0)
+        _, before = enumeration(model, 0)
         model.fit_weighted(0, [(Rule(0, (1,)), eps)])
-        _, after = model.enumerate_rules(0)
+        _, after = enumeration(model, 0)
         assert np.max(np.abs(after - before)) < 10 * eps
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            m_step_generator(Posteriors(*[np.zeros(0, dtype=np.intp)] * 5), RuleGenerator(build_vocab(["a"])))
+            m_step_generator(Posteriors(*[np.zeros(0, dtype=np.intp)] * 5), RuleGenerator(build_vocab(["a"])), 4)
 
     @pytest.mark.parametrize("relations", [4, 24])
     def test_refit_from_e_step_posteriors_equals_one_fit_per_head(self, relations):
@@ -492,7 +490,7 @@ class TestMStepGenerator:
         train, vocab = result.splits["train"], result.vocab
         model, reference = RuleGenerator(vocab), RuleGenerator(vocab)
         ids = model.rule_ids((relation,) for relation in range(vocab.size))
-        weights = TrainingWeights(rule_rel=range(vocab.size), rule_id=ids, rule_val=[1.5] * vocab.size)
+        weights = TrainingWeights(ids * vocab.size + np.arange(vocab.size), [1.5] * vocab.size)
         draws = draw_all_rules(model, [inst.relation for inst in train.instances], 12, np.random.default_rng(5))
         posteriors = e_step(train, draws, model, weights, 12, GroundingCache())
         assert (model.enumerable_size() > ENUM_LIMIT) == (relations == 24)
@@ -503,7 +501,7 @@ class TestMStepGenerator:
         table = model.body_table()
         assert [rule.body for _, rules, _ in rows for rule in rules] == [
             tuple(r for r in row if r >= 0) for row in table[posteriors.indices].tolist()]
-        m_step_generator(posteriors, model)
+        m_step_generator(posteriors, model, 12)
         for head in sorted(set(posteriors.relations.tolist())):
             sums: dict[Rule, float] = {}
             for relation, rules, row_weights in rows:
@@ -518,12 +516,14 @@ class TestMStepGenerator:
 
     @pytest.mark.parametrize("relations", [4, 24])
     def test_batched_l_g_equals_one_log_prob_call_per_posterior(self, relations):
+        # m_step_generator reads each head's log-priors right after that
+        # head's refit; the reference reads them after every refit.
         result = tiny_synth(relations=relations, docs=8)
         train, vocab = result.splits["train"], result.vocab
         model = RuleGenerator(vocab)
         draws = draw_all_rules(model, [inst.relation for inst in train.instances], 40, np.random.default_rng(2))
         posteriors = e_step(train, draws, model, TrainingWeights(), 40, GroundingCache())
-        m_step_generator(posteriors, model)
+        l_g = m_step_generator(posteriors, model, 40)
         rows = [(relation, posteriors.indices[row], posteriors.weights[row])
                 for relation, row in zip(posteriors.relations.tolist(), row_slices(posteriors.sizes))]
         # Rows longer than 8 and of several lengths make several stacked
@@ -531,12 +531,12 @@ class TestMStepGenerator:
         assert len({len(ids) for _, ids, _ in rows}) > 1 and min(len(ids) for _, ids, _ in rows) > 8
         want = float(np.mean([40 * float(weights @ model.log_probs_by_index(relation, ids))
                               for relation, ids, weights in rows]))
-        assert _generator_log_likelihood(posteriors, model, 40) == want
-        if relations == 24:  # past the limit both equal the scalar log_prob
-            scalar = [np.array([model.log_prob(relation, model.rule_at(relation, i).body) for i in ids.tolist()])
-                      for relation, ids, _ in rows]
-            assert want == float(np.mean([40 * float(weights @ log_probs)
-                                          for (_, _, weights), log_probs in zip(rows, scalar)]))
+        assert l_g == want
+        if relations == 24:  # past the limit both equal the scalar log_prob, one call per (relation, id)
+            keys = {(relation, i) for relation, ids, _ in rows for i in ids.tolist()}
+            scalar = {key: model.log_prob(key[0], model.rule_at(*key).body) for key in keys}
+            assert want == float(np.mean([40 * float(weights @ np.array([scalar[relation, i] for i in ids.tolist()]))
+                                          for relation, ids, weights in rows]))
 
 
 def tiny_synth(seed=5, **overrides):
@@ -577,11 +577,11 @@ class TestMStepExtractor:
         result = tiny_synth()
         train = result.splits["train"]
         model = RuleGenerator(result.vocab)
-        weights = TrainingWeights([0], [0.125])
+        weights = TrainingWeights([-1], [0.125])
         m_result = m_step_extractor(train, model, weights, FitConfig(lr=1.0, epochs=0), rng,
                                     n_rules=4, mode="top", beam=16)
         assert m_result.weights.to_extractor(model).bias[0] == 0.125
-        assert weights.bias_rel.tolist() == [0] and weights.bias_val.tolist() == [0.125]
+        assert weights.codes.tolist() == [-1] and weights.values.tolist() == [0.125]
 
     def test_deterministic_under_fixed_seed(self):
         result = tiny_synth()
@@ -626,7 +626,7 @@ class TestMStepExtractor:
             want = _DesignMatrix.from_batch(batch, reference)
             fitted = fit(batch, reference, config)
             got = designs[-1]
-            assert len(got.keys) == len(want.keys) > len(weights.bias_val) + len(weights.rule_val)
+            assert len(got.keys) == len(want.keys) > len(weights.codes)
             assert np.array_equal(got.rows, want.rows) and np.array_equal(got.cols, want.cols)
             assert np.array_equal(got.vals, want.vals)
             assert m_result.losses == fitted.losses
@@ -636,7 +636,8 @@ class TestMStepExtractor:
             assert trained.rule_weight == reference.rule_weight
             assert list(trained.rule_weight) == sorted(reference.rule_weight, key=lambda k: (k[0], k[1].body))
             if step == 0:
-                assert np.any(weights.rule_val == 0.0) and np.any(weights.rule_val != 0.0)
+                rule_values = weights.values[weights.codes >= 0]
+                assert np.any(rule_values == 0.0) and np.any(rule_values != 0.0)
         assert len(designs) == 2
 
 
@@ -821,6 +822,27 @@ class TestInfer:
         a = infer(doc, (0, 0, 1), model, weights, config)
         b = infer(doc, (0, 0, 1), model, weights, config)
         assert a == b
+
+    @pytest.mark.parametrize("h,t", [(-2, 0), (0, -1), (3, 0), (0, 7)])
+    def test_entity_id_outside_the_document_names_the_ids_and_the_document(self, h, t):
+        # No rule fires on this document, so before the check (-2, r, 0)
+        # read entity 1's logit and an id >= 3 raised a bare IndexError.
+        vocab = build_vocab(["a", "b"])
+        model = RuleGenerator(vocab)
+        doc = make_doc({}, vocab.size, n_entities=3, doc_id="doc7")
+        config = EMConfig(n_rules=8, beam=32)
+        message = re.escape(f"entity id out of range: ({h}, {t}) in doc doc7")
+        with pytest.raises(ValueError, match=message):
+            explain(doc, (h, 0, t), model.top_rules(0, 8, 32), ExtractorWeights(), vocab)
+        with pytest.raises(ValueError, match=message):
+            infer(doc, (h, 0, t), model, ExtractorWeights(), config)
+
+    @pytest.mark.parametrize("relation", [-1, 4, 9])
+    def test_unknown_relation_id_is_a_value_error(self, relation):
+        vocab = build_vocab(["a", "b"])
+        doc = make_doc({}, vocab.size, n_entities=3)
+        with pytest.raises(ValueError, match=f"relation id out of range: {relation}"):
+            infer(doc, (0, relation, 1), RuleGenerator(vocab), ExtractorWeights(), EMConfig(n_rules=8, beam=32))
 
     @pytest.mark.parametrize("mode", ["top", "sample"])
     def test_scores_as_predict_document_and_sums_to_the_logit(self, mode):

@@ -12,7 +12,7 @@ import rulex.generator
 from rulex.core import Rule, build_vocab, pad_bodies
 from rulex.generator import ENUM_LIMIT, RuleGenerator
 
-from conftest import count_arrays, dense_counts, set_count_arrays, with_counts
+from conftest import count_arrays, dense_counts, enumeration, set_count_arrays, with_counts
 
 
 def fresh(names=("a", "b"), self_inverse=(), **kwargs):
@@ -121,7 +121,7 @@ class TestNormalization:
     def test_enumeration_matches_log_prob(self):
         model = fresh()
         model.fit_weighted(1, [(Rule(1, (0, 2)), 2.0), (Rule(1, (3,)), 1.0)])
-        bodies, probs = model.enumerate_rules(1)
+        bodies, probs = enumeration(model, 1)
         for body, p in zip(bodies, probs):
             assert p == pytest.approx(math.exp(model.log_prob(1, body)), rel=1e-12)
 
@@ -150,7 +150,7 @@ class TestNormalization:
             chunks.append(prefix_logs)
             order_ = sorted(range(len(generated)), key=generated.__getitem__)
             want = np.concatenate(chunks)[order_]
-            got_bodies, got_probs = model.enumerate_rules(head)
+            got_bodies, got_probs = enumeration(model, head)
             assert got_bodies == [generated[i] for i in order_]
             assert np.array_equal(model.log_probs_by_index(head, np.arange(len(want))), want)
             assert np.array_equal(got_probs, np.exp(want))
@@ -248,7 +248,7 @@ class TestSampling:
         # within three standard errors of its probability.
         model = fresh(("a",), max_len=2)
         model.fit_weighted(0, [(Rule(0, (1, 0)), 3.0), (Rule(0, (0,)), 1.0)])
-        bodies, probs = model.enumerate_rules(0)
+        bodies, probs = enumeration(model, 0)
         rng = np.random.default_rng(5)
         draws = 200_000
         ruleset = model.sample_ruleset(0, draws, rng)
@@ -357,10 +357,10 @@ class TestFitWeighted:
         # both the first position (where termination is excluded) and later
         # ones; it is bounded well below any fitted-signal scale.
         model = fresh(alpha=1e-6)
-        bodies, probs = model.enumerate_rules(0)
+        bodies, probs = enumeration(model, 0)
         refit = fresh(alpha=1e-6)
         refit.fit_weighted(0, [(Rule(0, body), 1e6 * p) for body, p in zip(bodies, probs)])
-        _, probs2 = refit.enumerate_rules(0)
+        _, probs2 = enumeration(refit, 0)
         assert np.max(np.abs(probs - probs2)) < 5e-3
 
     def test_expected_count_refits_contract(self):
@@ -372,13 +372,13 @@ class TestFitWeighted:
 
         model = fresh(alpha=1e-6)
         model.fit_weighted(0, [(Rule(0, (1, 2)), 4.0), (Rule(0, (3,)), 2.0), (Rule(0, (0, 0, 1)), 1.0)])
-        bodies, probs = model.enumerate_rules(0)
+        bodies, probs = enumeration(model, 0)
         current = probs
         distances = []
         for _ in range(3):
             refit = fresh(alpha=1e-6)
             refit.fit_weighted(0, [(Rule(0, body), 1e6 * p) for body, p in zip(bodies, current)])
-            _, nxt = refit.enumerate_rules(0)
+            _, nxt = enumeration(refit, 0)
             distances.append(tv(current, nxt))
             current = nxt
         assert distances[1] < distances[0]
@@ -677,12 +677,14 @@ class TestFitBodies:
 class TestRuleIds:
     def test_enumerable_ids_are_enumeration_indices(self):
         model = fresh()
-        bodies, _ = model.enumerate_rules(0)
+        bodies, _ = enumeration(model, 0)
         assert np.array_equal(model.rule_ids(bodies), np.arange(len(bodies)))
         assert np.array_equal(model.rule_ids(reversed(bodies)), np.arange(len(bodies))[::-1])
         assert len(model.body_table()) == model.enumerable_size()
-        with pytest.raises(ValueError):
-            model.rule_ids([(1, 1, 1, 1)])
+        for bad in ((1, 1, 1, 1), (), (4,), (1.5,)):  # the check that interning past ENUM_LIMIT makes
+            with pytest.raises(ValueError, match=re.escape(f"bad rule body {bad!r}")):
+                model.rule_ids([(1,), bad])
+        assert len(model.body_table()) == model.enumerable_size()
 
     def test_past_enum_limit_ids_follow_first_seen_order(self):
         model = fresh(tuple(f"r{i}" for i in range(24)))
@@ -717,6 +719,13 @@ class TestRuleIds:
             model.rule_ids(bodies)
         assert model.body_table().tolist() == [[7, -1, -1]]
         assert model.rule_ids([(5, 2), (7,)]).tolist() == [1, 0]
+
+    def test_an_interned_body_reads_back_as_python_ints(self):
+        model = fresh(tuple(f"r{i}" for i in range(24)))
+        ids = model.rule_ids([(1.0, 2), (np.int64(3),)])
+        assert model.rule_ids([(1, 2), (3,)]).tolist() == ids.tolist() == [0, 1]
+        bodies = [model.rule_at(0, i).body for i in ids.tolist()]
+        assert bodies == [(1, 2), (3,)] and {type(r) for body in bodies for r in body} == {int}
 
     def test_body_table_round_trips_ids(self):
         for names in (("a", "b"), tuple(f"r{i}" for i in range(24))):
