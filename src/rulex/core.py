@@ -304,11 +304,11 @@ class RuleSet:
 class Document:
     """An entity list plus a sparse atom-confidence store and gold facts.
 
-    Immutable after construction: the adjacency index is built lazily and
-    cached, which keeps concurrent reads safe.
+    Immutable after construction, caching nothing.  The atoms ground in one
+    form, the dense ``[r, h, t]`` array of ``atom_array``/``fill_atom_array``.
     """
 
-    __slots__ = ("doc_id", "entities", "atoms", "gold_facts", "num_relations", "_adjacency")
+    __slots__ = ("doc_id", "entities", "atoms", "gold_facts", "num_relations")
 
     def __init__(
         self,
@@ -339,26 +339,10 @@ class Document:
             if not (0 <= h < n and 0 <= t < n and 0 <= r < num_relations):
                 raise ValueError(f"doc {doc_id}: id out of range in gold fact ({h}, {r}, {t})")
         self.gold_facts = facts
-        self._adjacency = None
 
     @property
     def num_entities(self) -> int:
         return len(self.entities)
-
-    def adjacency(self) -> dict[int, dict[int, list[tuple[int, float]]]]:
-        """Per-relation out-edge index, ``r -> h -> [(t, conf), ...]``.
-
-        Zero-confidence atoms are dropped: under the product t-norm they can
-        never contribute to a positive-value path.
-        """
-        if self._adjacency is None:
-            adj: dict[int, dict[int, list[tuple[int, float]]]] = {}
-            for (h, r, t), c in self.atoms.items():
-                if c <= 0.0:
-                    continue
-                adj.setdefault(r, {}).setdefault(h, []).append((t, c))
-            self._adjacency = adj
-        return self._adjacency
 
     def atom_array(self) -> np.ndarray:
         """Dense atom confidences ``[r, h, t]``, built afresh at each call: ``relations * entities**2 * 8`` bytes."""

@@ -8,11 +8,11 @@ of the training objective and the training F1 per iteration.
 
 Training grounds rules through the documents' atom arrays, stacked in one
 unpadded block per entity count (``GroundingCache``, which states its memory
-bounds) once per ``run_em``: each step draws every instance's rules first and
-then grounds all of them in one chunked gather per block.  A step's draws
-(``Draws``) and posteriors (``Posteriors``) are flat arrays, one row per
-instance with the rows concatenated, and ``e_step`` scores all the instances
-in one pass.  Every step works on integer ids from the generator's one
+bounds) once per ``run_em``: each step draws every instance's rules first,
+then grounds them all with one ``ground_chain`` call per block.  A step's
+draws (``Draws``) and posteriors (``Posteriors``) are flat arrays, one row
+per instance with the rows concatenated, and ``e_step`` scores all the
+instances in one pass.  Every step works on integer ids from the generator's one
 rule-id space (``RuleGenerator.rule_ids``), whatever the size of the
 vocabulary, and the extractor weights train as arrays keyed by codes of
 (relation, rule id) that never change (``TrainingWeights``); ``run_em``
@@ -21,8 +21,9 @@ run, as flat term arrays (``inference_terms``), and scores and explains each
 document in one pass (``explain_document``) over one stack of all-pairs
 grounding matrices; ``predict_document``, ``explain`` and ``infer`` call the
 same code, so an explanation's contributions sum to the score bit for bit.
-Training and inference compose matrices through one max-product kernel
-(``_max_product``), in the same chunks by body length (``_chunks_by_length``).
+The rules shown get their witness paths from one ``ground_chain`` call per
+document.  Training and inference compose matrices through one max-product
+kernel (``_max_product``), in the same chunks by body length.
 """
 
 from __future__ import annotations
@@ -50,43 +51,19 @@ from .core import (
 from .extractor import (
     ExtractorWeights,
     FitConfig,
+    _chunks_by_length,
     _DesignMatrix,
+    _max_product,
     fit,
     fit_design,
     ground_body_value,
+    ground_chain,
     ground_rule,
     ground_rule_all_pairs,
     prob,
 )
 from .generator import RuleGenerator
 from .metrics import prf
-
-# Matrix cells per chunk of a batched gather: a length-3 body on documents of
-# N entities reads one (N, N) relation matrix per entry, so a chunk holds
-# GATHER_CELLS // N**2 entries and its largest temporary takes 2 MB.
-GATHER_CELLS = 1 << 18
-
-
-def _max_product(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Max-product composition of stacked matrices, ``max_j left[m, a, j] * right[m, j, b]``.
-
-    A loop of elementwise maxima over j, several times faster than numpy's
-    axis reductions at these shapes.  Max is exact, so any order of the
-    maxima gives the same bits.
-    """
-    out = left[:, :, :1] * right[:, :1]
-    for j in range(1, left.shape[2]):
-        np.maximum(out, left[:, :, j : j + 1] * right[:, j : j + 1], out=out)
-    return out
-
-
-def _chunks_by_length(lengths: np.ndarray, n: int):
-    """``(length, indices)`` of the entries of each body length > 0, in chunks sized for n-entity documents."""
-    chunk = max(1, GATHER_CELLS // max(1, n * n))
-    for length in np.unique(lengths[lengths > 0]).tolist():
-        selected = np.flatnonzero(lengths == length)
-        for start in range(0, selected.size, chunk):
-            yield length, selected[start : start + chunk]
 
 
 @dataclass
@@ -126,11 +103,10 @@ class GroundingCache:
     training holds.  Documents are immutable and key the store
     by identity, never by ``doc_id``, so rows never invalidate and corpora
     with colliding ids can share one store.  ``ground`` reads many
-    (document, body, head, tail) values in one gather per block; a
-    length-3 body reads ``max_k (max_j A[d, r1, h, j] * A[d, r2, j, k]) *
-    A[d, r3, k, t]``.  Products multiply left to right as in
-    ``ground_rule`` and max commutes with monotone rounding, so the values
-    agree with its dynamic program exactly.
+    (document, body, head, tail) values with one ``ground_chain`` call per
+    block, the routine ``ground_rule`` runs on one document's array.  Products
+    multiply left to right and max commutes with monotone rounding, so the
+    values equal exhaustive path enumeration exactly.
 
     Memory: the blocks hold each document's atoms once, ``sum_d V * N_d**2 *
     8`` bytes for V relation ids and N_d entities in document d (0.8 MB for
@@ -173,21 +149,12 @@ class GroundingCache:
         ``rows`` holds each entry's (entity count, block row), as the method
         ``rows`` gives them, and ``bodies`` one body per entry as a row of
         relation ids padded with -1.  Entity ids outside a document read as
-        0, as in ``ground_body_value``.
+        0, as in ``ground_body_value``.  No witness paths are traced.
         """
         values = np.zeros(len(rows))
-        lengths = np.count_nonzero(bodies >= 0, axis=1)
         for n, block in self._blocks.items():
-            inside = (rows[:, 0] == n) & (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n)
-            for length, idx in _chunks_by_length(np.where(inside, lengths, 0), n):
-                d, body, h, t = rows[idx, 1], bodies[idx], heads[idx], tails[idx]
-                if length == 1:
-                    values[idx] = block[d, body[:, 0], h, t]
-                    continue
-                best = block[d, body[:, 0], h][:, None]  # (m, 1, n): the best product reaching each entity
-                for pos in range(1, length - 1):
-                    best = _max_product(best, block[d, body[:, pos]])
-                values[idx] = _max_product(best, block[d, body[:, length - 1], :, t][:, :, None])[:, 0, 0]
+            idx = np.flatnonzero((rows[:, 0] == n) & (heads >= 0) & (heads < n) & (tails >= 0) & (tails < n))
+            values[idx] = ground_chain(block, rows[idx, 1], bodies[idx], heads[idx], tails[idx])
         return values
 
     def value_body(self, doc: Document, body: tuple[int, ...], h: int, t: int) -> float:
@@ -730,28 +697,26 @@ def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
 class DocumentScores(NamedTuple):
     """One document scored against ``InferenceTerms``.
 
-    ``stack`` holds the all-pairs groundings of the terms' bodies,
-    ``contributions[k]`` the ``(n, n)`` contributions ``coef[k] * stack[body[k]]``
-    of term k, and ``logits[i]`` head ``heads[i]``'s logits: its bias plus its
-    terms' contributions, added one term at a time in rule-set order.
+    ``contributions[k]`` holds term k's ``(n, n)`` contributions, ``coef[k]``
+    times its body's all-pairs groundings, and ``logits[i]`` head ``heads[i]``'s
+    logits: its bias plus its terms' contributions, added one term at a time in
+    rule-set order.
     """
 
-    stack: np.ndarray
     contributions: np.ndarray
     logits: np.ndarray
 
 
 def score_document(doc: Document, terms: InferenceTerms) -> DocumentScores:
     """Logits of every head and ordered entity pair of one document, from one all-pairs stack."""
-    stack = all_pairs_stack(doc, terms.bodies)
-    contributions = terms.coef[:, None, None] * stack[terms.body]
+    contributions = terms.coef[:, None, None] * all_pairs_stack(doc, terms.bodies)[terms.body]
     n = doc.num_entities
     logits = np.repeat(terms.bias, n * n).reshape(-1, n, n)
     sizes = np.diff(terms.starts)
     for position in range(int(sizes.max(initial=0))):
         rows = np.flatnonzero(sizes > position)
         logits[rows] += contributions[terms.starts[rows] + position]
-    return DocumentScores(stack, contributions, logits)
+    return DocumentScores(contributions, logits)
 
 
 def _fired(
@@ -768,8 +733,8 @@ def _fired(
     A triple's entries are its head's terms whose contribution at (h, t) is
     nonzero, ordered by decreasing contribution and then by text; the first
     ``top`` of them (all when ``top`` is None) are returned, each with its
-    witness path from ``ground_rule``.  All the triples' entries sort in one
-    pass.
+    grounding and witness path.  All the triples' entries sort in one pass,
+    and one ``ground_chain`` call on the document's atom array grounds them.
     """
     counts = np.diff(terms.starts)[rows]
     owner = np.repeat(np.arange(len(rows)), counts)
@@ -782,17 +747,11 @@ def _fired(
         ranked = np.arange(len(entries)) - np.searchsorted(owner[entries], owner[entries])
         entries = entries[ranked < top]
     fired: list[list[RuleContribution]] = [[] for _ in range(len(rows))]
-    columns = (
-        owner[entries].tolist(),
-        term[entries].tolist(),
-        h[entries].tolist(),
-        t[entries].tolist(),
-        scores.stack[terms.body[term[entries]], h[entries], t[entries]].tolist(),
-        values[entries].tolist(),
-    )
-    for p, k, head, tail, grounding, contribution in zip(*columns):
+    groundings, paths = ground_chain(doc.atom_array()[None], np.zeros(len(entries), dtype=np.intp),
+                                     terms.bodies[terms.body[term[entries]]], h[entries], t[entries], _paths=True)
+    columns = (owner[entries].tolist(), term[entries].tolist(), groundings.tolist(), values[entries].tolist(), paths)
+    for p, k, grounding, contribution, path in zip(*columns):
         rule = terms.rules[k]
-        path = ground_rule(doc, rule, head, tail).best_path
         fired[p].append(RuleContribution(rule, terms.weight[k], grounding, terms.multiplicity[k], path, contribution))
     return [tuple(items) for items in fired]
 

@@ -15,6 +15,7 @@ import bisect
 import itertools
 import json
 import math
+import numbers
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -48,6 +49,12 @@ class RuleGenerator:
         lambdas: Sequence[float] = (0.6, 0.3, 0.1),
         max_len: int = DEFAULT_MAX_RULE_LEN,
     ):
+        for name, value in (("order", order), ("max_len", max_len)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
+        for name, value in (("alpha", alpha), *(("a lambdas entry", w) for w in lambdas)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, not {value!r}")
         if order < 0:
             raise ValueError("order must be >= 0")
         if alpha <= 0:

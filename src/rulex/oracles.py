@@ -51,8 +51,8 @@ def _random_document(rng: np.random.Generator, num_relations: int, max_entities:
 def enumerate_grounding(doc: Document, rule: Rule, h: int, t: int) -> tuple[float, bool]:
     """Best path value by exhaustive enumeration of all intermediate entities.
 
-    Products multiply left to right, matching the dynamic program's order, so
-    agreement can be checked exactly rather than within a tolerance.
+    Products multiply left to right, the order of ``extractor.ground_chain``,
+    so agreement can be checked exactly rather than within a tolerance.
     """
     n = doc.num_entities
     best = 0.0
@@ -72,11 +72,12 @@ def enumerate_grounding(doc: Document, rule: Rule, h: int, t: int) -> tuple[floa
 
 
 def grounding_oracle(cases: int = 1000, seed: int = 0, max_entities: int = 6) -> OracleReport:
-    """Dynamic program and batched gather vs exhaustive path enumeration on random sparse documents.
+    """``ground_rule`` and the batched gather vs exhaustive path enumeration on random sparse documents.
 
-    The batched gather grounds every case in one call over one store that
-    holds all the cases' documents, so the call spans one block per entity
-    count.
+    Both run ``extractor.ground_chain`` ("dp" in the report line names
+    ``ground_rule``, which also checks its witness path); the gather grounds
+    every case in one call over one store of all the cases' documents, so
+    the call spans one block per entity count.
     """
     rng = np.random.default_rng(seed)
     num_relations = 6

@@ -12,13 +12,14 @@ import rulex
 from rulex import cli
 from rulex.core import load_corpus, parse_rule, read_vocab_file
 from rulex.em import EMConfig, inference_rulesets, predict_document
-from rulex.extractor import ExtractorWeights, ground_rule
+from rulex.extractor import ExtractorWeights
 from rulex.generator import RuleGenerator
 from rulex.metrics import read_predictions
 
 # The benchmark's output checks, read from perfbench/ without changing it.
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import checks  # noqa: E402
+from test_extractor import enumerate_best_path  # noqa: E402
 
 
 TINY_CONFIG = {
@@ -386,11 +387,39 @@ class TestInfer:
                 h, _, t = entry["triple"]
                 for item in entry["rules"]:
                     rule, _ = parse_rule(item["rule"], vocab)
-                    grounded = ground_rule(doc, rule, h, t)
-                    assert grounded.value == pytest.approx(item["grounding"])
-                    assert list(grounded.best_path) == item["path"]
+                    value, path = enumerate_best_path(doc, rule, h, t)
+                    assert value == item["grounding"]
+                    assert list(path) == item["path"]
                     explained += 1
         assert explained > 0
+
+    def test_witness_paths_do_not_depend_on_atom_order(self, tmp_path):
+        # All confidences are equal, so 0-1-3 and 0-2-3 tie for "p <- q & q",
+        # and 0-1-3-4 and 0-2-3-4 tie at the middle step for "p <- q & q & q".
+        # Each tie breaks to the smallest entity id, whichever order the
+        # document lists its atoms in.
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "config.json").write_text(json.dumps({"em": {"n_rules": 3, "beam": 6}}))
+        (run / "vocab.txt").write_text("p#self\nq#self\n")
+        (run / "extractor.json").write_text(json.dumps(
+            {"bias": {"p": 0.0, "q": 0.0}, "rule_weight": {"p <- q & q": 1.0, "p <- q & q & q": 1.0}}))
+        (run / "rules.txt").write_text("p <- q & q [1.0]\np <- q & q & q [1.0]\nq <- p [0.0]\n")
+        atoms = [[0, "q", 1, 0.5], [1, "q", 3, 0.5], [0, "q", 2, 0.5], [2, "q", 3, 0.5], [3, "q", 4, 0.5]]
+        outputs = []
+        for order in (atoms, atoms[::-1]):
+            docs = tmp_path / "docs.jsonl"
+            docs.write_text(json.dumps({"doc_id": "tie", "entities": [f"e{i}" for i in range(5)],
+                                        "atoms": order, "facts": []}) + "\n")
+            out = tmp_path / f"preds{len(outputs)}.jsonl"
+            assert cli.main(["infer", "--run", str(run), "--documents", str(docs), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        (record,) = [json.loads(line) for line in outputs[0].decode().splitlines()]
+        paths = {(tuple(entry["triple"]), item["rule"]): item["path"]
+                 for entry in record["explanations"] for item in entry["rules"]}
+        assert paths[(0, "p", 3), "p <- q & q"] == [0, 1, 3]
+        assert paths[(0, "p", 4), "p <- q & q & q"] == [0, 1, 3, 4]
 
     def test_inferences_from_one_run_may_overlap(self, tmp_path, run_dir, corpus_dir):
         # A live command holding the run directory does not stop inference,
@@ -435,7 +464,7 @@ class TestInfer:
                 for item in entry["rules"]:
                     rule, _ = parse_rule(item["rule"], vocab)
                     assert rule in rulesets[vocab.id_of(r_name)].counts()
-                    assert list(ground_rule(doc, rule, h, t).best_path) == item["path"]
+                    assert list(enumerate_best_path(doc, rule, h, t)[1]) == item["path"]
                     explained += 1
         assert explained > 0
 

@@ -8,6 +8,7 @@ import pytest
 from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, format_rule, pad_bodies
 from rulex.datagen import SynthConfig, gen_corpus
 import rulex.em
+import rulex.extractor
 from rulex.em import (
     Draws,
     EMConfig,
@@ -40,7 +41,6 @@ from rulex.extractor import (
     fit,
     fit_design,
     ground_body_value,
-    ground_rule,
     ground_rule_all_pairs,
     prob,
 )
@@ -49,6 +49,7 @@ from rulex.metrics import PredictionSet, f1, gold_by_doc
 from rulex.oracles import enumerate_grounding
 
 from conftest import dense_counts, enumeration, make_doc, random_doc
+from test_extractor import enumerate_best_path
 
 
 def exact_log_sigmoid(x):
@@ -340,7 +341,29 @@ class TestGroundingCache:
         assert peak < 2 * own
         assert np.any(values[-30:] > 0.0)
         for (doc, body, h, t), value in zip(entries, values.tolist()):
-            assert value == ground_body_value(doc, body, h, t)
+            assert value == enumerate_grounding(doc, Rule(0, body), h, t)[0]
+
+    @pytest.mark.parametrize("cells", [16, 1 << 18])
+    def test_gather_equals_enumeration_in_any_chunk_size(self, rng, monkeypatch, cells):
+        # A small GATHER_CELLS splits every length into several chunks.
+        monkeypatch.setattr(rulex.extractor, "GATHER_CELLS", cells)
+        entries = []
+        for _ in range(10):
+            doc = random_doc(rng, num_relations=5, max_entities=8, density=0.4)
+            for length in (1, 2, 3):
+                for _ in range(6):
+                    body = tuple(rng.integers(0, 5, size=length).tolist())
+                    entries.append((doc, body, *rng.integers(0, doc.num_entities, size=2).tolist()))
+        cache = GroundingCache()
+        values = cache.ground(
+            cache.rows([doc for doc, _, _, _ in entries]),
+            pad_bodies([body for _, body, _, _ in entries], 3),
+            np.array([h for _, _, h, _ in entries]),
+            np.array([t for _, _, _, t in entries]),
+        )
+        assert np.any(values > 0.0)
+        for (doc, body, h, t), value in zip(entries, values.tolist()):
+            assert value == enumerate_grounding(doc, Rule(0, body), h, t)[0]
 
     def test_documents_of_another_vocabulary_are_refused(self):
         # A refused document leaves the store as it was.
@@ -807,9 +830,7 @@ class TestInfer:
         contributions = [c.contribution for c in result.contributions]
         assert contributions == sorted(contributions, reverse=True)
         for c in result.contributions:
-            grounded = ground_rule(doc, c.rule, 0, 1)
-            assert grounded.value == pytest.approx(c.grounding)
-            assert grounded.best_path == c.best_path
+            assert enumerate_best_path(doc, c.rule, 0, 1) == (c.grounding, c.best_path)
 
     def test_top_mode_deterministic(self):
         vocab = build_vocab(["a", "b"])
@@ -872,7 +893,8 @@ def reference_scoring(doc, rulesets, weights, vocab):
     A scalar reference for the document path: the bias, then ``multiplicity
     * weight * ground_rule_all_pairs(...)[h, t]`` of each rule with a nonzero
     weight in rule-set order; the nonzero contributions sorted by
-    (-contribution, rule text), each with its ``ground_rule`` witness path.
+    (-contribution, rule text), each with its witness path by exhaustive
+    enumeration (``enumerate_best_path``).
     """
     scored = {}
     for relation, ruleset in rulesets.items():
@@ -892,7 +914,7 @@ def reference_scoring(doc, rulesets, weights, vocab):
                         fired.append((contribution, format_rule(rule, vocab), rule, weight, grounding, multiplicity))
                 fired.sort(key=lambda item: (-item[0], item[1]))
                 scored[(h, relation, t)] = (logit, tuple(
-                    RuleContribution(rule, weight, grounding, multiplicity, ground_rule(doc, rule, h, t).best_path, c)
+                    RuleContribution(rule, weight, grounding, multiplicity, enumerate_best_path(doc, rule, h, t)[1], c)
                     for c, _, rule, weight, grounding, multiplicity in fired
                 ))
     return scored
@@ -972,7 +994,7 @@ class TestDocumentScoring:
     @pytest.mark.parametrize("cells", [16, 1 << 18])
     def test_stack_equals_ground_rule_all_pairs_bit_for_bit(self, rng, monkeypatch, cells):
         # A small GATHER_CELLS splits every length into several chunks.
-        monkeypatch.setattr(rulex.em, "GATHER_CELLS", cells)
+        monkeypatch.setattr(rulex.extractor, "GATHER_CELLS", cells)
         bodies = [tuple(int(r) for r in rng.integers(0, 5, size=length)) for length in (1, 2, 3) for _ in range(12)]
         for _ in range(10):
             doc = random_doc(rng, num_relations=5, max_entities=8, density=0.4)

@@ -24,17 +24,31 @@ from conftest import make_doc, random_doc
 
 
 def enumerate_best_path(doc, rule, h, t):
-    """Exhaustive max-product reference, multiplying left to right."""
-    best, found = 0.0, False
+    """Exhaustive max-product reference, multiplying left to right: ``(value, witness path)``.
+
+    Every entity path from h to t is scored, and ``best[k, e]`` is the best
+    product of any path's first k steps ending at e.  The witness is, among
+    the paths whose every prefix attains ``best`` at its end entity, the one
+    whose entities are smallest read back from the tail; it is None when the
+    value is 0.
+    """
+    products = {}
     for middles in itertools.product(range(doc.num_entities), repeat=len(rule.body) - 1):
         path = (h,) + middles + (t,)
-        value = 1.0
+        prefix = [1.0]
         for i, r in enumerate(rule.body):
-            value = value * atom_conf(doc, path[i], r, path[i + 1])
-        if value > 0.0:
-            found = True
-            best = max(best, value)
-    return best, found
+            prefix.append(prefix[-1] * atom_conf(doc, path[i], r, path[i + 1]))
+        products[path] = prefix
+    best = {}
+    for path, prefix in products.items():
+        for k in range(1, len(path)):
+            best[k, path[k]] = max(best.get((k, path[k]), 0.0), prefix[k])
+    value = best[len(rule.body), t]
+    if value == 0.0:
+        return 0.0, None
+    optimal = [path for path, prefix in products.items()
+               if all(prefix[k] == best[k, path[k]] for k in range(1, len(path)))]
+    return value, min(optimal, key=lambda path: path[::-1])
 
 
 class TestGroundRule:
@@ -57,6 +71,18 @@ class TestGroundRule:
         assert result.value == want
         assert result.best_path == (0, 2, 3)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_tied_paths_break_to_the_smallest_entity_in_any_atom_order(self, reverse):
+        # 0-1-3 and 0-2-3 tie for (0, 1); for (0, 1, 2), 0-1-3-4 and
+        # 0-2-3-4 tie at the middle step.
+        atoms = [(0, 0, 1), (1, 1, 3), (0, 0, 2), (2, 1, 3), (3, 2, 4)]
+        doc = make_doc({atom: 0.5 for atom in (atoms[::-1] if reverse else atoms)}, num_relations=4)
+        assert list(doc.atoms)[0] == (atoms[-1] if reverse else atoms[0])
+        for body, t, path in (((0, 1), 3, (0, 1, 3)), ((0, 1, 2), 4, (0, 1, 3, 4))):
+            result = ground_rule(doc, Rule(0, body), 0, t)
+            assert result.best_path == path
+            assert (result.value, result.best_path) == enumerate_best_path(doc, Rule(0, body), 0, t)
+
     def test_empty_graph_grounds_zero(self):
         doc = make_doc({}, num_relations=4, n_entities=3)
         result = ground_rule(doc, Rule(0, (1, 2)), 0, 2)
@@ -77,9 +103,9 @@ class TestGroundRule:
             h = int(rng.integers(0, doc.num_entities))
             t = int(rng.integers(0, doc.num_entities))
             got = ground_rule(doc, rule, h, t)
-            want, found = enumerate_best_path(doc, rule, h, t)
+            want, path = enumerate_best_path(doc, rule, h, t)
             assert got.value == want
-            assert (got.best_path is not None) == found
+            assert got.best_path == path
             assert (got.value, got.best_path is not None) == enumerate_grounding(doc, rule, h, t)
 
     def test_body_value_is_the_rule_value_and_zero_outside_the_document(self):

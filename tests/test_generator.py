@@ -555,6 +555,27 @@ class TestMalformedFile:
         with pytest.raises(ValueError, match=rf"generator\.json: .*{re.escape(field)}"):
             RuleGenerator.load(path)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("alpha", math.nan, "alpha must be a finite number, not nan"),
+        ("alpha", math.inf, "alpha must be a finite number, not inf"),
+        ("alpha", True, "alpha must be a finite number, not True"),
+        ("lambdas", [0.6, math.nan, 0.1], "a lambdas entry must be a finite number, not nan"),
+        ("lambdas", [True, 0.3, 0.1], "a lambdas entry must be a finite number, not True"),
+        ("order", 2.0, "order must be an integer, not 2.0"),
+        ("order", True, "order must be an integer, not True"),
+        ("max_len", 3.5, "max_len must be an integer, not 3.5"),
+        ("max_len", False, "max_len must be an integer, not False"),
+    ])
+    def test_a_non_finite_or_boolean_setting_is_refused_by_name(self, key, value, message, tmp_path):
+        # JSON reads NaN and Infinity; a NaN alpha or lambda used to load and
+        # make every log-probability NaN, and true loaded as 1.
+        path = save_to(fitted_model(), tmp_path)
+        obj = json.loads(path.read_text())
+        obj[key] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ValueError, match=rf"generator\.json: {re.escape(message)}$"):
+            RuleGenerator.load(path)
+
     @pytest.mark.parametrize("value", [1, 3, "2", None])
     def test_wrong_format_is_refused(self, value, tmp_path):
         path = save_to(fitted_model(), tmp_path)
