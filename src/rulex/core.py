@@ -351,11 +351,19 @@ class Document:
         self.fill_atom_array(arr)
         return arr
 
-    def fill_atom_array(self, out: np.ndarray) -> None:
-        """Write the atom confidences into ``out[r, h, t]``, a zero array shaped like ``atom_array``."""
-        if self.atoms:
-            h, r, t = np.array(list(self.atoms), dtype=np.intp).T
-            out[r, h, t] = list(self.atoms.values())
+    def fill_atom_array(self, out: np.ndarray, relations: Sequence[int] | None = None) -> None:
+        """Write the atom confidences into ``out[r, h, t]``, a zero array shaped like ``atom_array``.
+
+        With ``relations``, distinct ids, only their atoms are written,
+        relation ``relations[i]``'s into ``out[i]``.
+        """
+        atoms = self.atoms
+        if relations is not None:
+            slot = {r: i for i, r in enumerate(relations)}
+            atoms = {(h, slot[r], t): c for (h, r, t), c in atoms.items() if r in slot}
+        if atoms:
+            h, r, t = np.array(list(atoms), dtype=np.intp).T
+            out[r, h, t] = list(atoms.values())
 
 
 def atom_conf(doc: Document, h: int, r: int, t: int) -> float:

@@ -101,17 +101,20 @@ def ground_chain(block: np.ndarray, rows: np.ndarray, bodies: np.ndarray, heads:
 def ground_rule(doc: Document, rule: Rule, h: int, t: int) -> GroundingResult:
     """Max-product grounding of one rule between two entities, with its witness path.
 
-    ``ground_chain`` on the document's ``atom_array``, built for this call:
-    V * n**2 * 8 bytes for V relation ids and n entities.  Missing atoms read
-    as 0, so an unreachable tail yields value 0 and no path rather than an
-    error.
+    ``ground_chain`` on a dense array of the body's distinct relations
+    only, built for this call: k * n**2 * 8 bytes for k distinct relations
+    and n entities.  Missing atoms read as 0, so an unreachable tail yields
+    value 0 and no path rather than an error.
     """
     if not (0 <= h < doc.num_entities and 0 <= t < doc.num_entities):
         raise ValueError(f"entity id out of range: ({h}, {t}) in doc {doc.doc_id}")
     for r in rule.body:
         if not 0 <= r < doc.num_relations:
             raise ValueError(f"relation id out of range: {r}")
-    values, paths = ground_chain(doc.atom_array()[None], np.zeros(1, dtype=np.intp), np.array([rule.body]),
+    relations, body = np.unique(rule.body, return_inverse=True)
+    atoms = np.zeros((1, len(relations), doc.num_entities, doc.num_entities))
+    doc.fill_atom_array(atoms[0], relations.tolist())
+    values, paths = ground_chain(atoms, np.zeros(1, dtype=np.intp), body.reshape(1, -1),
                                  np.array([h]), np.array([t]), _paths=True)
     return GroundingResult(float(values[0]), paths[0])
 

@@ -10,6 +10,7 @@ non-empty) and forced once the body reaches the maximum rule length.
 
 from __future__ import annotations
 
+import array
 import base64
 import bisect
 import itertools
@@ -35,6 +36,13 @@ _COUNT_ARRAYS = (("contexts", "<i4"), ("nnz", "<i4"), ("tokens", "<i4"), ("value
 
 # The relative margin of ``top_rules``' np.log pre-filter (see its docstring).
 _BEAM_MARGIN = 1e-9
+
+# The largest dense block, in cells, that ``_row_totals`` sums at once.
+_TOTAL_CELLS = 1 << 18
+
+# The ``_head_cache`` key of the draw tables that every head without counts
+# shares: each of their conditionals is the uniform.
+_UNCOUNTED = -1
 
 
 class RuleGenerator:
@@ -109,13 +117,12 @@ class RuleGenerator:
         """The next-token distribution after each row of ``prefixes``, an int array of equal-length prefixes.
 
         Returns (support ids, probabilities with one row per prefix).  Each
-        depth's context is coded as in the count store, the distinct codes
-        are looked up with one ``searchsorted``, and their count rows are
-        gathered into one dense block of the support's width; each row's
-        total is numpy's pairwise sum along that contiguous block, zeros
-        included.  The smoothed terms of the stored contexts accumulate in
-        depth order, then the weight of the untouched ones is added as
-        uniform mass; a prefix with no stored context gets the uniform.
+        depth's context is coded as in the count store, the codes are looked
+        up with one ``searchsorted``, and the count rows of the stored ones
+        are gathered into one dense block of the support's width, one row for
+        the empty context that every prefix shares; each row's total is
+        numpy's pairwise sum along that contiguous block, zeros included.
+        ``_mix`` combines the depths.
         """
         prefixes = np.asarray(prefixes, dtype=np.intp)
         if prefixes.ndim != 2:
@@ -123,28 +130,43 @@ class RuleGenerator:
         n, position = prefixes.shape
         if position >= self.max_len:
             return self._stop_support, np.ones((n, 1))
-        first = position == 0
-        support = self._supports[0 if first else 1]
+        support = self._supports[0 if position == 0 else 1]
         width = len(support)
-        alpha = self.alpha
         block = self._counts.get(head, _NO_COUNTS)
-        probs = np.zeros((n, width))
+
+        def read(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            # Every prefix reads the empty context (d = 0): its one row serves them all.
+            rows = block.find(self._context_codes(prefixes[:, position - d :] if d else prefixes[:1, :0]))
+            counts = block.dense(rows[rows >= 0], width)
+            return np.broadcast_to(rows >= 0, n), counts, counts.sum(axis=1)  # each row's pairwise sum
+
+        return support, self._mix(position, n, width, read)
+
+    def _mix(self, position: int, n: int, columns: int, read) -> np.ndarray:
+        """The backoff mixture at ``position`` for n rows of ``columns`` tokens each.
+
+        ``read(d)`` gives for depth d a mask of the rows whose context is
+        stored, and for those rows the counts of the columns' tokens and the
+        totals of their dense count rows, or one row of each that all of
+        them share.  The smoothed terms of the stored
+        contexts accumulate in depth order, then the weight of the untouched
+        ones is added as uniform mass; a row with no stored context gets the
+        uniform.  Every value is elementwise, so a column's value does not
+        depend on which other columns are read.
+        """
+        alpha, width = self.alpha, len(self._supports[0 if position == 0 else 1])
+        probs = np.zeros((n, columns))
         uniform_mass = np.zeros(n)
         seen = np.zeros(n, dtype=bool)
         for d, w in self._depth_weights[position]:
-            unique, inverse = np.unique(self._context_codes(prefixes[:, position - d :]), return_inverse=True)
-            rows = block.find(unique)
-            counts = block.dense(rows, width)
-            totals = counts.sum(axis=1)  # along the contiguous axis, each row's pairwise sum
-            hit = (rows >= 0)[inverse]
-            terms = w * (counts + alpha) / (totals + alpha * width)[:, None]
-            probs[hit] += terms[inverse[hit]]
+            hit, counts, totals = read(d)
+            probs[hit] += w * (counts + alpha) / (totals + alpha * width)[:, None]
             uniform_mass[~hit] += w
             seen |= hit
         probs[~seen] = 1.0 / width
         spread = seen & (uniform_mass != 0.0)
         probs[spread] += (uniform_mass[spread] / width)[:, None]
-        return support, probs
+        return probs
 
     def log_prob(self, head: int, body: Sequence[int]) -> float:
         """Log-probability of a complete rule body, including its termination event."""
@@ -169,28 +191,49 @@ class RuleGenerator:
     def _draw_bodies(self, head: int, n: int, rng: np.random.Generator) -> list[tuple[tuple[int, ...], float]]:
         """N bodies drawn one after another, token by token, each with its log-probability.
 
-        A token is ``bisect_right(_cdf(probs), rng.random())`` in the
-        conditional's probabilities, and ``math.log`` of each drawn one is
-        added left to right, termination included, as ``log_prob`` adds them.
+        A token is ``bisect_right(_cdf(probs), u)`` for the next uniform u of
+        ``rng`` in the conditional's probabilities, and ``math.log`` of each
+        drawn one is added left to right, termination included, as
+        ``log_prob`` adds them.  Uniforms are read in blocks of
+        ``rng.random(k)``, k the number of draws not yet finished: each reads
+        at least one more, so the stream and the end state are those of one
+        ``rng.random()`` per token.
+
         A conditional depends on the counts only through the position and the
         codes of the stored contexts it reads, in depth order: that pair keys
-        the head's table of (cdf, probabilities) entries.  Entries whose key
-        holds a context of two or more tokens serve few prefixes and are not
-        kept, so the table holds at most ``max_len * 2 * (size + 1)`` entries.
-        A missing kept entry is filled with those of the prefixes that differ
-        from it in the last token only, in one ``conditionals`` call.  A step
-        at the last position reads one uniform whatever it draws; one whose
-        entry is not kept takes its uniform and waits for one ``conditionals``
-        call after the N draws.  Each row of a batch equals ``conditional``'s,
-        so the bodies, totals and rng state are those of uncached draws.
-        ``fit_bodies`` drops the table and the head's set of stored codes.
+        the head's table of entries (``_Entry``), each the CDF and
+        ``math.log`` of each probability.  Entries whose key holds a context
+        of two or more tokens serve few prefixes and are not kept, so the
+        table holds at most ``1 + (max_len - 1) * (size + 1)`` entries.  A missing
+        kept entry below the last position is filled with those of the
+        prefixes that differ from it in the last token only, in one
+        ``conditionals`` call.  At a position that reads no context of two or
+        more tokens, the key follows from the last token, and a memo maps
+        (position, last token) to the entry: at most ``1 + (max_len - 2) *
+        size`` keys, positions below the last only, each sharing a table
+        entry.  Every head without counts draws from the uniform, so all of
+        them share one table and memo.
+
+        A step at the last position reads one uniform whatever it draws, so
+        every one takes its uniform and waits.  After the N draws,
+        ``_draw_last_steps`` decodes them in one pass: the keys come from
+        array operations, and the missing kept entries from one
+        ``conditionals`` call.  A kept step draws by ``bisect_right`` in its
+        entry.  The steps whose entry is not kept get their rows from one more
+        call, and each token is the count of CDF values at or below its
+        uniform, which is ``searchsorted(cdf, u, side="right")`` row by row.
+        Each row of a batch equals ``conditional``'s, so the bodies, totals
+        and rng state are those of uncached draws.  ``fit_bodies`` drops the
+        head's table, memo and set of stored codes.
         """
         self.vocab.check_relation(head)
-        cache = self._head(head)
+        cache = self._head(head if head in self._counts else _UNCOUNTED)
+        block = self._counts.get(head, _NO_COUNTS)
         if cache.stored is None:
-            cache.stored = set(self._counts.get(head, _NO_COUNTS).codes.tolist())
-        stored, steps = cache.stored, cache.steps
-        order, size, stop, max_len = self.order, self.vocab.size, self.vocab.stop_id, self.max_len
+            cache.stored = set(block.codes.tolist())
+            cache.memo = [{} if min(position, self.order) < 2 else None for position in range(self.max_len - 1)]
+        stored, steps, memo = cache.stored, cache.steps, cache.memo
+        order, size, stop, last = self.order, self.vocab.size, self.vocab.stop_id, self.max_len - 1
         offsets = self._code_offsets.tolist()
 
         def key_of(prefix: list[int]) -> tuple[tuple[int, tuple[int, ...]], bool]:
@@ -207,47 +250,102 @@ class RuleGenerator:
                     deepest = d
             return (position, tuple(present)), deepest < 2
 
+        def entry_of(prefix: list[int]) -> _Entry:
+            """The entry of ``prefix``, a prefix below the last position."""
+            key, kept = key_of(prefix)
+            entry = steps.get(key)
+            if entry is None and kept:
+                fill: dict[tuple[int, tuple[int, ...]], list[int]] = {}
+                for sibling in [prefix[:-1] + [x] for x in range(size)] if prefix else [prefix]:
+                    sibling_key, sibling_kept = key_of(sibling)
+                    if sibling_kept and sibling_key not in steps:
+                        fill.setdefault(sibling_key, sibling)
+                rows = self.conditionals(head, np.array(list(fill.values()), dtype=np.intp))[1]
+                steps.update(zip(fill, _steps(rows)))
+                entry = steps[key]
+            elif entry is None:
+                entry = _steps(self.conditional(head, tuple(prefix))[1][None])[0]
+            return entry
+
+        bisect_right = bisect.bisect_right
         drawn: list[tuple[list[int], float]] = []
-        last: list[tuple[int, float]] = []  # (draw, uniform) of each last step left to the batch
-        for _ in range(n):
+        waiting: list[tuple[int, float]] = []  # (draw, uniform) of each last step
+        uniforms: list[float] = []
+        u = 0
+        for i in range(n):
             body: list[int] = []
             total = 0.0
-            while True:
-                key, kept = key_of(body)
-                entry = steps.get(key)
-                if entry is None and kept:
-                    fill: dict[tuple[int, tuple[int, ...]], list[int]] = {}
-                    for sibling in [body[:-1] + [x] for x in range(size)] if body else [body]:
-                        sibling_key, sibling_kept = key_of(sibling)
-                        if sibling_kept and sibling_key not in steps:
-                            fill.setdefault(sibling_key, sibling)
-                    rows = self.conditionals(head, np.array(list(fill.values()), dtype=np.intp))[1]
-                    steps.update((k, (_cdf(probs), probs)) for k, probs in zip(fill, rows))
-                    entry = steps[key]
-                elif entry is None:
-                    if len(body) == max_len - 1:
-                        last.append((len(drawn), rng.random()))
-                        break
-                    probs = self.conditional(head, tuple(body))[1]
-                    entry = _cdf(probs), probs
-                cdf, probs = entry
-                token = bisect.bisect_right(cdf, rng.random())  # support ids are positional
-                total += math.log(probs[token])
+            previous = -1
+            for known in memo:  # one per position below the last
+                if u == len(uniforms):
+                    uniforms, u = rng.random(n - i).tolist(), 0
+                if known is None:
+                    entry = entry_of(body)
+                else:
+                    entry = known.get(previous)
+                    if entry is None:
+                        entry = known[previous] = entry_of(body)
+                cdf, logs = entry
+                token = bisect_right(cdf, uniforms[u])  # support ids are positional
+                u += 1
+                total += logs[token]
                 if token == stop:
                     break
                 body.append(token)
-                if len(body) == max_len:
-                    break
+                previous = token
+            else:
+                if u == len(uniforms):
+                    uniforms, u = rng.random(n - i).tolist(), 0
+                waiting.append((i, uniforms[u]))
+                u += 1
             drawn.append((body, total))
-        if last:
-            rows = self.conditionals(head, np.array([drawn[i][0] for i, _ in last], dtype=np.intp))[1]
-            for (i, uniform), probs in zip(last, rows):
-                token = bisect.bisect_right(_cdf(probs), uniform)
-                body, total = drawn[i]
-                if token != stop:
-                    body.append(token)
-                drawn[i] = body, total + math.log(probs[token])
+        if waiting:
+            self._draw_last_steps(head, cache, drawn, waiting)
         return [(tuple(body), total) for body, total in drawn]
+
+    def _draw_last_steps(self, head: int, cache: "_HeadCache", drawn: list[tuple[list[int], float]],
+                         waiting: list[tuple[int, float]]) -> None:
+        """Draw the last steps that ``_draw_bodies`` left waiting, (draw, uniform) pairs, into ``drawn``."""
+        last, stop = self.max_len - 1, self.vocab.stop_id
+        steps, block = cache.steps, self._counts.get(head, _NO_COUNTS)
+
+        def prefixes(rows) -> np.ndarray:
+            return np.array([drawn[waiting[j][0]][0] for j in rows], dtype=np.intp).reshape(len(rows), last)
+
+        # Each step's group: the code of its stored one-token context, -1 for none, or -2 where it reads a
+        # stored context of two or more tokens, so that its entry is not kept.
+        group = np.full(len(waiting), -1, dtype=np.int64)
+        if cache.stored:
+            every = prefixes(range(len(waiting)))
+            for d, _ in self._depth_weights[last][1:]:
+                codes = self._context_codes(every[:, last - d :])
+                present = block.find(codes) >= 0
+                group[present] = codes[present] if d == 1 else -2
+        group = group.tolist()
+        base = (0,) if 0 in cache.stored else ()
+        keys = {code: (last, base + ((code,) if code >= 0 else ())) for code in dict.fromkeys(group) if code != -2}
+        missing = [code for code, key in keys.items() if key not in steps]
+        if missing:
+            rows = self.conditionals(head, prefixes([group.index(code) for code in missing]))[1]
+            steps.update(zip([keys[code] for code in missing], _steps(rows)))
+        entries = {code: steps[key] for code, key in keys.items()}
+        deep = [j for j, code in enumerate(group) if code == -2]
+        if deep:
+            probs = self.conditionals(head, prefixes(deep))[1]
+            uniforms = np.array([waiting[j][1] for j in deep])
+            tokens = np.count_nonzero(_cdf(probs) <= uniforms[:, None], axis=1)  # searchsorted, row by row
+            deep_draws = zip(tokens.tolist(), _math_logs(probs[np.arange(len(deep)), tokens].tolist()).tolist())
+        for (i, uniform), code in zip(waiting, group):
+            if code == -2:
+                token, log = next(deep_draws)
+            else:
+                cdf, logs = entries[code]
+                token = bisect.bisect_right(cdf, uniform)
+                log = logs[token]
+            body, total = drawn[i]
+            if token != stop:
+                body.append(token)
+            drawn[i] = body, total + log
 
     def sample_ruleset(self, head: int, n: int, rng: np.random.Generator) -> RuleSet:
         """Draw N independent rules for one head relation.
@@ -396,24 +494,55 @@ class RuleGenerator:
 
         The rows are valid bodies, relation ids padded with -1 to at most
         ``max_len`` columns; they are not checked again.  Position by
-        position, one ``conditionals`` call scores the next token of every
-        body still running, or its termination where it ends below
-        ``max_len``, and ``math.log`` of each chosen probability is added to
-        the body's total left to right, as ``log_prob`` adds them.
+        position, each running body's probability of its next token, or of
+        its termination where it ends below ``max_len``, is read, and
+        ``math.log`` of it is added to the body's total left to right, as
+        ``log_prob`` adds them.  Every body starts from the empty prefix, so
+        one ``conditional`` row serves position 0.  Past it, the probability
+        is ``_mix`` for that one token: its count read from the head's CSR
+        rows, each context's total from ``_row_totals``.  No dense row per
+        body is built.
         """
         self.vocab.check_relation(head)
         padded = np.full((len(bodies), self.max_len + 1), -1, dtype=np.intp)
         padded[:, : np.shape(bodies)[1]] = bodies
         lengths = np.count_nonzero(padded >= 0, axis=1)
+        block = self._counts.get(head, _NO_COUNTS)
         totals = np.zeros(len(padded))
         for position in range(self.max_len):
             rows = np.flatnonzero(lengths >= position)
             if not len(rows):
                 break
-            _, probs = self.conditionals(head, padded[rows, :position])
             tokens = np.where(lengths[rows] > position, padded[rows, position], self.vocab.stop_id)
-            totals[rows] += _math_logs(probs[np.arange(len(rows)), tokens].tolist())
+            if position == 0:
+                probs = self.conditional(head, ())[1][tokens]
+            else:
+
+                def read(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                    found = block.find(self._context_codes(padded[rows, position - d : position]))
+                    hit = found >= 0
+                    return hit, block.at(found[hit], tokens[hit])[:, None], self._row_totals(head)[found[hit]]
+
+                probs = self._mix(position, len(rows), 1, read)[:, 0]
+            totals[rows] += _math_logs(probs.tolist())
         return totals
+
+    def _row_totals(self, head: int) -> np.ndarray:
+        """The total of each of the head's count rows as ``conditionals`` takes it past position 0.
+
+        That is numpy's pairwise sum along the dense row of ``size + 1``
+        counts, zeros included, summed in dense blocks of at most
+        ``_TOTAL_CELLS`` cells.  The totals are kept per head until
+        ``fit_bodies`` changes its counts: 8 bytes per stored context.
+        """
+        cache = self._head(head)
+        if cache.totals is None:
+            block, width = self._counts.get(head, _NO_COUNTS), self.vocab.size + 1
+            rows, step = np.arange(len(block.codes)), max(1, _TOTAL_CELLS // width)
+            cache.totals = np.concatenate(
+                [np.zeros(0)] + [block.dense(rows[i : i + step], width).sum(axis=1) for i in range(0, len(rows), step)]
+            )
+        return cache.totals
 
     # -- deterministic inference -------------------------------------------
 
@@ -745,10 +874,34 @@ def _math_logs(values: list[float]) -> np.ndarray:
 
 
 def _cdf(probs: np.ndarray) -> np.ndarray:
-    """The cumulative sum of ``probs``, its last bucket raised to at least 1 against rounding."""
-    cdf = np.cumsum(probs)
-    cdf[-1] = max(cdf[-1], 1.0)
+    """The cumulative sums of ``probs`` along its last axis, each last bucket raised to at least 1 against rounding."""
+    cdf = np.cumsum(probs, axis=-1)
+    cdf[..., -1] = np.maximum(cdf[..., -1], 1.0)
     return cdf
+
+
+# A draw-table entry: a conditional's ``_cdf`` and ``math.log`` of each of its
+# probabilities.  ``array('d')`` keeps 8 bytes a value, a quarter of a list of
+# Python floats, and ``bisect_right`` and indexing read it as a sequence,
+# without numpy's per-element overhead.
+_Entry = tuple[array.array, array.array]
+
+
+def _steps(probs: np.ndarray) -> list[_Entry]:
+    """The draw-table entry of each row of ``probs``."""
+    width = probs.shape[1]
+    logs = array.array("d", map(math.log, probs.ravel().tolist()))
+    return [(array.array("d", cdf.tobytes()), logs[start : start + width])
+            for cdf, start in zip(_cdf(probs), range(0, len(logs), width))]
+
+
+def _positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """The index of each query in the sorted array ``keys``, or -1 where it is absent."""
+    pos = np.searchsorted(keys, queries)
+    inside = pos < len(keys)
+    hit = np.zeros(len(queries), dtype=bool)
+    hit[inside] = keys[pos[inside]] == queries[inside]
+    return np.where(hit, pos, -1)
 
 
 def _entries(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -788,11 +941,13 @@ class _Counts:
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """The row of each context code, or -1 where the context is not stored."""
-        pos = np.searchsorted(self.codes, codes)
-        inside = pos < len(self.codes)
-        hit = np.zeros(len(codes), dtype=bool)
-        hit[inside] = self.codes[pos[inside]] == codes[inside]
-        return np.where(hit, pos, -1)
+        return _positions(self.codes, codes)
+
+    def at(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
+        """The count of each (row, token) pair, 0.0 where the row stores no count for the token."""
+        cells = np.repeat(np.arange(len(self.codes), dtype=np.int64), np.diff(self.starts)) << 32 | self.tokens
+        entries = _positions(cells, rows.astype(np.int64) << 32 | tokens)
+        return np.append(self.values, 0.0)[entries]  # entry -1 reads the appended 0.0
 
     def dense(self, rows: np.ndarray, width: int) -> np.ndarray:
         """The rows ``rows`` as one dense ``(len(rows), width)`` block, a zero row for each -1.
@@ -871,16 +1026,23 @@ class _HeadCache:
 
     ``enumeration`` is the head's ``_EnumeratedHead``, built on first use
     while the space is enumerable.  ``stored`` is the set of the head's
-    context codes and ``steps`` its table of next-token distributions, both
-    ``_draw_bodies``'s.  ``top`` holds ``top_rules``' results by ``(n, beam)``.
+    context codes, ``steps`` its table of next-token entries and ``memo`` one
+    dict per position below the last, from the last token to its entry, or
+    None where the position reads a context of two or more tokens: all three
+    ``_draw_bodies``'s, at most ``1 + (max_len - 1) * (V + 1)`` entries and
+    ``1 + (max_len - 2) * V`` memo keys for V relation ids.  ``totals`` holds
+    each count row's total, ``_row_totals``'.  ``top`` holds ``top_rules``'
+    results by ``(n, beam)``.
     """
 
-    __slots__ = ("enumeration", "stored", "steps", "top")
+    __slots__ = ("enumeration", "stored", "steps", "memo", "totals", "top")
 
     def __init__(self):
         self.enumeration: _EnumeratedHead | None = None
         self.stored: set[int] | None = None
-        self.steps: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
+        self.steps: dict[tuple[int, tuple[int, ...]], _Entry] = {}
+        self.memo: list[dict[int, _Entry] | None] = []
+        self.totals: np.ndarray | None = None
         self.top: dict[tuple[int, int], RuleSet] = {}
 
 

@@ -13,6 +13,7 @@ from rulex.extractor import (
     fit,
     fit_design,
     ground_body_value,
+    ground_chain,
     ground_rule,
     ground_rule_all_pairs,
     prob,
@@ -107,6 +108,18 @@ class TestGroundRule:
             assert got.value == want
             assert got.best_path == path
             assert (got.value, got.best_path is not None) == enumerate_grounding(doc, rule, h, t)
+
+    def test_body_relations_alone_equal_the_whole_atom_array_bit_for_bit(self, rng):
+        # ground_rule densifies only the body's relations; the chain over the
+        # document's whole array gives the same values and witness paths.
+        for _ in range(200):
+            doc = random_doc(rng, num_relations=6, max_entities=8, density=0.3)
+            body = tuple(int(r) for r in rng.integers(0, 6, size=int(rng.integers(1, 4))))
+            h, t = (int(e) for e in rng.integers(0, doc.num_entities, size=2))
+            values, paths = ground_chain(doc.atom_array()[None], np.zeros(1, dtype=np.intp), np.array([body]),
+                                         np.array([h]), np.array([t]), _paths=True)
+            got = ground_rule(doc, Rule(0, body), h, t)
+            assert (got.value, got.best_path) == (values[0], paths[0])
 
     def test_body_value_is_the_rule_value_and_zero_outside_the_document(self):
         doc = make_doc({(0, 0, 1): 0.5, (1, 1, 2): 0.25}, num_relations=4, n_entities=3)

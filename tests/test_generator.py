@@ -235,8 +235,9 @@ class TestSampling:
         # Six uniform first tokens sum to just below 1, so without a guard
         # the largest uniform below 1 falls past the last bucket.
         class LastUniform:
-            def random(self):
-                return np.nextafter(1.0, 0.0)
+            def random(self, size=None):  # every uniform, alone or in a block, is the same value
+                value = np.nextafter(1.0, 0.0)
+                return value if size is None else np.full(size, value)
 
         model = fresh(("a", "b", "c"))
         _, probs = model.conditional(0, ())
@@ -1021,8 +1022,28 @@ class TestBatchedLogProbs:
             model.log_probs_by_index(48, model.rule_ids([(1,)]))
 
 
+def draw_per_token(model, head, rng):
+    """One ancestral draw without the table, one ``conditional`` and one ``rng.random()`` per token: the reference.
+
+    Returns the body and its log-probability.
+    """
+    body, total = [], 0.0
+    while True:
+        support, probs = model.conditional(head, tuple(body))
+        cdf = np.cumsum(probs)
+        cdf[-1] = max(cdf[-1], 1.0)
+        i = np.searchsorted(cdf, rng.random(), side="right")
+        total += math.log(probs[i])
+        if support[i] == model.vocab.stop_id:
+            break
+        body.append(int(support[i]))
+        if len(body) == model.max_len:
+            break
+    return tuple(body), total
+
+
 def drawn_per_token(model, heads, n, rng):
-    """Ancestral draws without the table, one ``conditional`` per token: the reference.
+    """``draw_per_token`` n times per head in turn.
 
     Returns one (sorted unique bodies, multiplicities, log-probs) per head.
     """
@@ -1031,20 +1052,9 @@ def drawn_per_token(model, heads, n, rng):
         drawn = {}
         multiplicity = {}
         for _ in range(n):
-            body, total = [], 0.0
-            while True:
-                support, probs = model.conditional(head, tuple(body))
-                cdf = np.cumsum(probs)
-                cdf[-1] = max(cdf[-1], 1.0)
-                i = np.searchsorted(cdf, rng.random(), side="right")
-                total += math.log(probs[i])
-                if support[i] == model.vocab.stop_id:
-                    break
-                body.append(int(support[i]))
-                if len(body) == model.max_len:
-                    break
-            drawn[tuple(body)] = total
-            multiplicity[tuple(body)] = multiplicity.get(tuple(body), 0) + 1
+            body, total = draw_per_token(model, head, rng)
+            drawn[body] = total
+            multiplicity[body] = multiplicity.get(body, 0) + 1
         bodies = sorted(drawn)
         rows.append((bodies, [multiplicity[b] for b in bodies], [drawn[b] for b in bodies]))
     return rows
@@ -1088,7 +1098,7 @@ class TestDrawTable:
         assert log_probs.tolist() == [lp for _, _, lps in rows for lp in lps]
         assert sizes.tolist() == [len(bodies) for bodies, _, _ in rows]
         assert rng.bit_generator.state == reference_rng.bit_generator.state
-        return model
+        return model, rows
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     @pytest.mark.parametrize("max_len", [1, 2, 3, 4])
@@ -1133,25 +1143,59 @@ class TestDrawTable:
             model.fit_bodies(1, pad_bodies([(2,), (2, 2)], 3), np.array([300.0, 300.0]))
             return model
 
-        model = self.assert_draws_equal_per_token(build, [1, 4], 40, seed=1)
-        assert model._head_cache[1].steps[(0, (0,))][1][2] > 0.9  # (2,) now leads after the empty context, code 0
+        model, _ = self.assert_draws_equal_per_token(build, [1, 4], 40, seed=1)
+        # (2,) now leads after the empty context, code 0; an entry holds the CDF and each token's log-probability.
+        assert model._head_cache[1].steps[(0, (0,))][1][2] > math.log(0.9)
 
-    def test_the_table_keeps_at_most_two_entries_per_position_and_token(self, no_limit):
-        model = fitted_model(("a", "b", "c"), order=3, lambdas=[0.25] * 4, max_len=4, picks=200, seed=2)
-        heads = list(range(model.vocab.size)) * 4
-        reference = drawn_per_token(model, heads, 100, np.random.default_rng(5))
-        model.sample_unique_index_rows(heads, 100, np.random.default_rng(5))
-        bound = model.max_len * 2 * (model.vocab.size + 1)
+    @pytest.mark.parametrize("max_len", [3, 4])
+    def test_the_table_and_memo_stay_within_their_stated_bounds(self, no_limit, max_len):
+        # The README's bounds per head for V ids: 1 + (max_len - 1)(V + 1)
+        # table entries, and 1 + (max_len - 2)V memo keys that share them.
+        model = fitted_model(("a", "b", "c"), order=3, lambdas=[0.25] * 4, max_len=max_len, picks=200, seed=2)
+        size = model.vocab.size
+        heads = list(range(size)) * 4
+        support, _, _, sizes = model.sample_unique_index_rows(heads, 100, np.random.default_rng(5))
+        rows = np.split(model.body_table()[support], np.cumsum(sizes)[:-1])
         counts = dense_counts(model)
-        two = context_code(model.vocab.size, (0, 0))  # the least code of a two-token context
-        for head in range(model.vocab.size):
+        two = context_code(size, (0, 0))  # the least code of a two-token context
+        for head in range(size):
+            bodies = {tuple(int(r) for r in body if r >= 0) for row in rows[head::size] for body in row}
             read = {table_keys(model, counts, head, body[:position])
-                    for bodies, _, _ in reference[head :: model.vocab.size] for body in bodies
-                    for position in range(min(len(body) + 1, model.max_len))}
+                    for body in bodies for position in range(min(len(body) + 1, max_len))}
             kept = {key for key in read if all(code < two for code in key[1])}
-            assert len(read) > bound  # a table of every key read would break the bound
-            assert set(model._head_cache[head].steps) == kept
-            assert len(kept) <= bound
+            cache = model._head_cache[head]
+            assert len(read) > 1 + (max_len - 1) * (size + 1)  # a table of every key read would break the bound
+            assert set(cache.steps) == kept
+            assert len(kept) <= 1 + (max_len - 1) * (size + 1)
+            memo = [entry for known in cache.memo if known is not None for entry in known.values()]
+            assert size < len(memo) <= 1 + (max_len - 2) * size
+            assert {id(entry) for entry in memo} <= {id(entry) for entry in cache.steps.values()}
+
+    @pytest.mark.parametrize("max_len", [3, 4])
+    def test_last_steps_that_mix_kept_and_unkept_keys_and_stop_equal_per_token_draws(self, no_limit, max_len):
+        def build():
+            return fitted_model(("a", "b", "c"), seed=max_len, heads=[1, 4], picks=12, max_len=max_len)
+
+        heads = [1, 4, 1, 0]
+        model, rows = self.assert_draws_equal_per_token(build, heads, 60, seed=7)
+        counts, size, last = dense_counts(model), model.vocab.size, max_len - 1
+        two = context_code(size, (0, 0))
+        for head, (bodies, _, _) in zip(heads[:2], rows):
+            # Within one row: last steps whose key is kept and not kept, and last steps that draw STOP.
+            prefixes = [body[:last] for body in bodies if len(body) >= last]
+            deep = [any(code >= two for code in table_keys(model, counts, head, prefix)[1]) for prefix in prefixes]
+            assert any(deep) and not all(deep)
+            assert any(len(body) == last for body in bodies) and any(len(body) == max_len for body in bodies)
+
+    def test_sample_ruleset_past_the_limit_equals_per_token_draws(self, no_limit):
+        model = fitted_model(("a", "b", "c"), heads=[2], picks=12)
+        reference = fitted_model(("a", "b", "c"), heads=[2], picks=12)
+        for head in (2, 3):
+            rng, reference_rng = np.random.default_rng(head), np.random.default_rng(head)
+            drawn = model.sample_ruleset(head, 80, rng)
+            assert [rule.body for rule in drawn] == [draw_per_token(reference, head, reference_rng)[0]
+                                                     for _ in range(80)]
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
 
 
 class TestSave:
