@@ -8,7 +8,6 @@ the config file reproduces the outputs bit for bit.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -85,17 +84,16 @@ def _load_config_section(path: str | Path | None, section: str) -> dict:
     """The ``section`` object of the JSON config file at ``path``, or the whole file if it has none."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ValueError(f"{path}: not a JSON object")
-    value = obj.get(section, obj)
-    if not isinstance(value, dict):
-        raise ValueError(f"{path}: config section {section!r} must be a JSON object")
-    return value
+
+    def parse(obj) -> dict:
+        if not isinstance(obj, dict):
+            raise ValueError("not a JSON object")
+        value = obj.get(section, obj)
+        if not isinstance(value, dict):
+            raise ValueError(f"config section {section!r} must be a JSON object")
+        return value
+
+    return core.read_json(path, parse)
 
 
 def _echo(config: dict) -> None:
@@ -156,9 +154,7 @@ def cmd_synth(args) -> int:
         core.write_rules_file(out / "rules.txt", result.planted, result.vocab)
         for split, corpus in result.splits.items():
             core.write_corpus(out / f"{split}.jsonl", corpus, result.vocab)
-        with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump(resolved, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        core.write_json(out / "config.json", resolved, indent=2)
     return 0
 
 
@@ -179,19 +175,15 @@ def cmd_train(args) -> int:
         result = em.run_em(corpus, vocab, config)
         # The stored config carries only the model configuration, so the run
         # directory's bytes are independent of where the corpus lived.
-        with open(out / "config.json", "w", encoding="utf-8") as fh:
-            json.dump({"em": config.to_json()}, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        core.write_json(out / "config.json", {"em": config.to_json()}, indent=2)
         result.model.save(out / "generator.json")
         result.weights.save(out / "extractor.json", vocab)
         # Inference scores with these rule sets and never loads the generator.
         rulesets = em.inference_rulesets(result.model, vocab, config, np.random.default_rng(config.seed))
         write_run_rules(out, rulesets, result.weights, vocab)
-        with open(out / "diagnostics.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["iteration", "l_g", "l_r", "train_f1"])
-            for stats in result.diagnostics:
-                writer.writerow([stats.iteration, repr(stats.l_g), repr(stats.l_r), repr(stats.train_f1)])
+        # CSV with CRLF line ends, as the csv module writes it; no field needs quoting.
+        rows = [f"{stats.iteration},{stats.l_g!r},{stats.l_r!r},{stats.train_f1!r}" for stats in result.diagnostics]
+        core.write_lines(out / "diagnostics.csv", (row + "\r" for row in ["iteration,l_g,l_r,train_f1", *rows]))
     return 0
 
 
@@ -263,9 +255,7 @@ def cmd_eval(args) -> int:
                              for key, value in values.items())
         print(f"{name.ljust(width)}  {rendered}")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        core.write_json(args.out, report, indent=2)
     return 0
 
 

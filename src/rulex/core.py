@@ -11,14 +11,61 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 INVERSE_SUFFIX = "⁻¹"  # superscript -1, appended to generated inverse names
 SELF_INVERSE_MARK = "#self"
 DEFAULT_MAX_RULE_LEN = 3
+_PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # what a reader's ``parse`` raises on a bad record
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write ``lines`` to a UTF-8 text file as they come, each followed by ``\\n`` on every platform."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in lines)
+
+
+def write_json(path, obj, indent: int | None = None) -> None:
+    """Write ``obj`` as JSON with sorted keys and a trailing newline, in pieces rather than as one string."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        json.dump(obj, fh, sort_keys=True, indent=indent)
+        fh.write("\n")
+
+
+def read_lines(path, parse: Callable[[str], object], prefix: str = "") -> list:
+    """``parse`` of each non-blank line of a UTF-8 file; an error ``exc`` is raised as ``path:lineno: prefix exc``."""
+    parsed = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if line.strip():
+                try:
+                    parsed.append(parse(line))
+                except _PARSE_ERRORS as exc:
+                    raise ValueError(f"{path}:{lineno}: {prefix}{exc}") from None
+    return parsed
+
+
+def read_json(path, parse: Callable[[object], object]):
+    """``parse`` of the one JSON value of a UTF-8 file; an error ``exc`` is raised as ``path: exc``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return parse(json.load(fh))
+        except _PARSE_ERRORS as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that a float holds finitely: not NaN, ±inf or ``10**400``."""
+    if type(value) not in (int, float) and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 class RelationVocab:
@@ -138,21 +185,21 @@ def read_vocab_file(path) -> RelationVocab:
     naming its line.
     """
     names, self_inverse = [], set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("//"):
-                continue
-            if line.endswith(SELF_INVERSE_MARK):
-                name = line[: -len(SELF_INVERSE_MARK)].strip()
-                self_inverse.add(name)
-            else:
-                name = line
-            if not name or any(mark in name for mark in ("<-", "&", "[", "]")):
-                raise ValueError(f"{path}:{lineno}: relation name {name!r} is empty or holds '<-', '&', '[' or ']'")
-            if name in names:
-                raise ValueError(f"{path}:{lineno}: duplicate relation name: {name!r}")
-            names.append(name)
+
+    def parse(line: str) -> None:
+        line = line.strip()
+        if line.startswith("//"):
+            return
+        name = line.removesuffix(SELF_INVERSE_MARK).strip()
+        if name != line:
+            self_inverse.add(name)
+        if not name or any(mark in name for mark in ("<-", "&", "[", "]")):
+            raise ValueError(f"relation name {name!r} is empty or holds '<-', '&', '[' or ']'")
+        if name in names:
+            raise ValueError(f"duplicate relation name: {name!r}")
+        names.append(name)
+
+    read_lines(path, parse)
     try:
         return build_vocab(names, self_inverse)
     except ValueError as exc:
@@ -160,10 +207,8 @@ def read_vocab_file(path) -> RelationVocab:
 
 
 def write_vocab_file(path, vocab: RelationVocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in vocab.base_ids:
-            mark = SELF_INVERSE_MARK if vocab.inverse_of[r] == r else ""
-            fh.write(vocab.names[r] + mark + "\n")
+    write_lines(path, (vocab.names[r] + (SELF_INVERSE_MARK if vocab.inverse_of[r] == r else "")
+                       for r in vocab.base_ids))
 
 
 class Rule:
@@ -242,28 +287,19 @@ def read_rules_file(path, vocab: RelationVocab, check=None) -> list[tuple[Rule, 
     that does not parse, or that ``check`` rejects with ``ValueError``,
     raises ``ValueError`` naming ``path:line``.
     """
-    rules = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rules.append(parse_rule(line, vocab))
-                if check is not None:
-                    check(*rules[-1])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return rules
+
+    def parse(line: str) -> tuple[Rule, float]:
+        rule, weight = parse_rule(line, vocab)
+        if check is not None:
+            check(rule, weight)
+        return rule, weight
+
+    return read_lines(path, parse)
 
 
 def write_rules_file(path, rules: Iterable[tuple[Rule, float] | Rule], vocab: RelationVocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for item in rules:
-            if isinstance(item, Rule):
-                fh.write(format_rule(item, vocab) + "\n")
-            else:
-                rule, weight = item
-                fh.write(format_rule(rule, vocab, weight) + "\n")
+    write_lines(path, (format_rule(item, vocab) if isinstance(item, Rule) else format_rule(item[0], vocab, item[1])
+                       for item in rules))
 
 
 def pad_bodies(bodies: Sequence[Sequence[int]], width: int) -> np.ndarray:
@@ -398,18 +434,21 @@ def close_inverses(doc: Document, vocab: RelationVocab) -> Document:
     Idempotent.  A pre-existing inverse atom whose confidence disagrees by
     more than 1e-9 is a contradiction and is rejected.
     """
-    closed = dict(doc.atoms)
-    for (h, r, t), c in doc.atoms.items():
-        inv = (t, vocab.inverse(r), h)
-        existing = closed.get(inv)
-        if existing is None:
-            closed[inv] = c
-        elif abs(existing - c) > 1e-9:
-            raise ValueError(
-                f"doc {doc.doc_id}: conflicting inverse confidences for atom ({h}, {r}, {t}): "
-                f"{c} vs {existing}"
-            )
+    closed = _closed_atoms(doc.doc_id, doc.atoms, vocab)
     return Document(doc.doc_id, doc.entities, closed, doc.gold_facts, num_relations=doc.num_relations)
+
+
+def _closed_atoms(doc_id: str, atoms: Mapping[tuple[int, int, int], float], vocab: RelationVocab) -> dict:
+    """``atoms`` as floats, then the inverse of each one that is absent, as ``close_inverses`` describes."""
+    closed = {atom: float(c) for atom, c in atoms.items()}
+    inverse_of = vocab.inverse_of
+    for (h, r, t), c in list(closed.items()):
+        existing = closed.setdefault((t, inverse_of[r], h), c)
+        if abs(existing - c) > 1e-9:
+            raise ValueError(
+                f"doc {doc_id}: conflicting inverse confidences for atom ({h}, {r}, {t}): {c} vs {existing}"
+            )
+    return closed
 
 
 @dataclass(frozen=True)
@@ -452,66 +491,62 @@ def load_corpus(path, vocab: RelationVocab) -> Corpus:
 
     Each line holds one document object; its ``facts`` list carries the
     labeled instances (label +1 entries double as the document's gold facts).
-    Atom stores are closed under inversion after ingestion.  Any invalid
+    Atom stores are closed under inversion as each record is read.  Any invalid
     record fails with the file's path and line number: among others, a
     ``doc_id`` that is not a JSON string or repeats an earlier one,
     ``entities`` that are not a list of strings, an
     entity id that is not a JSON integer or falls outside the document, a
-    confidence that is not a JSON number, an atom listed twice with
+    confidence that is not a finite JSON number, an atom listed twice with
     confidences more than 1e-9 apart (within that, the first is kept), a
     label that is not the JSON integer 1 or -1, and a fact listed twice with
     different labels (an exact repeat loads once).
     """
     corpus = Corpus()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id = obj["doc_id"]
-                if type(doc_id) is not str:
-                    raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")
-                if doc_id in corpus.docs:
-                    raise ValueError(f"duplicate doc_id {doc_id!r}")
-                entities = obj["entities"]
-                if type(entities) is not list:
-                    raise ValueError(f"entities must be a list of strings, got {type(entities).__name__}")
-                bad = next((i for i, name in enumerate(entities) if type(name) is not str), None)
-                if bad is not None:
-                    kind = type(entities[bad]).__name__
-                    raise ValueError(f"entities must be a list of strings, got {kind} at index {bad}")
-                n = len(entities)
-                atoms = {}
-                # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
-                for atom in obj["atoms"]:
-                    h, r_name, t, c = atom
-                    if type(h) is not int or type(t) is not int:
-                        raise ValueError(f"entity ids must be integers in atom {atom}")
-                    if type(c) is not float and type(c) is not int:
-                        raise ValueError(f"confidence is not a number in atom {atom}")
-                    first = atoms.setdefault((h, vocab.id_of(r_name), t), c)
-                    if first is not c and abs(first - c) > 1e-9:
-                        raise ValueError(f"conflicting confidences {first} and {c} for atom {atom}")
-                labels = {}
-                for fact in obj["facts"]:
-                    h, r_name, t, y = fact
-                    if type(h) is not int or type(t) is not int:
-                        raise ValueError(f"entity ids must be integers in fact {fact}")
-                    if not (0 <= h < n and 0 <= t < n):
-                        raise ValueError(f"entity id out of range in fact [{h}, {r_name!r}, {t}, {y}]")
-                    if type(y) is not int or y not in (-1, 1):
-                        raise ValueError(f"label must be +1 or -1 as a JSON integer in fact {fact}")
-                    first = labels.setdefault((h, vocab.id_of(r_name), t), y)
-                    if first != y:
-                        raise ValueError(f"conflicting labels {first} and {y} for fact {fact}")
-                instances = [LabeledInstance(doc_id, h, r, t, y) for (h, r, t), y in labels.items()]
-                gold = [key for key, y in labels.items() if y == 1]
-                doc = close_inverses(Document(doc_id, entities, atoms, gold, num_relations=vocab.size), vocab)
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad document record: {exc}") from None
-            corpus.docs[doc_id] = doc
-            corpus.instances.extend(instances)
+
+    def parse(line: str) -> None:
+        obj = json.loads(line)
+        doc_id = obj["doc_id"]
+        if type(doc_id) is not str:
+            raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")
+        if doc_id in corpus.docs:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+        entities = obj["entities"]
+        if type(entities) is not list:
+            raise ValueError(f"entities must be a list of strings, got {type(entities).__name__}")
+        bad = next((i for i, name in enumerate(entities) if type(name) is not str), None)
+        if bad is not None:
+            kind = type(entities[bad]).__name__
+            raise ValueError(f"entities must be a list of strings, got {kind} at index {bad}")
+        n = len(entities)
+        atoms = {}
+        # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
+        for atom in obj["atoms"]:
+            h, r_name, t, c = atom
+            if type(h) is not int or type(t) is not int:
+                raise ValueError(f"entity ids must be integers in atom {atom}")
+            if not is_finite_number(c):
+                raise ValueError(f"confidence is not a number in atom {atom}")
+            first = atoms.setdefault((h, vocab.id_of(r_name), t), c)
+            if first is not c and abs(first - c) > 1e-9:
+                raise ValueError(f"conflicting confidences {first} and {c} for atom {atom}")
+        labels = {}
+        for fact in obj["facts"]:
+            h, r_name, t, y = fact
+            if type(h) is not int or type(t) is not int:
+                raise ValueError(f"entity ids must be integers in fact {fact}")
+            if not (0 <= h < n and 0 <= t < n):
+                raise ValueError(f"entity id out of range in fact [{h}, {r_name!r}, {t}, {y}]")
+            if type(y) is not int or y not in (-1, 1):
+                raise ValueError(f"label must be +1 or -1 as a JSON integer in fact {fact}")
+            first = labels.setdefault((h, vocab.id_of(r_name), t), y)
+            if first != y:
+                raise ValueError(f"conflicting labels {first} and {y} for fact {fact}")
+        gold = [key for key, y in labels.items() if y == 1]
+        atoms = _closed_atoms(doc_id, atoms, vocab)
+        corpus.docs[doc_id] = Document(doc_id, entities, atoms, gold, num_relations=vocab.size)
+        corpus.instances.extend([LabeledInstance(doc_id, h, r, t, y) for (h, r, t), y in labels.items()])
+
+    read_lines(path, parse, "bad document record: ")
     return corpus
 
 
@@ -519,9 +554,8 @@ def write_corpus(path, corpus: Corpus, vocab: RelationVocab) -> None:
     by_doc: dict[str, list[LabeledInstance]] = {doc_id: [] for doc_id in corpus.docs}
     for inst in corpus.instances:
         by_doc[inst.doc_id].append(inst)
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc_id, doc in corpus.docs.items():
-            fh.write(json.dumps(_doc_to_json(doc, vocab, by_doc[doc_id]), sort_keys=True) + "\n")
+    write_lines(path, (json.dumps(_doc_to_json(doc, vocab, by_doc[doc_id]), sort_keys=True)
+                       for doc_id, doc in corpus.docs.items()))
 
 
 # -- config files ------------------------------------------------------------
@@ -576,6 +610,6 @@ def _config_from_json(tp, value, key: str):
         item_types = args if origin is tuple else args * len(value)
         return origin(_config_from_json(t, item, f"{key}[{i}]") for i, (t, item) in enumerate(zip(item_types, value)))
     want, allowed = _JSON_TYPES[tp]
-    if type(value) not in allowed or (type(value) is float and not math.isfinite(value)):
+    if type(value) not in allowed or (tp is float and not is_finite_number(value)):
         raise ValueError(f"config key '{key}' must be {want}, got {json.dumps(value, default=repr)}")
     return value

@@ -711,7 +711,7 @@ def score_document(doc: Document, terms: InferenceTerms) -> DocumentScores:
     """Logits of every head and ordered entity pair of one document, from one all-pairs stack."""
     contributions = terms.coef[:, None, None] * all_pairs_stack(doc, terms.bodies)[terms.body]
     n = doc.num_entities
-    logits = np.repeat(terms.bias, n * n).reshape(-1, n, n)
+    logits = np.repeat(terms.bias, n * n).reshape(len(terms.bias), n, n)
     sizes = np.diff(terms.starts)
     for position in range(int(sizes.max(initial=0))):
         rows = np.flatnonzero(sizes > position)

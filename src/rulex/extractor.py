@@ -24,7 +24,10 @@ from .core import (
     Rule,
     RuleSet,
     format_rule,
+    is_finite_number,
     parse_rule,
+    read_json,
+    write_json,
 )
 
 
@@ -180,36 +183,33 @@ class ExtractorWeights:
 
     @classmethod
     def from_json(cls, obj: Mapping, vocab: RelationVocab) -> "ExtractorWeights":
-        """The weights that ``to_json`` wrote; ``ValueError`` names a bad field or a weight not a finite number."""
+        """The weights ``to_json`` wrote; ``ValueError`` names a bad field, a non-finite weight, a rule keyed twice."""
         if not isinstance(obj, dict):
             raise ValueError("not a JSON object")
         for key in ("bias", "rule_weight"):
             if not isinstance(obj.get(key), dict):
                 raise ValueError(f"missing key {key!r}" if key not in obj else f"{key!r} is not a JSON object")
             for name, w in obj[key].items():
-                if type(w) not in (int, float) or not math.isfinite(w):
+                if not is_finite_number(w):
                     raise ValueError(f"{key} of {name!r}: {json.dumps(w)} is not a finite number")
         weights = cls()
         for name, w in obj["bias"].items():
             weights.bias[vocab.id_of(name)] = float(w)
+        texts: dict[Rule, str] = {}
         for text, w in obj["rule_weight"].items():
             rule, _ = parse_rule(text, vocab)
+            if texts.setdefault(rule, text) != text:
+                raise ValueError(f"rule_weight keys {texts[rule]!r} and {text!r} name one rule")
             weights.rule_weight[(rule.head, rule)] = float(w)
         return weights
 
     def save(self, path, vocab: RelationVocab) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(vocab), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json(vocab))
 
     @classmethod
     def load(cls, path, vocab: RelationVocab) -> "ExtractorWeights":
         """The weights saved at ``path``; a malformed file raises ``ValueError`` naming it."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_json(json.load(fh), vocab)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        return read_json(path, lambda obj: cls.from_json(obj, vocab))
 
 
 def prob(y: int, s: float) -> float:

@@ -14,7 +14,6 @@ import array
 import base64
 import bisect
 import itertools
-import json
 import math
 import numbers
 from collections import Counter
@@ -22,7 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, pad_bodies
+from .core import (DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, is_finite_number, pad_bodies, read_json,
+                   write_json)
 
 # Above this many enumerable bodies per head, ruleset sampling falls back to
 # token-wise ancestral draws instead of one multinomial over the rule space,
@@ -61,7 +61,7 @@ class RuleGenerator:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         for name, value in (("alpha", alpha), *(("a lambdas entry", w) for w in lambdas)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            if not is_finite_number(value):
                 raise ValueError(f"{name} must be a finite number, not {value!r}")
         if order < 0:
             raise ValueError("order must be >= 0")
@@ -853,19 +853,12 @@ class RuleGenerator:
         return model
 
     def save(self, path) -> None:
-        """Write ``json.dump(self.to_json(), fh, sort_keys=True)`` and a newline."""
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_json())
 
     @classmethod
     def load(cls, path) -> "RuleGenerator":
         """The generator saved at ``path``; a malformed file raises ``ValueError`` naming it."""
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return cls.from_json(json.load(fh))
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from None
+        return read_json(path, cls.from_json)
 
 
 def _math_logs(values: list[float]) -> np.ndarray:
@@ -1015,8 +1008,10 @@ class _RuleSpace:
             raise ValueError(f"bad rule body {new[int(np.argmax(bad))]!r}")
         table = np.full((len(new), self.max_len), -1, dtype=np.intp)
         table[owners, np.arange(len(owners)) - np.repeat(np.cumsum(lengths) - lengths, lengths)] = tokens
+        # One tuple of Python ints per body, both its key and its ``bodies`` entry.
+        new = [tuple(row[:n]) for row, n in zip(table.tolist(), lengths.tolist())]
         index.update(zip(new, range(len(self.bodies), len(self.bodies) + len(new))))
-        self.bodies.extend(tuple(row[:n]) for row, n in zip(table.tolist(), lengths.tolist()))  # as Python ints
+        self.bodies.extend(new)
         self.table = np.concatenate([self.table, table])
         return np.fromiter(map(index.__getitem__, bodies), dtype=np.intp, count=len(bodies))
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import Document, RelationVocab, Rule, body_paths
+from .core import Document, RelationVocab, Rule, body_paths, is_finite_number, read_lines, write_lines
 
 Triple = tuple[int, int, int]
 
@@ -148,7 +148,7 @@ def write_predictions(
     vocab: RelationVocab,
     explanations: Mapping[str, Mapping[Triple, list]] | None = None,
 ) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    def lines() -> Iterable[str]:
         for doc_id, preds in predictions.by_doc.items():
             record = {
                 "doc_id": doc_id,
@@ -159,7 +159,9 @@ def write_predictions(
                     {"triple": [h, vocab.name_of(r), t], "rules": rules}
                     for (h, r, t), rules in sorted(explanations[doc_id].items())
                 ]
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+            yield json.dumps(record, sort_keys=True)
+
+    write_lines(path, lines())
 
 
 def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
@@ -170,29 +172,26 @@ def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
     ``doc_id``s unique.
     """
     predictions = PredictionSet()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                doc_id = obj["doc_id"]
-                if type(doc_id) is not str:
-                    raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")
-                if doc_id in predictions.by_doc:
-                    raise ValueError(f"duplicate doc_id {doc_id!r}")
-                triples = {}
-                # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
-                for h, r_name, t, p in obj["triples"]:
-                    if type(h) is not int or type(t) is not int or h < 0 or t < 0:
-                        raise ValueError(f"entity ids must be integers >= 0, got {json.dumps(h)} and {json.dumps(t)}")
-                    if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
-                        raise ValueError(f"probability must be a number in [0, 1], got {json.dumps(p)}")
-                    triple = (h, vocab.id_of(r_name), t)
-                    if triple in triples:
-                        raise ValueError(f"duplicate predicted triple {triple}")
-                    triples[triple] = p
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad prediction record: {exc}") from None
-            predictions.by_doc[doc_id] = triples
+
+    def parse(line: str) -> None:
+        obj = json.loads(line)
+        doc_id = obj["doc_id"]
+        if type(doc_id) is not str:
+            raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")
+        if doc_id in predictions.by_doc:
+            raise ValueError(f"duplicate doc_id {doc_id!r}")
+        triples = {}
+        # ``type``, not ``isinstance``: JSON true loads as a bool, an int.
+        for h, r_name, t, p in obj["triples"]:
+            if type(h) is not int or type(t) is not int or h < 0 or t < 0:
+                raise ValueError(f"entity ids must be integers >= 0, got {json.dumps(h)} and {json.dumps(t)}")
+            if not is_finite_number(p) or not 0.0 <= p <= 1.0:
+                raise ValueError(f"probability must be a number in [0, 1], got {json.dumps(p)}")
+            triple = (h, vocab.id_of(r_name), t)
+            if triple in triples:
+                raise ValueError(f"duplicate predicted triple {triple}")
+            triples[triple] = p
+        predictions.by_doc[doc_id] = triples
+
+    read_lines(path, parse, "bad prediction record: ")
     return predictions

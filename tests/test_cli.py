@@ -343,6 +343,10 @@ class TestInfer:
             ('{"bias": {"r0": NaN}, "rule_weight": {}}', "NaN is not a finite number"),
             ('{"bias": {"r0": "0.5"}, "rule_weight": {}}', '"0.5" is not a finite number'),
             ('{"bias": {}, "rule_weight": {"r0 <- r1": true}}', "true is not a finite number"),
+            pytest.param(json.dumps({"bias": {"r0": 10**400}, "rule_weight": {}}), "is not a finite number",
+                         id="huge-integer"),
+            ('{"bias": {}, "rule_weight": {"r0 <- r1": 0.5, "r0 <-  r1": 0.25}}',
+             "rule_weight keys 'r0 <- r1' and 'r0 <-  r1' name one rule"),
         ],
     )
     def test_malformed_extractor_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys, text, message):
@@ -363,6 +367,18 @@ class TestInfer:
         assert rc == 1
         assert named in only_error_line(capsys.readouterr().err)
         assert not (tmp_path / "preds.jsonl").exists()
+
+    def test_document_without_entities_gets_an_empty_record(self, tmp_path, run_dir, corpus_dir):
+        first, second = (corpus_dir / "test.jsonl").read_text().splitlines()[:2]
+        empty = json.dumps({"doc_id": "empty", "entities": [], "atoms": [], "facts": []})
+        records = {}
+        for name, lines in (("with", [first, empty, second]), ("without", [first, second])):
+            docs, out = tmp_path / f"{name}.jsonl", tmp_path / f"{name}_preds.jsonl"
+            docs.write_text("".join(line + "\n" for line in lines))
+            assert cli.main(["infer", "--run", str(run_dir), "--documents", str(docs), "--out", str(out)]) == 0
+            records[name] = out.read_text().splitlines()
+        assert json.loads(records["with"][1]) == {"doc_id": "empty", "explanations": [], "triples": []}
+        assert records["with"][::2] == records["without"]
 
     def test_output_meets_the_benchmark_contract(self, tmp_path, run_dir, corpus_dir):
         out = tmp_path / "preds.jsonl"
@@ -580,9 +596,11 @@ class TestEval:
         ([0, "r0", 1, "0.5"], "probability must be a number in [0, 1]"),
         ([0, "r0", 1, True], "probability must be a number in [0, 1]"),
         ([0, "r0", 1, 1.5], "probability must be a number in [0, 1]"),
+        ([0, "r0", 1, 10**400], "probability must be a number in [0, 1]"),
         (["x", "r0", 1, 0.5], "entity ids must be integers >= 0"),
         ([0, "r0", -1, 0.5], "entity ids must be integers >= 0"),
-    ], ids=["string-probability", "true-probability", "probability-above-1", "string-entity", "negative-entity"])
+    ], ids=["string-probability", "true-probability", "probability-above-1", "huge-integer-probability",
+            "string-entity", "negative-entity"])
     def test_malformed_triple_names_its_line(self, tmp_path, corpus_dir, capsys, triple, message):
         record = {"doc_id": self.first_test_doc(corpus_dir), "triples": [[0, "r1", 1, 0.5], triple]}
         line = self.eval_error(tmp_path, corpus_dir, capsys, [record])

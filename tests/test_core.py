@@ -1,7 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+import rulex.core
 from rulex.core import (
     Corpus,
     Document,
@@ -11,12 +14,17 @@ from rulex.core import (
     build_vocab,
     close_inverses,
     format_rule,
+    is_finite_number,
     load_corpus,
     parse_rule,
+    read_json,
+    read_lines,
     read_rules_file,
     read_vocab_file,
     validate_rule,
     write_corpus,
+    write_json,
+    write_lines,
     write_rules_file,
     write_vocab_file,
 )
@@ -274,7 +282,7 @@ class TestFiles:
         with pytest.raises(ValueError, match=r"docs\.jsonl:2: .*entity ids must be integers"):
             load_corpus(path, pair_vocab)
 
-    @pytest.mark.parametrize("confidence", ["0.7", True])
+    @pytest.mark.parametrize("confidence", ["0.7", True, pytest.param(10**400, id="huge-integer")])
     def test_non_numeric_confidence_names_the_line(self, tmp_path, pair_vocab, confidence):
         good = {"doc_id": "d0", "entities": ["x", "y"], "atoms": [[0, "a", 1, 0.5]], "facts": []}
         bad = {"doc_id": "d1", "entities": ["x", "y"], "atoms": [[0, "b", 1, confidence]], "facts": []}
@@ -333,6 +341,81 @@ class TestFiles:
             load_corpus(path, pair_vocab)
 
 
+class TestFileLayer:
+    def test_writers_end_every_line_with_a_newline(self, tmp_path):
+        path = tmp_path / "out.txt"
+        write_lines(path, iter(["a", "", "b\r", "é"]))
+        assert path.read_bytes() == "a\n\nb\r\né\n".encode("utf-8")
+        write_json(path, {"b": [1, 2], "a": None})
+        assert path.read_text(encoding="utf-8") == '{"a": null, "b": [1, 2]}\n'
+        write_json(path, {"b": 1, "a": 2}, indent=2)
+        assert path.read_text(encoding="utf-8") == '{\n  "a": 2,\n  "b": 1\n}\n'
+
+    def test_read_lines_skips_blank_lines_and_numbers_the_rest(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_text("x\n\n  \ny\n", encoding="utf-8")
+        assert read_lines(path, str.strip) == ["x", "y"]
+
+    @pytest.mark.parametrize("error", [KeyError("k"), TypeError("t"), ValueError("v"), OverflowError("o")])
+    def test_a_parse_error_names_the_file(self, tmp_path, error):
+        def parse(value):
+            if value in ("bad\n", "bad"):
+                raise error
+            return value
+
+        path = tmp_path / "in.txt"
+        path.write_text("ok\n\nbad\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_lines(path, parse, "bad record: ")
+        assert str(exc.value) == f"{path}:3: bad record: {error}"
+        path.write_text('"bad"', encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            read_json(path, parse)
+        assert str(exc.value) == f"{path}: {error}"
+
+    def test_read_json_reads_one_value(self, tmp_path):
+        path = tmp_path / "in.json"
+        path.write_text('{"a": [1, 2.5]}\n', encoding="utf-8")
+        assert read_json(path, lambda obj: obj["a"]) == [1, 2.5]
+        path.write_text("{} {}", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"in\.json: Extra data"):
+            read_json(path, dict)
+
+    def test_is_finite_number(self):
+        finite = [0, -3, 0.5, 10**300, np.float64(2.0)]
+        not_finite = [10**400, -(10**400), math.nan, math.inf, True, "1", None]
+        assert [is_finite_number(value) for value in finite + not_finite] == [True] * 5 + [False] * 7
+
+    def test_load_corpus_builds_one_document_per_record(self, tmp_path, pair_vocab, monkeypatch):
+        built = []
+
+        class CountedDocument(Document):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args[0])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(rulex.core, "Document", CountedDocument)
+        path = tmp_path / "docs.jsonl"
+        records = [{"doc_id": f"d{i}", "entities": ["x", "y"], "atoms": [[0, "a", 1, 0.5]], "facts": []}
+                   for i in range(3)]
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        corpus = load_corpus(path, pair_vocab)
+        assert built == ["d0", "d1", "d2"]
+        assert corpus.docs["d1"].atoms == {(0, pair_vocab.id_of("a"), 1): 0.5, (1, pair_vocab.inverse(0), 0): 0.5}
+
+    def test_conflicting_inverse_atom_names_the_line(self, tmp_path, pair_vocab):
+        a = pair_vocab.id_of("a")
+        record = {"doc_id": "d", "entities": ["x", "y"], "facts": [],
+                  "atoms": [[0, "a", 1, 1], [1, pair_vocab.name_of(pair_vocab.inverse(a)), 0, 0]]}
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValueError, match=r"docs\.jsonl:1: bad document record: doc d: conflicting inverse "
+                                             r"confidences for atom \(0, 0, 1\): 1\.0 vs 0\.0"):
+            load_corpus(path, pair_vocab)
+
+
 class TestJsonConfig:
     @pytest.mark.parametrize("cls", [EMConfig, FitConfig, SynthConfig])
     def test_default_round_trip(self, cls):
@@ -359,6 +442,7 @@ class TestJsonConfig:
             (EMConfig, {"beam": 200.0}, "config key 'beam' must be an integer, got 200.0"),
             (EMConfig, {"fit": {"l2": None}}, "config key 'fit.l2' must be a finite number, got null"),
             (EMConfig, {"fit": {"lr": float("nan")}}, "config key 'fit.lr' must be a finite number, got NaN"),
+            (EMConfig, {"fit": {"lr": 10**400}}, "config key 'fit.lr' must be a finite number, got 1000"),
             (SynthConfig, {"split": [1, 0, float("inf")]}, "config key 'split[2]' must be a finite number"),
             (EMConfig, {"inference_mode": 1}, "config key 'inference_mode' must be a string, got 1"),
             (EMConfig, [], "config must be a JSON object, got []"),

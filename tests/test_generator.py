@@ -560,6 +560,7 @@ class TestMalformedFile:
         ("alpha", math.nan, "alpha must be a finite number, not nan"),
         ("alpha", math.inf, "alpha must be a finite number, not inf"),
         ("alpha", True, "alpha must be a finite number, not True"),
+        pytest.param("alpha", 10**400, f"alpha must be a finite number, not {10**400}", id="alpha-huge-integer"),
         ("lambdas", [0.6, math.nan, 0.1], "a lambdas entry must be a finite number, not nan"),
         ("lambdas", [True, 0.3, 0.1], "a lambdas entry must be a finite number, not True"),
         ("order", 2.0, "order must be an integer, not 2.0"),
@@ -748,6 +749,14 @@ class TestRuleIds:
         assert model.rule_ids([(1, 2), (3,)]).tolist() == ids.tolist() == [0, 1]
         bodies = [model.rule_at(0, i).body for i in ids.tolist()]
         assert bodies == [(1, 2), (3,)] and {type(r) for body in bodies for r in body} == {int}
+
+    def test_an_interned_body_is_one_tuple_for_its_key_and_its_entry(self):
+        for names in (("a", "b"), tuple(f"r{i}" for i in range(24))):
+            model = fresh(names)
+            model.rule_ids([(1.0, 2), (np.int64(3),), (1, 2)])
+            space = model._rule_space()
+            assert len(space.index) == len(space.bodies)
+            assert all(space.bodies[i] is body for body, i in space.index.items())
 
     def test_body_table_round_trips_ids(self):
         for names in (("a", "b"), tuple(f"r{i}" for i in range(24))):
