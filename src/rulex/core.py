@@ -37,25 +37,51 @@ def write_json(path, obj, indent: int | None = None) -> None:
 
 
 def read_lines(path, parse: Callable[[str], object], prefix: str = "") -> list:
-    """``parse`` of each non-blank line of a UTF-8 file; an error ``exc`` is raised as ``path:lineno: prefix exc``."""
+    """``parse`` of each non-blank line of a UTF-8 file; an error ``exc`` is raised as ``path:lineno: prefix exc``.
+
+    Lines end at ``\\n``, and each decodes on its own, so a byte that is not
+    UTF-8 fails as its line's error.
+    """
     parsed = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if line.strip():
-                try:
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+                if line.strip():
                     parsed.append(parse(line))
-                except _PARSE_ERRORS as exc:
-                    raise ValueError(f"{path}:{lineno}: {prefix}{exc}") from None
+            except _PARSE_ERRORS as exc:
+                raise ValueError(f"{path}:{lineno}: {prefix}{exc}") from None
     return parsed
 
 
 def read_json(path, parse: Callable[[object], object]):
-    """``parse`` of the one JSON value of a UTF-8 file; an error ``exc`` is raised as ``path: exc``."""
+    """``parse`` of the one JSON value of a UTF-8 file; an error ``exc`` is raised as ``path: exc``.
+
+    An object that repeats a key is such an error, as in ``parse_json``.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
-            return parse(json.load(fh))
+            return parse(parse_json(fh.read()))
         except _PARSE_ERRORS as exc:
             raise ValueError(f"{path}: {exc}") from None
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The ``object_pairs_hook`` of ``parse_json``: the object of ``pairs``, refusing a key held twice."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for i, key in enumerate(keys) if key in keys[:i])
+        raise ValueError(f"repeated key {json.dumps(repeated)} in a JSON object")
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)  # built once: ``json.loads`` with a hook builds one per call
+
+
+def parse_json(text: str):
+    """The JSON value of ``text``; an object that repeats a key raises ``ValueError``."""
+    return _DECODER.decode(text)
 
 
 def is_finite_number(value) -> bool:
@@ -504,7 +530,7 @@ def load_corpus(path, vocab: RelationVocab) -> Corpus:
     corpus = Corpus()
 
     def parse(line: str) -> None:
-        obj = json.loads(line)
+        obj = parse_json(line)
         doc_id = obj["doc_id"]
         if type(doc_id) is not str:
             raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")

@@ -71,6 +71,10 @@ class SynthConfig(JsonConfig):
             raise ValueError("split needs three non-negative fractions")
         if abs(sum(self.split) - 1.0) > 1e-6:
             raise ValueError(f"split fractions must sum to 1, got {sum(self.split)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.max_rule_len < 1:
+            raise ValueError(f"max_rule_len must be >= 1, got {self.max_rule_len}")
 
 
 @dataclass

@@ -91,6 +91,12 @@ class EMConfig(JsonConfig):
             raise ValueError(f"unknown train ruleset mode {self.train_ruleset_mode!r}")
         if self.beam < self.n_rules:
             raise ValueError("beam must be >= n_rules")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.max_rule_len < 1:
+            raise ValueError(f"max_rule_len must be >= 1, got {self.max_rule_len}")
+        if self.convergence_eps < 0:
+            raise ValueError(f"convergence_eps must be >= 0, got {self.convergence_eps}")
         self.fit.validate()
 
 
@@ -672,16 +678,14 @@ def inference_terms(
     )
 
 
-def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
-    """All-pairs groundings of many bodies on one document, shape ``(len(bodies), n, n)``.
+def all_pairs_stack(atoms: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+    """All-pairs groundings of many bodies on one document's ``atom_array``, shape ``(len(bodies), n, n)``.
 
     ``bodies`` holds one body per row, relation ids padded with -1.  Row k
     equals ``ground_rule_all_pairs`` of body k bit for bit: the bodies of one
     length chain their relation matrices together, left to right, through
-    ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes, from
-    an ``atom_array`` built for this call.
+    ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes.
     """
-    atoms = doc.atom_array()
     n = atoms.shape[1]
     if bodies.size and bodies.max() >= atoms.shape[0]:
         raise ValueError(f"relation id out of range: {int(bodies.max())}")
@@ -694,60 +698,52 @@ def all_pairs_stack(doc: Document, bodies: np.ndarray) -> np.ndarray:
     return stack
 
 
-class DocumentScores(NamedTuple):
-    """One document scored against ``InferenceTerms``.
+def score_document(stack: np.ndarray, terms: InferenceTerms) -> np.ndarray:
+    """Logits ``[i, h, t]`` of head ``heads[i]`` from the document's ``all_pairs_stack`` of ``terms.bodies``.
 
-    ``contributions[k]`` holds term k's ``(n, n)`` contributions, ``coef[k]``
-    times its body's all-pairs groundings, and ``logits[i]`` head ``heads[i]``'s
-    logits: its bias plus its terms' contributions, added one term at a time in
-    rule-set order.
+    Each head adds its terms' ``coef[k] * stack[body[k]]`` to its bias in
+    rule-set order, one position at a time for every head at once, so the
+    stack is the only per-term array and the temporaries are a few (H, n, n).
     """
-
-    contributions: np.ndarray
-    logits: np.ndarray
-
-
-def score_document(doc: Document, terms: InferenceTerms) -> DocumentScores:
-    """Logits of every head and ordered entity pair of one document, from one all-pairs stack."""
-    contributions = terms.coef[:, None, None] * all_pairs_stack(doc, terms.bodies)[terms.body]
-    n = doc.num_entities
+    n = stack.shape[1]
     logits = np.repeat(terms.bias, n * n).reshape(len(terms.bias), n, n)
     sizes = np.diff(terms.starts)
     for position in range(int(sizes.max(initial=0))):
         rows = np.flatnonzero(sizes > position)
-        logits[rows] += contributions[terms.starts[rows] + position]
-    return DocumentScores(contributions, logits)
+        k = terms.starts[rows] + position
+        logits[rows] += terms.coef[k, None, None] * stack[terms.body[k]]
+    return logits
 
 
 def _fired(
-    doc: Document,
+    atoms: np.ndarray,
     terms: InferenceTerms,
-    scores: DocumentScores,
+    stack: np.ndarray,
     rows: np.ndarray,
     hs: np.ndarray,
     ts: np.ndarray,
     top: int | None,
 ) -> list[tuple[RuleContribution, ...]]:
-    """The rules that fired for each triple ``(hs[p], heads[rows[p]], ts[p])`` of one scored document.
+    """The rules that fired for each triple ``(hs[p], heads[rows[p]], ts[p])`` of one document.
 
-    A triple's entries are its head's terms whose contribution at (h, t) is
-    nonzero, ordered by decreasing contribution and then by text; the first
-    ``top`` of them (all when ``top`` is None) are returned, each with its
-    grounding and witness path.  All the triples' entries sort in one pass,
-    and one ``ground_chain`` call on the document's atom array grounds them.
+    A triple's entries are its head's terms k whose contribution ``coef[k] *
+    stack[body[k], h, t]`` is nonzero, ordered by decreasing contribution and
+    then by text; the first ``top`` of them (all when ``top`` is None) are
+    returned, each with its grounding and witness path.  All the triples'
+    entries sort in one pass, and one ``ground_chain`` call on ``atoms`` grounds them.
     """
     counts = np.diff(terms.starts)[rows]
     owner = np.repeat(np.arange(len(rows)), counts)
     term = np.arange(counts.sum()) + np.repeat(terms.starts[rows] - (np.cumsum(counts) - counts), counts)
     h, t = hs[owner], ts[owner]
-    values = scores.contributions[term, h, t]
+    values = terms.coef[term] * stack[terms.body[term], h, t]
     entries = np.flatnonzero(values)
     entries = entries[np.lexsort((terms.rank[term[entries]], -values[entries], owner[entries]))]
     if top is not None:
         ranked = np.arange(len(entries)) - np.searchsorted(owner[entries], owner[entries])
         entries = entries[ranked < top]
     fired: list[list[RuleContribution]] = [[] for _ in range(len(rows))]
-    groundings, paths = ground_chain(doc.atom_array()[None], np.zeros(len(entries), dtype=np.intp),
+    groundings, paths = ground_chain(atoms[None], np.zeros(len(entries), dtype=np.intp),
                                      terms.bodies[terms.body[term[entries]]], h[entries], t[entries], _paths=True)
     columns = (owner[entries].tolist(), term[entries].tolist(), groundings.tolist(), values[entries].tolist(), paths)
     for p, k, grounding, contribution, path in zip(*columns):
@@ -765,14 +761,16 @@ def explain_document(
     holds the first ``top`` of its contributions (all when ``top`` is None),
     as ``explain`` gives them; ``top=0`` skips the explanations.
     """
-    scores = score_document(doc, terms)
+    atoms = doc.atom_array()
+    stack = all_pairs_stack(atoms, terms.bodies)
+    logits = score_document(stack, terms)
     n = doc.num_entities
-    rows, hs, ts = np.nonzero((scores.logits > 0) & ~np.eye(n, dtype=bool))
-    probabilities = np.array([prob(1, logit) for logit in scores.logits[rows, hs, ts].tolist()])
+    rows, hs, ts = np.nonzero((logits > 0) & ~np.eye(n, dtype=bool))
+    probabilities = np.array([prob(1, logit) for logit in logits[rows, hs, ts].tolist()])
     positive = probabilities > 0.5
     rows, hs, ts = rows[positive], hs[positive], ts[positive]
-    fired = _fired(doc, terms, scores, rows, hs, ts, top) if top != 0 else [()] * len(rows)
-    columns = (hs, terms.heads[rows], ts, probabilities[positive], scores.logits[rows, hs, ts])
+    fired = _fired(atoms, terms, stack, rows, hs, ts, top) if top != 0 else [()] * len(rows)
+    columns = (hs, terms.heads[rows], ts, probabilities[positive], logits[rows, hs, ts])
     return {
         (h, relation, t): InferenceResult(1, p, logit, contributions)
         for (h, relation, t, p, logit), contributions in zip(zip(*(c.tolist() for c in columns)), fired)
@@ -802,10 +800,11 @@ def explain(
     if not (0 <= h < doc.num_entities and 0 <= t < doc.num_entities):
         raise ValueError(f"entity id out of range: ({h}, {t}) in doc {doc.doc_id}")
     terms = inference_terms({relation: ruleset}, weights, vocab)
-    scores = score_document(doc, terms)
-    logit = float(scores.logits[0, h, t])
+    atoms = doc.atom_array()
+    stack = all_pairs_stack(atoms, terms.bodies)
+    logit = float(score_document(stack, terms)[0, h, t])
     probability = prob(1, logit)
-    (contributions,) = _fired(doc, terms, scores, np.zeros(1, dtype=np.intp), np.array([h]), np.array([t]), top)
+    (contributions,) = _fired(atoms, terms, stack, np.zeros(1, dtype=np.intp), np.array([h]), np.array([t]), top)
     return InferenceResult(1 if probability > 0.5 else -1, probability, logit, contributions)
 
 

@@ -6,7 +6,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from .core import Document, RelationVocab, Rule, body_paths, is_finite_number, read_lines, write_lines
+from .core import Document, RelationVocab, Rule, body_paths, is_finite_number, parse_json, read_lines, write_lines
 
 Triple = tuple[int, int, int]
 
@@ -174,7 +174,7 @@ def read_predictions(path, vocab: RelationVocab) -> PredictionSet:
     predictions = PredictionSet()
 
     def parse(line: str) -> None:
-        obj = json.loads(line)
+        obj = parse_json(line)
         doc_id = obj["doc_id"]
         if type(doc_id) is not str:
             raise ValueError(f"doc_id must be a string, got {type(doc_id).__name__}")

@@ -145,15 +145,20 @@ def corpus_dir(tmp_path, config_file):
     return out
 
 
-# (command, override of its config section, the dotted key its error names)
-MISTYPED = [
-    ("train", {"n_rules": "5"}, "n_rules"),
-    ("train", {"iterations": 2.5}, "iterations"),
-    ("train", {"n_rules": True}, "n_rules"),
-    ("train", {"fit": 5}, "fit"),
-    ("train", {"fit": {"lr": "0.1"}}, "fit.lr"),
-    ("synth", {"docs": "30"}, "docs"),
-    ("synth", {"entities_per_doc": 5}, "entities_per_doc"),
+# (command, a config value of the wrong JSON type or out of bounds, the text its error must hold)
+BAD_VALUES = [
+    ("train", {"n_rules": "5"}, "config key 'n_rules'"),
+    ("train", {"iterations": 2.5}, "config key 'iterations'"),
+    ("train", {"n_rules": True}, "config key 'n_rules'"),
+    ("train", {"fit": 5}, "config key 'fit'"),
+    ("train", {"fit": {"lr": "0.1"}}, "config key 'fit.lr'"),
+    ("synth", {"docs": "30"}, "config key 'docs'"),
+    ("synth", {"entities_per_doc": 5}, "config key 'entities_per_doc'"),
+    ("train", {"max_rule_len": 0}, "max_rule_len must be >= 1"),
+    ("train", {"seed": -1}, "seed must be >= 0"),
+    ("train", {"convergence_eps": -1.0}, "convergence_eps must be >= 0"),
+    ("synth", {"seed": -1}, "seed must be >= 0"),
+    ("synth", {"max_rule_len": 0}, "max_rule_len must be >= 1"),
 ]
 
 
@@ -165,18 +170,18 @@ def only_error_line(err):
 
 
 class TestConfigFile:
-    @pytest.mark.parametrize(("command", "override", "key"), MISTYPED,
-                             ids=[json.dumps(override) for _, override, _ in MISTYPED])
-    def test_mistyped_value_fails_naming_its_key(self, tmp_path, request, capsys, command, override, key):
+    @pytest.mark.parametrize(("command", "override", "message"), BAD_VALUES,
+                             ids=[f"{command}-{json.dumps(override)}" for command, override, _ in BAD_VALUES])
+    def test_bad_value_fails_naming_its_key(self, tmp_path, request, capsys, command, override, message):
         section = "em" if command == "train" else "synth"
-        config = tmp_path / "mistyped.json"
+        config = tmp_path / "bad.json"
         config.write_text(json.dumps({**TINY_CONFIG, section: {**TINY_CONFIG[section], **override}}))
         args = [command, "--config", str(config), "--out", str(tmp_path / "out")]
         if command == "train":
             args += ["--corpus", str(request.getfixturevalue("corpus_dir"))]
         capsys.readouterr()
         assert cli.main(args) == 1
-        assert f"config key '{key}'" in only_error_line(capsys.readouterr().err)
+        assert message in only_error_line(capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["synth", "train"])
@@ -325,7 +330,9 @@ class TestInfer:
         assert records and all(record["triples"] == [] for record in records)
 
     @pytest.mark.parametrize(("text", "named"), [("[]", "config.json"), ('{"em": []}', "config.json"),
-                                                 ('{"em": {"n_rules": "5"}}', "'n_rules'")])
+                                                 ('{"em": {"n_rules": "5"}}', "'n_rules'"),
+                                                 ('{"em": {"n_rules": 8, "n_rules": 9}}',
+                                                  'config.json: repeated key "n_rules"')])
     def test_malformed_run_config_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys, text, named):
         (run_dir / "config.json").write_text(text)
         rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
@@ -347,6 +354,7 @@ class TestInfer:
                          id="huge-integer"),
             ('{"bias": {}, "rule_weight": {"r0 <- r1": 0.5, "r0 <-  r1": 0.25}}',
              "rule_weight keys 'r0 <- r1' and 'r0 <-  r1' name one rule"),
+            ('{"bias": {"r0": 0.123, "r0": -1.0}, "rule_weight": {}}', 'repeated key "r0" in a JSON object'),
         ],
     )
     def test_malformed_extractor_file_is_an_error(self, tmp_path, run_dir, corpus_dir, capsys, text, message):
@@ -618,6 +626,28 @@ class TestEval:
         assert "preds.jsonl:2:" in line and "duplicate doc_id" in line
 
 
+    def test_vocab_that_is_not_utf8_names_its_file_and_line(self, tmp_path, corpus_dir, capsys):
+        vocab = tmp_path / "vocab.txt"
+        vocab.write_bytes((corpus_dir / "vocab.txt").read_bytes() + b"r\xff\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text("")
+        rc = cli.main(["eval", "--predictions", str(preds), "--gold", str(corpus_dir / "test.jsonl"),
+                       "--vocab", str(vocab)])
+        assert rc == 1
+        lines = len((corpus_dir / "vocab.txt").read_bytes().splitlines())
+        line = only_error_line(capsys.readouterr().err)
+        assert line.startswith(f"error: {vocab}:{lines + 1}: ") and "can't decode byte 0xff" in line
+
+    def test_repeated_key_in_a_record_names_its_line(self, tmp_path, corpus_dir, capsys):
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"doc_id": self.first_test_doc(corpus_dir), "triples": []})[:-1]
+                         + ', "triples": [[0, "r0", 1, 0.9]]}\n')
+        rc = cli.main(["eval", "--predictions", str(preds), "--gold", str(corpus_dir / "test.jsonl"),
+                       "--vocab", str(corpus_dir / "vocab.txt")])
+        assert rc == 1
+        line = only_error_line(capsys.readouterr().err)
+        assert "preds.jsonl:1:" in line and 'repeated key "triples"' in line
+
     @pytest.mark.parametrize("doc_id", [5, ["a"], None], ids=["number", "list", "null"])
     def test_doc_id_that_is_not_a_string_names_its_line(self, tmp_path, corpus_dir, capsys, doc_id):
         line = self.eval_error(tmp_path, corpus_dir, capsys, [{"doc_id": doc_id, "triples": []}])
@@ -664,6 +694,18 @@ class TestDocumentRecords:
         assert rc == 1
         line = only_error_line(capsys.readouterr().err)
         assert "docs.jsonl:2:" in line and message in line
+        assert not (tmp_path / "preds.jsonl").exists()
+
+
+    def test_repeated_key_names_its_line(self, tmp_path, run_dir, corpus_dir, capsys):
+        path = self.documents(tmp_path, corpus_dir, {})
+        first, second = path.read_text().splitlines()
+        path.write_text(first + "\n" + '{"doc_id": "third", ' + second[1:] + "\n")
+        capsys.readouterr()
+        rc = cli.main(["infer", "--run", str(run_dir), "--documents", str(path), "--out", str(tmp_path / "preds.jsonl")])
+        assert rc == 1
+        line = only_error_line(capsys.readouterr().err)
+        assert "docs.jsonl:2:" in line and 'repeated key "doc_id"' in line
         assert not (tmp_path / "preds.jsonl").exists()
 
 

@@ -355,6 +355,14 @@ class TestFileLayer:
         path = tmp_path / "in.txt"
         path.write_text("x\n\n  \ny\n", encoding="utf-8")
         assert read_lines(path, str.strip) == ["x", "y"]
+        path.write_bytes("é\r\n\r\ny".encode("utf-8"))
+        assert read_lines(path, str.strip) == ["é", "y"]
+
+    def test_a_line_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "in.txt"
+        path.write_bytes(b"x\n\ny\xffz\n")
+        with pytest.raises(ValueError, match=r"in\.txt:3: bad line: 'utf-8' codec can't decode byte 0xff"):
+            read_lines(path, str.strip, "bad line: ")
 
     @pytest.mark.parametrize("error", [KeyError("k"), TypeError("t"), ValueError("v"), OverflowError("o")])
     def test_a_parse_error_names_the_file(self, tmp_path, error):

@@ -998,6 +998,33 @@ class TestDocumentScoring:
         bodies = [tuple(int(r) for r in rng.integers(0, 5, size=length)) for length in (1, 2, 3) for _ in range(12)]
         for _ in range(10):
             doc = random_doc(rng, num_relations=5, max_entities=8, density=0.4)
-            stack = all_pairs_stack(doc, pad_bodies(bodies, 3))
+            stack = all_pairs_stack(doc.atom_array(), pad_bodies(bodies, 3))
             for body, matrix in zip(bodies, stack):
                 assert np.array_equal(matrix, ground_rule_all_pairs(doc, Rule(0, body)))
+
+    def test_memory_holds_one_matrix_per_distinct_body_not_per_term(self):
+        # 20 heads share 10 bodies, 9 each: T = 180 terms over B = 10 bodies.
+        # A (T, n, n) array alone would take T * n**2 * 8 bytes.
+        rng = np.random.default_rng(5)
+        vocab = build_vocab([f"r{i}" for i in range(20)])
+        bodies = [(1,), (2,), (3, 4), (5, 6), (7, 8), (9, 10, 11), (12, 13), (14,), (15, 16), (17, 18, 19)]
+        weights, rulesets = ExtractorWeights(), {}
+        for head in range(20):
+            rulesets[head] = RuleSet([Rule(head, body) for i, body in enumerate(bodies) if i != head % 10])
+            weights.bias[head] = -1.5
+            for rule in rulesets[head]:
+                weights.set_rule_weight(head, rule, float(rng.uniform(0.5, 1.5)))
+        terms = inference_terms(rulesets, weights, vocab)
+        n = 60
+        triples = zip(*(rng.integers(0, high, 900).tolist() for high in (n, 20, n)))
+        doc = make_doc({triple: float(rng.uniform(0.3, 1.0)) for triple in triples}, vocab.size, n_entities=n)
+        assert (len(terms.coef), len(terms.bodies)) == (180, 10)
+        explain_document(doc, terms, top=5)  # warm
+        tracemalloc.start()
+        try:
+            results = explain_document(doc, terms, top=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert results and all(result.contributions for result in results.values())
+        assert peak < len(terms.coef) * n * n * 8
