@@ -19,11 +19,13 @@ vocabulary, and the extractor weights train as arrays keyed by codes of
 builds ``Rule`` objects once, for the weights it returns.  Inference reads the rule sets and the weights once per
 run, as flat term arrays (``inference_terms``), and scores and explains each
 document in one pass (``explain_document``) over one stack of all-pairs
-grounding matrices; ``predict_document``, ``explain`` and ``infer`` call the
-same code, so an explanation's contributions sum to the score bit for bit.
-The rules shown get their witness paths from one ``ground_chain`` call per
-document.  Training and inference compose matrices through one max-product
-kernel (``_max_product``), in the same chunks by body length.
+grounding matrices; ``predict_document`` calls the same code.  ``explain``
+and ``infer`` score one query, grounding its bodies with one ``ground_chain``
+call, whose values equal the stack's cells bit for bit, and add the terms in
+the same order, so an explanation's contributions sum to the score bit for
+bit.  The rules shown get their witness paths from one ``ground_chain`` call
+per document.  Training and inference compose matrices through one
+max-product kernel (``_max_product``), in the same chunks by body length.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_RULE_LEN,
+    DENSE_SPAN,
     Corpus,
     Document,
     JsonConfig,
@@ -273,33 +276,64 @@ class TrainingWeights:
     (``RuleGenerator.rule_ids``) and the R relation ids of the vocabulary, so
     a key's code never changes once its rule has an id.  ``codes`` holds the
     biases by relation, then the rule weights in (relation, body) order, the
-    order of the design's stored columns, and ``values`` their weights;
-    ``by_code`` is the codes' sort order, found once.  Memory: 24 bytes per
-    stored key, whatever the number of relations and rule ids.
+    order of the design's stored columns, and ``values`` their weights.
+    Memory: 16 bytes per stored key, whatever the number of relations and
+    rule ids, and ``find``'s lookup structure, built once on its first call:
+    a direct-address table of 8 bytes per code in the span ``[min code, max
+    code]``, or, when that span is sparse (see ``DENSE_SPAN``), the codes'
+    sort order, 8 bytes per stored key.
     """
 
     def __init__(self, codes=(), values=()):
         self.codes = np.asarray(codes, dtype=np.intp)
         self.values = np.asarray(values, dtype=float)
-        self.by_code = np.argsort(self.codes)
+        self._table: np.ndarray | None = None
+        self._by_code: np.ndarray | None = None
 
     @classmethod
     def from_design(cls, codes: np.ndarray, w: np.ndarray, model: RuleGenerator) -> "TrainingWeights":
         """The design's column keys ``codes`` with their weights ``w``, in stored order."""
         biases, rules = np.flatnonzero(codes < 0), np.flatnonzero(codes >= 0)
         ids, relations = np.divmod(codes[rules], model.vocab.size)
-        by_body = np.lexsort((*model.body_table()[ids].T[::-1], relations))  # (relation, body) order
+        rank = model.body_rank()
+        by_body = np.argsort(relations * len(rank) + rank[ids])  # (relation, body) order; the keys are unique
         at = np.concatenate([biases[np.argsort(-codes[biases])], rules[by_body]])
         return cls(codes[at], w[at])
 
     def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the codes ``keys`` are stored, and where each stored one sits in ``codes``."""
-        stored = self.codes[self.by_code]
+        """Which of the codes ``keys`` are stored, and where each stored one sits in ``codes`` (0 where not).
+
+        Codes whose span is dense next to the codes and keys read a
+        direct-address table, sparse ones binary-search the sorted codes;
+        both give the same arrays.
+        """
+        if not len(self.codes):
+            return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.intp)
+        if self._table is not None or (self._by_code is None and _dense(self.codes, len(self.codes) + len(keys))):
+            return self._find_in_table(keys)
+        return self._find_sorted(keys)
+
+    def _find_in_table(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        lo = self.codes.min()
+        if self._table is None:
+            # Entry c - lo holds the position of code c, or -1; the last entry answers every key outside the span.
+            self._table = np.full(int(self.codes.max() - lo) + 2, -1, dtype=np.intp)
+            self._table[self.codes - lo] = np.arange(len(self.codes))
+        span = len(self._table) - 1
+        at = keys - lo
+        positions = self._table[np.where(at.view(np.uintp) < span, at, span)]
+        found = positions >= 0
+        return found, np.maximum(positions, 0)
+
+    def _find_sorted(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        if self._by_code is None:
+            self._by_code = np.argsort(self.codes)
+        stored = self.codes[self._by_code]
         at = np.searchsorted(stored, keys)
         found = at < len(stored)
         found[found] = stored[at[found]] == keys[found]
         positions = np.zeros(len(keys), dtype=np.intp)
-        positions[found] = self.by_code[at[found]]
+        positions[found] = self._by_code[at[found]]
         return found, positions
 
     def to_extractor(self, model: RuleGenerator) -> ExtractorWeights:
@@ -397,7 +431,8 @@ def m_step_generator(posteriors: Posteriors, model: RuleGenerator, n_rules: int)
 
     Count additivity makes the per-head aggregate equivalent to one
     ``fit_weighted`` call per instance.  Each head's weights sum per rule id
-    in row order, and the nonzero sums refit in body order.  l_g is the mean
+    in row order, from 0.0, in one ``bincount``, and the nonzero sums refit in
+    body order (``RuleGenerator.body_rank``).  l_g is the mean
     over instances of N times the posterior-weighted log-prior of their
     rules.  A refit changes only its own head, so each head's log-priors come
     from one ``log_probs_by_index`` call right after its refit.  The rows'
@@ -407,14 +442,14 @@ def m_step_generator(posteriors: Posteriors, model: RuleGenerator, n_rules: int)
     if not len(posteriors.sizes):
         raise ValueError("no posteriors to fit the generator on")
     heads = np.repeat(posteriors.relations, posteriors.sizes)
-    table = model.body_table()
+    by_head = np.argsort(heads, kind="stable")  # each head's entries, in row order
+    table, rank = model.body_table(), model.body_rank()
     log_probs = np.empty(len(heads))
-    for head in np.unique(posteriors.relations).tolist():
-        mine = heads == head
-        acc = np.zeros(len(table))
-        np.add.at(acc, posteriors.indices[mine], posteriors.weights[mine])
+    starts = np.flatnonzero(np.diff(heads[by_head], prepend=-1))
+    for head, mine in zip(heads[by_head[starts]].tolist(), np.split(by_head, starts[1:])):
+        acc = np.bincount(posteriors.indices[mine], posteriors.weights[mine], minlength=len(table))
         nonzero = np.flatnonzero(acc)
-        nonzero = nonzero[np.lexsort(table[nonzero].T[::-1])]
+        nonzero = nonzero[np.argsort(rank[nonzero])]
         model.fit_bodies(head, table[nonzero], acc[nonzero])
         log_probs[mine] = model.log_probs_by_index(head, posteriors.indices[mine])
     dots = np.empty(len(posteriors.sizes))
@@ -515,16 +550,38 @@ def _index_design(
     codes[is_rule] = draws.support * model.vocab.size + np.repeat(relations, draws.sizes)
     codes[bias_at] = -1 - relations
     found, cols = weights.find(codes)
-    new_codes, first, inverse = np.unique(codes[~found], return_index=True, return_inverse=True)
-    appearance = np.argsort(first, kind="stable")
-    rank = np.empty(len(new_codes), dtype=np.intp)
-    rank[appearance] = np.arange(len(new_codes))
-    cols[~found] = len(weights.codes) + rank[inverse]
-    columns = np.concatenate([weights.codes, new_codes[appearance]])
+    new_codes, rank = _first_appearance(codes[~found])
+    cols[~found] = len(weights.codes) + rank
+    columns = np.concatenate([weights.codes, new_codes])
     vals = np.ones(is_rule.size)
     vals[is_rule] = draws.counts * draws.values
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
     return _DesignMatrix(columns, np.repeat(np.arange(len(relations)), per_row), cols, vals, y), draws
+
+
+def _dense(codes: np.ndarray, n: int) -> bool:
+    """Whether a direct-address table over the span of the non-empty ``codes`` has under ``DENSE_SPAN * n`` entries."""
+    return int(codes.max()) - int(codes.min()) < DENSE_SPAN * n
+
+
+def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``codes`` in the order they first appear, and the number of each code among them.
+
+    A dense span numbers them through a direct-address table of first
+    positions, a sparse one through ``np.unique``; both give the same arrays.
+    """
+    if len(codes) and _dense(codes, len(codes)):
+        lo = codes.min()
+        first = np.full(int(codes.max() - lo) + 1, len(codes), dtype=np.intp)
+        np.minimum.at(first, codes - lo, np.arange(len(codes)))
+        distinct = codes[np.sort(first[first < len(codes)])]
+        first[distinct - lo] = np.arange(len(distinct))  # the table now numbers the distinct codes
+        return distinct, first[codes - lo]
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    appearance = np.argsort(first, kind="stable")
+    rank = np.empty(len(distinct), dtype=np.intp)
+    rank[appearance] = np.arange(len(distinct))
+    return distinct[appearance], rank[inverse]
 
 
 @dataclass
@@ -687,8 +744,7 @@ def all_pairs_stack(atoms: np.ndarray, bodies: np.ndarray) -> np.ndarray:
     ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes.
     """
     n = atoms.shape[1]
-    if bodies.size and bodies.max() >= atoms.shape[0]:
-        raise ValueError(f"relation id out of range: {int(bodies.max())}")
+    _check_relations(atoms, bodies)
     stack = np.empty((len(bodies), n, n))
     for length, idx in _chunks_by_length(np.count_nonzero(bodies >= 0, axis=1), n):
         mats = atoms[bodies[idx, 0]]
@@ -696,6 +752,11 @@ def all_pairs_stack(atoms: np.ndarray, bodies: np.ndarray) -> np.ndarray:
             mats = _max_product(mats, atoms[bodies[idx, pos]])
         stack[idx] = mats
     return stack
+
+
+def _check_relations(atoms: np.ndarray, bodies: np.ndarray) -> None:
+    if bodies.size and bodies.max() >= atoms.shape[0]:
+        raise ValueError(f"relation id out of range: {int(bodies.max())}")
 
 
 def score_document(stack: np.ndarray, terms: InferenceTerms) -> np.ndarray:
@@ -715,28 +776,35 @@ def score_document(stack: np.ndarray, terms: InferenceTerms) -> np.ndarray:
     return logits
 
 
+def _term_entries(terms: InferenceTerms, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (triple, term) entries of triples of the heads ``heads[rows]``: each triple's terms, triple after triple."""
+    counts = np.diff(terms.starts)[rows]
+    owner = np.repeat(np.arange(len(rows)), counts)
+    return owner, np.arange(counts.sum()) + np.repeat(terms.starts[rows] - (np.cumsum(counts) - counts), counts)
+
+
 def _fired(
     atoms: np.ndarray,
     terms: InferenceTerms,
-    stack: np.ndarray,
     rows: np.ndarray,
     hs: np.ndarray,
     ts: np.ndarray,
+    groundings: np.ndarray,
     top: int | None,
 ) -> list[tuple[RuleContribution, ...]]:
     """The rules that fired for each triple ``(hs[p], heads[rows[p]], ts[p])`` of one document.
 
-    A triple's entries are its head's terms k whose contribution ``coef[k] *
-    stack[body[k], h, t]`` is nonzero, ordered by decreasing contribution and
-    then by text; the first ``top`` of them (all when ``top`` is None) are
-    returned, each with its grounding and witness path.  All the triples'
-    entries sort in one pass, and one ``ground_chain`` call on ``atoms`` grounds them.
+    ``groundings`` holds the value of each entry of ``_term_entries(terms,
+    rows)``: term k's body grounded at its triple.  A triple's entries are its
+    head's terms k whose contribution ``coef[k] * grounding`` is nonzero,
+    ordered by decreasing contribution and then by text; the first ``top`` of
+    them (all when ``top`` is None) are returned, each with its grounding and
+    witness path.  All the triples' entries sort in one pass, and one
+    ``ground_chain`` call on ``atoms`` traces their paths.
     """
-    counts = np.diff(terms.starts)[rows]
-    owner = np.repeat(np.arange(len(rows)), counts)
-    term = np.arange(counts.sum()) + np.repeat(terms.starts[rows] - (np.cumsum(counts) - counts), counts)
+    owner, term = _term_entries(terms, rows)
     h, t = hs[owner], ts[owner]
-    values = terms.coef[term] * stack[terms.body[term], h, t]
+    values = terms.coef[term] * groundings
     entries = np.flatnonzero(values)
     entries = entries[np.lexsort((terms.rank[term[entries]], -values[entries], owner[entries]))]
     if top is not None:
@@ -769,7 +837,11 @@ def explain_document(
     probabilities = np.array([prob(1, logit) for logit in logits[rows, hs, ts].tolist()])
     positive = probabilities > 0.5
     rows, hs, ts = rows[positive], hs[positive], ts[positive]
-    fired = _fired(atoms, terms, stack, rows, hs, ts, top) if top != 0 else [()] * len(rows)
+    if top != 0:
+        owner, term = _term_entries(terms, rows)
+        fired = _fired(atoms, terms, rows, hs, ts, stack[terms.body[term], hs[owner], ts[owner]], top)
+    else:
+        fired = [()] * len(rows)
     columns = (hs, terms.heads[rows], ts, probabilities[positive], logits[rows, hs, ts])
     return {
         (h, relation, t): InferenceResult(1, p, logit, contributions)
@@ -787,24 +859,30 @@ def explain(
 ) -> InferenceResult:
     """Score one query against a rule multiset and explain it by the rules that fired.
 
-    The logit is the bias plus ``multiplicity * weight * grounding`` of every
-    rule with a nonzero weight, added in rule-set order as ``score_document``
-    adds them, so it equals ``predict_document``'s score bit for bit.  The
-    label is 1 when the probability is above 0.5.  Contributions list the
-    rules whose term is nonzero, ordered by decreasing contribution and then
-    by rule text; only the first ``top`` of them (all when ``top`` is None)
-    are returned, each with its witness path.  An entity id outside the
-    document raises ``ValueError``, as in ``ground_rule``.
+    One ``ground_chain`` call on the document's atom array grounds the
+    distinct bodies at (h, t) alone.  The logit is the bias plus
+    ``multiplicity * weight * grounding`` of every rule with a nonzero
+    weight, added in rule-set order as ``score_document`` adds them, so it
+    equals ``predict_document``'s score bit for bit.  The label is 1 when
+    the probability is above 0.5.  Contributions list the rules whose term
+    is nonzero, ordered by decreasing contribution and then by rule text;
+    only the first ``top`` of them (all when ``top`` is None) are returned,
+    each with its witness path.  An entity id outside the document raises
+    ``ValueError``, as in ``ground_rule``.
     """
     h, relation, t = query
     if not (0 <= h < doc.num_entities and 0 <= t < doc.num_entities):
         raise ValueError(f"entity id out of range: ({h}, {t}) in doc {doc.doc_id}")
     terms = inference_terms({relation: ruleset}, weights, vocab)
     atoms = doc.atom_array()
-    stack = all_pairs_stack(atoms, terms.bodies)
-    logit = float(score_document(stack, terms)[0, h, t])
+    _check_relations(atoms, terms.bodies)
+    row = np.zeros(len(terms.bodies), dtype=np.intp)
+    groundings = ground_chain(atoms[None], row, terms.bodies, row + h, row + t)[terms.body]
+    logit = float(terms.bias[0])
+    for value in (terms.coef * groundings).tolist():
+        logit += value
     probability = prob(1, logit)
-    (contributions,) = _fired(atoms, terms, stack, np.zeros(1, dtype=np.intp), np.array([h]), np.array([t]), top)
+    (contributions,) = _fired(atoms, terms, np.zeros(1, dtype=np.intp), np.array([h]), np.array([t]), groundings, top)
     return InferenceResult(1 if probability > 0.5 else -1, probability, logit, contributions)
 
 

@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_MAX_RULE_LEN, RelationVocab, Rule, RuleSet, is_finite_number, pad_bodies, read_json,
-                   write_json)
+from .core import (DEFAULT_MAX_RULE_LEN, DENSE_SPAN, RelationVocab, Rule, RuleSet, is_finite_number, pad_bodies,
+                   read_json, write_json)
 
 # Above this many enumerable bodies per head, ruleset sampling falls back to
 # token-wise ancestral draws instead of one multinomial over the rule space,
@@ -478,6 +478,15 @@ class RuleGenerator:
         """
         return self._rule_space().table
 
+    def body_rank(self) -> np.ndarray:
+        """Each id's position in the lexicographic order of the bodies with an id, the order of their tuples.
+
+        On an enumerable space the ids follow that order already, so the
+        rank is the identity.  Past ``ENUM_LIMIT`` it is sorted once each
+        time the table has grown.
+        """
+        return self._rule_space().rank()
+
     def log_probs_by_index(self, head: int, indices: np.ndarray) -> np.ndarray:
         """Log-probabilities of the rules with the given ids.
 
@@ -639,14 +648,16 @@ class RuleGenerator:
         was an actual choice: at maximum length it is forced and carries no
         information.  Zero-weight bodies add nothing, not even a context.
 
-        Only the head's block is rebuilt.  The distinct (context, token)
-        cells of the events are merged with the head's stored cells into one
-        sorted array, each stored cell starting from its count and each new
-        one from 0.0.  All events go through one ``np.add.at`` into those
-        cells, in body order, so every count receives the same additions in
+        Only the head's block is rebuilt.  One ``bincount`` sums each
+        (context, token) cell from 0.0: the cell's stored count first
+        (``0.0 + count`` is the count, as counts are positive), then its
+        events in body order, so every count receives the same additions in
         the same order as one scalar update per event into a dense row.  The
-        work and memory are those of the head's nonzero counts and the
-        events, whatever the vocabulary size.
+        sum runs over every cell of the count space while that space is
+        dense next to the stored counts and the events (``DENSE_SPAN``), and
+        otherwise over the stored and the touched cells, merged by sorting,
+        so the work and memory stay within a constant factor of the head's
+        nonzero counts and the events, whatever the vocabulary size.
         """
         self.vocab.check_relation(head)
         size, max_len = self.vocab.size, self.max_len
@@ -682,15 +693,21 @@ class RuleGenerator:
         valid = np.stack(valid, axis=1)
         codes = np.stack(codes, axis=1)[valid]
         # A cell is coded as context code * (size + 1) + token: code order, then token order.
-        touched, inverse = np.unique(codes * (size + 1) + np.stack(tokens, axis=1)[valid], return_inverse=True)
         old = self._counts.get(head, _NO_COUNTS)
         stored = np.repeat(old.codes, np.diff(old.starts)) * (size + 1) + old.tokens
-        cells = np.union1d(stored, touched)
-        values = np.zeros(len(cells))
-        values[np.searchsorted(cells, stored)] = old.values
-        events = np.searchsorted(cells, touched)[inverse]
-        np.add.at(values, events, np.broadcast_to(weights[:, None], valid.shape)[valid])
-        contexts = np.union1d(old.codes, touched // (size + 1))
+        touched = codes * (size + 1) + np.stack(tokens, axis=1)[valid]
+        amounts = np.concatenate([old.values, np.broadcast_to(weights[:, None], valid.shape)[valid]])
+        span = int(self._code_offsets[-1]) * (size + 1)
+        if span < DENSE_SPAN * len(amounts):
+            sums = np.bincount(np.concatenate([stored, touched]), amounts, minlength=span)
+            cells = np.flatnonzero(sums)  # a cell's sum is positive exactly when it is stored or touched
+            values = sums[cells]
+        else:
+            distinct, inverse = np.unique(touched, return_inverse=True)
+            cells = np.union1d(stored, distinct)
+            events = np.concatenate([np.searchsorted(cells, stored), np.searchsorted(cells, distinct)[inverse]])
+            values = np.bincount(events, amounts, minlength=len(cells))
+        contexts = np.union1d(old.codes, cells // (size + 1))
         starts = np.append(np.searchsorted(cells // (size + 1), contexts), len(cells))
         self._counts[head] = _Counts(contexts, starts, (cells % (size + 1)).astype(np.int32), values)
         self._head_cache.pop(head, None)
@@ -973,9 +990,11 @@ class _RuleSpace:
     ``order`` then maps ids to positions in the generation order: the bodies
     of each length in turn, each length extending every body of the previous
     one by each relation id.  Past ``ENUM_LIMIT`` the table starts empty.
+    ``rank`` gives each id's position in the lexicographic order of the
+    bodies.
     """
 
-    __slots__ = ("size", "max_len", "order", "bodies", "index", "table")
+    __slots__ = ("size", "max_len", "order", "bodies", "index", "table", "_rank")
 
     def __init__(self, size: int, max_len: int, enumerated: bool):
         self.size, self.max_len = size, max_len
@@ -990,6 +1009,13 @@ class _RuleSpace:
             generated = list(itertools.chain.from_iterable(levels[1:]))
             self.order = sorted(range(len(generated)), key=generated.__getitem__)
             self.ids([generated[i] for i in self.order])
+        self._rank = np.arange(len(self.bodies))  # an enumeration is interned in lexicographic order
+
+    def rank(self) -> np.ndarray:
+        if len(self._rank) != len(self.bodies):  # bodies were interned since the last sort
+            self._rank = np.empty(len(self.bodies), dtype=np.intp)
+            self._rank[np.lexsort(self.table.T[::-1])] = np.arange(len(self.bodies))
+        return self._rank
 
     def ids(self, bodies: list[tuple[int, ...]]) -> np.ndarray:
         index = self.index

@@ -275,6 +275,60 @@ class TestEStep:
             assert np.array_equal(posteriors.indices, draws.support)
 
 
+def stored_codes(rng, count, span):
+    """``count`` distinct weight-key codes: the biases of 3 relations, then rule codes in [0, span)."""
+    return np.concatenate([[-1, -2, -3], rng.choice(span, count, replace=False)]).astype(np.intp)
+
+
+def first_appearance_reference(codes):
+    """The distinct codes in first-appearance order and each code's number, by ``np.unique`` and a stable sort."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    appearance = np.argsort(first, kind="stable")
+    rank = np.empty(len(distinct), dtype=np.intp)
+    rank[appearance] = np.arange(len(distinct))
+    return distinct[appearance], rank[inverse]
+
+
+class TestTrainingWeightsFind:
+    @pytest.mark.parametrize("span,dense", [(3_000, True), (1_000_000, False)])
+    def test_table_and_binary_search_agree_bit_for_bit(self, rng, span, dense):
+        codes = stored_codes(rng, 1_000, span)
+        weights = TrainingWeights(rng.permutation(codes), rng.normal(size=len(codes)))
+        keys = np.concatenate([
+            rng.choice(codes, 500),  # stored
+            rng.integers(-3, span, 500),  # mostly absent inside the span
+            [-50, -4, span, span + 7, 2**40, -(2**40)],  # below and above the span
+        ]).astype(np.intp)
+        found, positions = weights.find(keys)
+        assert (weights._table is not None) == dense and (weights._by_code is None) == dense
+        assert np.array_equal(found, np.isin(keys, codes))
+        assert np.array_equal(weights.codes[positions[found]], keys[found])
+        assert not positions[~found].any()
+        for part in (keys, keys[:0], keys[-6:]):  # all keys, no keys, keys outside the span only
+            table, search = weights._find_in_table(part), weights._find_sorted(part)
+            assert np.array_equal(table[0], search[0]) and np.array_equal(table[1], search[1])
+            assert table[0].dtype == search[0].dtype == bool and table[1].dtype == search[1].dtype == np.intp
+
+    def test_no_stored_codes_finds_nothing(self, rng):
+        weights = TrainingWeights()
+        keys = rng.integers(-5, 100, 40).astype(np.intp)
+        for found, positions in (weights.find(keys), weights._find_sorted(keys)):
+            assert not found.any() and not positions.any() and len(found) == len(keys)
+        assert weights.find(keys[:0])[0].shape == (0,)
+
+    @pytest.mark.parametrize("span", [50, 100, 10_000_000])
+    def test_first_appearance_numbering_equals_the_unique_reference(self, rng, span):
+        # Codes with repeats: a dense span numbers them through a table, a
+        # sparse one through np.unique.
+        for count in (0, 1, 200):
+            codes = rng.integers(-20, span, count).astype(np.intp)
+            codes = np.concatenate([codes, codes[::3]])
+            got = rulex.em._first_appearance(codes)
+            want = first_appearance_reference(codes)
+            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+            assert np.array_equal(got[0][got[1]], codes)
+
+
 class TestGroundingCache:
     def test_batched_gather_equals_dp_and_enumeration_exactly(self, rng):
         # Documents of 2..7 entities in one store span several blocks; every
@@ -502,6 +556,36 @@ class TestMStepGenerator:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             m_step_generator(Posteriors(*[np.zeros(0, dtype=np.intp)] * 5), RuleGenerator(build_vocab(["a"])), 4)
+
+    def test_each_heads_sums_add_in_row_order_from_zero(self):
+        # Rule x's weights in head 0 come in row order as 1.0, 1e16, 1.0,
+        # 1.0, 1.0: one addition at a time from 0.0 leaves 1e16, while the
+        # 1.0s summed first, or the rows taken in reverse, give 1e16 + 4.
+        # Head 1's rows interleave with head 0's.
+        vocab = build_vocab(["a", "b"])
+        model, reference = RuleGenerator(vocab), RuleGenerator(vocab)
+        x, y = model.rule_ids([(1, 2), (3,)]).tolist()
+        rows = [(0, [x], [1.0]), (1, [x, y], [1e16, 1.0]), (0, [y, x], [0.5, 1e16]), (1, [x], [1.0]),
+                (0, [x], [1.0]), (0, [x, y], [1.0, 2.0]), (1, [y], [3.0]), (0, [x], [1.0])]
+        posteriors = Posteriors(np.array([relation for relation, _, _ in rows]),
+                                np.array([len(ids) for _, ids, _ in rows]),
+                                np.array([i for _, ids, _ in rows for i in ids], dtype=np.intp),
+                                np.zeros(13), np.array([w for _, _, weights in rows for w in weights]))
+        m_step_generator(posteriors, model, 4)
+        for head in (0, 1):
+            sums: dict[int, float] = {}
+            for relation, ids, weights in rows:
+                if relation == head:
+                    for i, weight in zip(ids, weights):
+                        sums[i] = sums.get(i, 0.0) + weight
+            reference.fit_weighted(head, [(model.rule_at(head, i), sums[i]) for i in (x, y) if i in sums])
+            if head == 0:
+                assert sums[x] == 1e16 != 1e16 + 4.0 == math.fsum([1.0, 1e16, 1.0, 1.0, 1.0])
+        counts, want = dense_counts(model), dense_counts(reference)
+        assert list(counts) == list(want)
+        for key, vec in want.items():
+            assert np.array_equal(counts[key], vec), key
+        assert counts[(0, ())][1] == 1e16
 
     @pytest.mark.parametrize("relations", [4, 24])
     def test_refit_from_e_step_posteriors_equals_one_fit_per_head(self, relations):
@@ -990,6 +1074,35 @@ class TestDocumentScoring:
             ties += tied == list(self.TIED) and len({c.contribution for c in fired if c.rule in self.TIED}) == 1
         assert ties == len(docs)
         assert len({doc.num_entities for doc in docs}) == len(docs)
+
+    def test_explain_grounds_one_query_as_the_document_path_scores_it(self):
+        # explain grounds a query's bodies at (h, t) alone; on a 40-entity
+        # document every positive triple must equal explain_document's
+        # result, and every other triple's logit score_document's cell.
+        rng = np.random.default_rng(21)
+        vocab = build_vocab(["r0", "r1", "r2", "r3"])
+        bodies = [(1,), (2,), (0, 3), (4, 5), (6, 7, 1), (3, 3), (2, 5, 0)]
+        weights, rulesets = ExtractorWeights(), {}
+        for head in (0, 2, 5):
+            rulesets[head] = RuleSet([Rule(head, body) for body in bodies for _ in range(1 + head % 3)][head:])
+            weights.bias[head] = -2.0
+            for rule in rulesets[head]:
+                weights.set_rule_weight(head, rule, float(rng.normal(1.0, 1.5)))
+        n = 40
+        triples = zip(*(rng.integers(0, high, 500).tolist() for high in (n, vocab.size, n)))
+        doc = make_doc({triple: float(rng.uniform(0.2, 1.0)) for triple in triples}, vocab.size, n_entities=n)
+        terms = inference_terms(rulesets, weights, vocab)
+        logits = rulex.em.score_document(all_pairs_stack(doc.atom_array(), terms.bodies), terms)
+        positive = explain_document(doc, terms)
+        assert 100 < len(positive) < len(rulesets) * n * (n - 1) / 4
+        for (h, relation, t), result in positive.items():
+            assert explain(doc, (h, relation, t), rulesets[relation], weights, vocab) == result
+        negatives = [(h, relation, t) for relation in rulesets for h in range(0, n, 3) for t in range(1, n, 4)
+                     if (h, relation, t) not in positive]
+        assert len(negatives) > 100
+        for h, relation, t in negatives:
+            result = explain(doc, (h, relation, t), rulesets[relation], weights, vocab)
+            assert result.logit == logits[terms.heads.tolist().index(relation), h, t] and result.label == -1
 
     @pytest.mark.parametrize("cells", [16, 1 << 18])
     def test_stack_equals_ground_rule_all_pairs_bit_for_bit(self, rng, monkeypatch, cells):

@@ -628,9 +628,16 @@ class TestMalformedFile:
             RuleGenerator.load(path)
 
 
+# DENSE_SPAN values that make fit_bodies sum over the stored and touched cells
+# only, or over every cell of the count space.
+CELL_PATHS = pytest.mark.parametrize("dense_span", [0, 10**9], ids=["sorted-cells", "all-cells"])
+
+
 class TestFitBodies:
+    @CELL_PATHS
     @pytest.mark.parametrize("order,max_len", [(0, 3), (1, 2), (2, 3), (3, 4), (2, 1)])
-    def test_equals_one_update_per_event_bit_for_bit(self, order, max_len):
+    def test_equals_one_update_per_event_bit_for_bit(self, order, max_len, dense_span, monkeypatch):
+        monkeypatch.setattr(rulex.generator, "DENSE_SPAN", dense_span)
         rng = np.random.default_rng(order * 10 + max_len)
         model = fresh(("a", "b"), order=order, lambdas=[0.5] * (order + 1), max_len=max_len)
         size = model.vocab.size
@@ -645,6 +652,19 @@ class TestFitBodies:
             model.fit_bodies(head, pad_bodies([b for b, _ in weighted], max_len),
                              np.array([w for _, w in weighted]))
             assert_same_counts(dense_counts(model), want)
+
+    @CELL_PATHS
+    def test_a_stored_count_takes_each_event_in_turn(self, dense_span, monkeypatch):
+        # 1e16 + 1.0 rounds back to 1e16, so four events of weight 1.0 leave
+        # the stored count as it is; their sum, 4.0, added at once would not.
+        monkeypatch.setattr(rulex.generator, "DENSE_SPAN", dense_span)
+        model = fresh()
+        model.fit_bodies(0, np.array([[1, -1, -1]]), np.array([1e16]))
+        weighted = [((1,), 1.0)] * 4
+        want = per_event_counts(model, 0, weighted)
+        model.fit_bodies(0, pad_bodies([body for body, _ in weighted], 3), np.array([w for _, w in weighted]))
+        assert_same_counts(dense_counts(model), want)
+        assert want[(0, ())][1] == 1e16 != 1e16 + 4.0
 
     def test_stop_events_only_below_max_len(self):
         model = fresh(max_len=2)
