@@ -236,11 +236,11 @@ class FitConfig(JsonConfig):
 
     def validate(self) -> None:
         if self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ValueError(f"fit.lr must be > 0, got {self.lr}")
         if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
+            raise ValueError(f"fit.epochs must be >= 0, got {self.epochs}")
         if self.l2 < 0:
-            raise ValueError("l2 penalty must be >= 0")
+            raise ValueError(f"fit.l2 must be >= 0, got {self.l2}")
 
 
 class FitDivergenceError(RuntimeError):
@@ -261,13 +261,23 @@ class _DesignMatrix:
     ``ExtractorWeights``, and lists each row's rule entries in rule-set order
     and then its bias entry, as ``_index_design`` does, so ``fit`` on a batch
     of the same rule sets is a bit-exact reference for that design path.
+
+    Only the entries whose value is not 0.0 are stored, in their given order;
+    the keys, ``n_rows`` and ``y`` keep every column and row.  Every sum over
+    the entries is a ``bincount``, which adds a bin's entries in entry order
+    into +0.0.  Such a sum is never -0.0, and adding ±0.0 to any other value
+    returns it unchanged, so with finite weights a dropped entry, which adds
+    ±0.0, changes no bit of a score, gradient or curvature.  NaN and inf are
+    not 0.0 and stay, for ``fit_design``'s finiteness check.
     """
 
     def __init__(self, keys: Sequence, rows, cols, vals, y):
         self.keys = keys
-        self.rows = np.asarray(rows, dtype=np.intp)
-        self.cols = np.asarray(cols, dtype=np.intp)
-        self.vals = np.asarray(vals, dtype=float)
+        vals = np.asarray(vals, dtype=float)
+        nonzero = vals != 0.0
+        self.rows = np.asarray(rows, dtype=np.intp)[nonzero]
+        self.cols = np.asarray(cols, dtype=np.intp)[nonzero]
+        self.vals = vals[nonzero]
         self.y = np.asarray(y, dtype=float)
         self.n_rows = len(self.y)
         self._scored: tuple[np.ndarray, np.ndarray] | None = None  # (w, scores(w)) of the last call
@@ -385,7 +395,9 @@ def fit_design(design: _DesignMatrix, w0: np.ndarray, config: FitConfig) -> FitR
     monotonically non-increasing.  A step that still increases the loss after
     20 halvings aborts with diagnostics.  The weight vectors are never
     changed in place, so the scores of an accepted trial step serve the next
-    epoch's gradient and the final scores.
+    epoch's gradient and the final scores.  Scores, gradient, curvature and
+    loss run over the design's nonzero entries only; by the ±0 argument in
+    ``_DesignMatrix`` the result is the same, bit for bit, as over every entry.
     """
     config.validate()
     if design.n_rows == 0:

@@ -157,6 +157,9 @@ BAD_VALUES = [
     ("train", {"max_rule_len": 0}, "max_rule_len must be >= 1"),
     ("train", {"seed": -1}, "seed must be >= 0"),
     ("train", {"convergence_eps": -1.0}, "convergence_eps must be >= 0"),
+    ("train", {"fit": {"lr": 0.0}}, "fit.lr must be > 0, got 0.0"),
+    ("train", {"fit": {"epochs": -1}}, "fit.epochs must be >= 0, got -1"),
+    ("train", {"fit": {"l2": -1.0}}, "fit.l2 must be >= 0, got -1.0"),
     ("synth", {"seed": -1}, "seed must be >= 0"),
     ("synth", {"max_rule_len": 0}, "max_rule_len must be >= 1"),
 ]

@@ -440,6 +440,94 @@ class TestFit:
             fit_design(design, np.zeros(len(design.keys)), FitConfig(lr=0.5, epochs=3))
 
 
+def bits(values) -> bytes:
+    """The float64 bytes of ``values``, which tell -0.0 from 0.0."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_bincount_adds_in_entry_order_from_positive_zero():
+    # The descent, fit_bodies and m_step_generator take their sums from
+    # bincount and rely on it adding each bin's entries in entry order into
+    # +0.0.  These values give a different sum in any other order.
+    values = [1e16, 1.0, -1e16, -0.0]
+    for order in itertools.permutations(range(len(values))):
+        idx = np.array([0, 0, 0, 0, 1, 3, 3] + [2] * len(order))
+        w = np.array([values[i] for i in order] + [-0.0, -0.0, 0.0] + [values[i] for i in order])
+        loop = [0.0] * 4
+        for i, v in zip(idx.tolist(), w.tolist()):
+            loop[i] += v
+        assert bits(np.bincount(idx, weights=w, minlength=5)) == bits(loop + [0.0])
+
+
+class TestNonzeroDesign:
+    def test_keeps_exactly_the_nonzero_entries_in_order_with_every_key(self):
+        keys = ["a", "b", "c", "d"]
+        rows = [0, 0, 1, 1, 1, 2, 2, 3]
+        cols = [3, 1, 0, 2, 3, 1, 0, 2]
+        vals = [0.5, 0.0, 5e-324, -0.0, -2.0, 1.0, 0.0, 0.25]
+        design = _DesignMatrix(keys, rows, cols, vals, [1, -1, 1, -1])
+        keep = [0, 2, 4, 5, 7]
+        assert design.keys == keys
+        assert design.n_rows == 4 and design.y.tolist() == [1.0, -1.0, 1.0, -1.0]
+        assert design.rows.tolist() == [rows[i] for i in keep]
+        assert design.cols.tolist() == [cols[i] for i in keep]
+        assert bits(design.vals) == bits([vals[i] for i in keep])
+
+    def test_subnormal_grounding_is_kept(self):
+        design = _DesignMatrix.from_batch(one_rule_batch(1, 5e-324), ExtractorWeights())
+        assert design.vals.tolist() == [5e-324, 1.0]
+        assert design.keys[0] == ("rule", 0, Rule(0, (0,)))
+        assert design.scores(np.array([1.0, 0.0])).tolist() == [5e-324]
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_value_still_rejected(self, bad):
+        design = _DesignMatrix(["a", "b"], [0, 0, 1], [0, 1, 1], [0.0, bad, 1.0], [1, -1])
+        with pytest.raises(ValueError, match="non-finite feature value"):
+            fit_design(design, np.zeros(2), FitConfig())
+
+    def test_descent_equals_a_descent_over_every_entry_bit_for_bit(self, rng):
+        # Entries of value ±0.0 are dropped; a descent over the arrays with
+        # them, sums by bincount, gives the same bits.  Column 5 has only
+        # zero entries: it keeps its key, and l2 alone moves its weight.
+        n_rows, n_cols, per_row = 30, 6, 5
+        rows = np.repeat(np.arange(n_rows), per_row)
+        cols = rng.integers(0, n_cols - 1, size=rows.size)
+        vals = rng.normal(size=rows.size)
+        vals[rng.random(rows.size) < 0.6] = 0.0
+        vals[rng.random(rows.size) < 0.2] = -0.0
+        cols[rng.random(rows.size) < 0.1] = n_cols - 1
+        vals[cols == n_cols - 1] = rng.choice([0.0, -0.0], size=int(np.sum(cols == n_cols - 1)))
+        y = rng.choice([-1.0, 1.0], size=n_rows)
+        w0 = rng.normal(size=n_cols)
+        assert (w0 < 0).any() and (vals == 0.0).any() and np.signbit(vals[vals == 0.0]).any()
+        config = FitConfig(lr=2.0, epochs=12, l2=1e-2)
+
+        def scores(w):
+            return np.bincount(rows, weights=vals * w[cols], minlength=n_rows)
+
+        def loss(w):
+            return float(np.logaddexp(0.0, -y * scores(w)).sum() + 0.5 * config.l2 * np.dot(w, w))
+
+        precondition = np.maximum(np.bincount(cols, weights=vals**2, minlength=n_cols) / 4.0 + config.l2, 1e-9)
+        w, losses = w0, [loss(w0)]
+        for _ in range(config.epochs):
+            coef = -y / (1.0 + np.exp(y * scores(w)))
+            direction = (np.bincount(cols, weights=coef[rows] * vals, minlength=n_cols) + config.l2 * w) / precondition
+            step = config.lr
+            while loss(w - step * direction) > losses[-1]:
+                step /= 2.0
+            w = w - step * direction
+            losses.append(loss(w))
+        keys = [f"k{j}" for j in range(n_cols)]
+        design = _DesignMatrix(keys, rows, cols, vals, y)
+        assert design.keys == keys and design.vals.size == np.count_nonzero(vals) < vals.size
+        result = fit_design(design, w0, config)
+        assert bits(result.losses) == bits(losses)
+        assert bits(result.w) == bits(w)
+        assert bits(result.final_scores) == bits(scores(w))
+        assert result.w[-1] != w0[-1]
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path):
         vocab = build_vocab(["a", "b"])
