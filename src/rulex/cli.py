@@ -233,8 +233,10 @@ def cmd_eval(args) -> int:
     predictions = metrics.read_predictions(args.predictions, vocab)
     gold_corpus = core.load_corpus(args.gold, vocab)
     for doc_id, triples in predictions.by_doc.items():
-        doc = gold_corpus.docs.get(doc_id)  # ``metrics.f1`` refuses a document the gold lacks
-        for h, r, t in triples if doc is not None else ():
+        doc = gold_corpus.docs.get(doc_id)
+        if doc is None:
+            raise ValueError(f"{args.predictions}: doc {doc_id!r} is not a document of the gold file {args.gold}")
+        for h, r, t in triples:
             if max(h, t) >= doc.num_entities:
                 raise ValueError(f"{args.predictions}: doc {doc_id!r}: entity id out of range in predicted triple "
                                  f"[{h}, {vocab.name_of(r)!r}, {t}]; the gold document has {doc.num_entities} entities")

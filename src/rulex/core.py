@@ -20,18 +20,73 @@ import numpy as np
 INVERSE_SUFFIX = "⁻¹"  # superscript -1, appended to generated inverse names
 SELF_INVERSE_MARK = "#self"
 DEFAULT_MAX_RULE_LEN = 3
-# A direct-address array over a span of integer codes (the weight keys of
-# ``em.TrainingWeights``, the count cells of ``RuleGenerator.fit_bodies``)
-# takes 8 bytes per code in the span.  It stands in for sorting or
-# binary-searching n codes only while the span is below this many times n, so
-# that it weighs about as much as the n-entry arrays its callers already
-# build.  At this density a lookup through it still runs 4-5x faster than
-# ``searchsorted`` (numpy 2.4, 20k-150k codes, 2-core x86 host).  The sparse
-# spans measured lie past ``ENUM_LIMIT``, on the 60-id benchmark workload: a
-# design's 84k new weight keys over 4M codes, a head's 5k-15k count events
-# over 223k cells.
+# A direct-address table over a span of integer codes takes 8 bytes per code
+# in the span.  Its only readers, ``CodeIndex`` and ``distinct``, let it stand
+# in for sorting or binary-searching n codes only while the span is below this
+# many times n, so that it weighs about as much as the n-entry arrays their
+# callers already build.  At this density a lookup through it still runs 4-5x
+# faster than ``searchsorted`` (numpy 2.4, 20k-150k codes, 2-core x86 host).
+# The sparse spans measured lie past ``ENUM_LIMIT``, on the 60-id benchmark
+# workload: a design's 84k new weight keys over 4M codes, a head's 5k-15k
+# count events over 223k cells.
 DENSE_SPAN = 8
 _PARSE_ERRORS = (KeyError, TypeError, ValueError, OverflowError)  # what a reader's ``parse`` raises on a bad record
+
+
+def _span(codes: np.ndarray) -> tuple[int, int]:
+    """The least and the greatest of the int ``codes``, (0, -1) when there are none."""
+    return (int(codes.min()), int(codes.max())) if len(codes) else (0, -1)
+
+
+class CodeIndex:
+    """The position of each key among distinct int ``codes``, or -1.
+
+    ``keys`` is the number of keys the caller means to look up.  While the
+    span ``[min code, max code]`` is under ``DENSE_SPAN`` times the number of
+    codes and keys, a direct-address table of 8 bytes per code in the span
+    answers; otherwise a binary search of the codes' sort order, 8 bytes per
+    code.  Both give the same positions.  No codes at all take the table, of
+    one entry.
+    """
+
+    __slots__ = ("codes", "_lo", "_table", "_order")
+
+    def __init__(self, codes: np.ndarray, keys: int = 0):
+        self.codes = codes = np.asarray(codes)
+        self._lo, hi = _span(codes)
+        self._table = self._order = None
+        if hi - self._lo < DENSE_SPAN * (len(codes) + keys):
+            # Entry c - lo holds the position of code c; the last entry, -1, answers every key outside the span.
+            self._table = np.full(hi - self._lo + 2, -1, dtype=np.intp)
+            self._table[codes - self._lo] = np.arange(len(codes))
+        else:
+            self._order = np.argsort(codes, kind="stable")
+
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The position in ``codes`` of each of the int ``keys``, -1 where it is none of them."""
+        if self._table is not None:
+            at, outside = keys - self._lo, len(self._table) - 1
+            return self._table[np.where(at.view(np.uintp) < outside, at, outside)]
+        at = np.searchsorted(self.codes[self._order], keys)
+        positions = np.append(self._order, -1)[at]  # at == len(codes): above every code, so no position matches
+        return np.where(self.codes[positions] == keys, positions, -1)
+
+
+def distinct(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` of int ``codes``: the distinct codes, ascending, and each code's number.
+
+    A span under ``DENSE_SPAN`` times the number of codes numbers them
+    through a direct-address table of the span, a sparse one through
+    ``np.unique``; both give the same arrays.
+    """
+    codes = np.asarray(codes)
+    lo, hi = _span(codes)
+    if hi - lo >= DENSE_SPAN * len(codes):
+        return np.unique(codes, return_inverse=True)
+    seen = np.zeros(hi - lo + 1, dtype=bool)
+    seen[codes - lo] = True
+    number = np.cumsum(seen, dtype=np.intp) - 1
+    return (np.flatnonzero(seen) + lo).astype(codes.dtype, copy=False), number[codes - lo]
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
@@ -309,6 +364,8 @@ def parse_rule(line: str, vocab: RelationVocab) -> tuple[Rule, float]:
         if lb < 0:
             raise ValueError(f"unbalanced weight bracket in rule line: {line!r}")
         weight = float(text[lb + 1 : -1])
+        if not math.isfinite(weight):
+            raise ValueError(f"rule weight {text[lb + 1 : -1].strip()!r} is not finite")
         text = text[:lb].strip()
     if "<-" not in text:
         raise ValueError(f"missing '<-' in rule line: {line!r}")

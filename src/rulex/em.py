@@ -38,7 +38,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_MAX_RULE_LEN,
-    DENSE_SPAN,
+    CodeIndex,
     Corpus,
     Document,
     JsonConfig,
@@ -46,6 +46,7 @@ from .core import (
     RelationVocab,
     Rule,
     RuleSet,
+    distinct,
     format_rule,
     pad_bodies,
 )
@@ -278,17 +279,15 @@ class TrainingWeights:
     biases by relation, then the rule weights in (relation, body) order, the
     order of the design's stored columns, and ``values`` their weights.
     Memory: 16 bytes per stored key, whatever the number of relations and
-    rule ids, and ``find``'s lookup structure, built once on its first call:
-    a direct-address table of 8 bytes per code in the span ``[min code, max
-    code]``, or, when that span is sparse (see ``DENSE_SPAN``), the codes'
-    sort order, 8 bytes per stored key.
+    rule ids, and the ``core.CodeIndex`` that ``find`` builds on its first
+    call: 8 bytes per code in the span ``[min code, max code]``, or, for a
+    sparse span, per stored key.
     """
 
     def __init__(self, codes=(), values=()):
         self.codes = np.asarray(codes, dtype=np.intp)
         self.values = np.asarray(values, dtype=float)
-        self._table: np.ndarray | None = None
-        self._by_code: np.ndarray | None = None
+        self._index: CodeIndex | None = None
 
     @classmethod
     def from_design(cls, codes: np.ndarray, w: np.ndarray, model: RuleGenerator) -> "TrainingWeights":
@@ -300,41 +299,11 @@ class TrainingWeights:
         at = np.concatenate([biases[np.argsort(-codes[biases])], rules[by_body]])
         return cls(codes[at], w[at])
 
-    def find(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Which of the codes ``keys`` are stored, and where each stored one sits in ``codes`` (0 where not).
-
-        Codes whose span is dense next to the codes and keys read a
-        direct-address table, sparse ones binary-search the sorted codes;
-        both give the same arrays.
-        """
-        if not len(self.codes):
-            return np.zeros(len(keys), dtype=bool), np.zeros(len(keys), dtype=np.intp)
-        if self._table is not None or (self._by_code is None and _dense(self.codes, len(self.codes) + len(keys))):
-            return self._find_in_table(keys)
-        return self._find_sorted(keys)
-
-    def _find_in_table(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        lo = self.codes.min()
-        if self._table is None:
-            # Entry c - lo holds the position of code c, or -1; the last entry answers every key outside the span.
-            self._table = np.full(int(self.codes.max() - lo) + 2, -1, dtype=np.intp)
-            self._table[self.codes - lo] = np.arange(len(self.codes))
-        span = len(self._table) - 1
-        at = keys - lo
-        positions = self._table[np.where(at.view(np.uintp) < span, at, span)]
-        found = positions >= 0
-        return found, np.maximum(positions, 0)
-
-    def _find_sorted(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if self._by_code is None:
-            self._by_code = np.argsort(self.codes)
-        stored = self.codes[self._by_code]
-        at = np.searchsorted(stored, keys)
-        found = at < len(stored)
-        found[found] = stored[at[found]] == keys[found]
-        positions = np.zeros(len(keys), dtype=np.intp)
-        positions[found] = self._by_code[at[found]]
-        return found, positions
+    def find(self, keys: np.ndarray) -> np.ndarray:
+        """The position in ``codes`` of each of the codes ``keys``, -1 where it is not stored."""
+        if self._index is None:
+            self._index = CodeIndex(self.codes, len(keys))
+        return self._index.find(keys)
 
     def to_extractor(self, model: RuleGenerator) -> ExtractorWeights:
         """The same keys and weights as ``ExtractorWeights``, one ``Rule`` per stored rule weight."""
@@ -413,9 +382,7 @@ def e_step(
     labels = np.array([inst.label for inst in instances], dtype=float)
     owner = np.repeat(np.arange(len(instances)), draws.sizes)
     keys = np.concatenate([-1 - relations, draws.support * model.vocab.size + relations[owner]])
-    found, at = weights.find(keys)
-    stored = np.zeros(len(keys))
-    stored[found] = weights.values[at[found]]
+    stored = np.append(weights.values, 0.0)[weights.find(keys)]  # position -1 reads the appended 0.0
     bias, w = stored[: len(instances)], stored[len(instances) :]
     extract = np.zeros(len(w))
     nz = np.flatnonzero(w)
@@ -549,39 +516,21 @@ def _index_design(
     codes = np.empty(is_rule.size, dtype=np.intp)
     codes[is_rule] = draws.support * model.vocab.size + np.repeat(relations, draws.sizes)
     codes[bias_at] = -1 - relations
-    found, cols = weights.find(codes)
-    new_codes, rank = _first_appearance(codes[~found])
-    cols[~found] = len(weights.codes) + rank
-    columns = np.concatenate([weights.codes, new_codes])
+    cols = weights.find(codes)
+    new = cols < 0
+    # The new keys, numbered in the order they first appear.
+    new_codes, number = distinct(codes[new])
+    first = np.full(len(new_codes), len(number))
+    np.minimum.at(first, number, np.arange(len(number)))
+    appearance = np.argsort(first)  # the first positions are distinct
+    rank = np.empty_like(appearance)
+    rank[appearance] = np.arange(len(appearance))
+    cols[new] = len(weights.codes) + rank[number]
+    columns = np.concatenate([weights.codes, new_codes[appearance]])
     vals = np.ones(is_rule.size)
     vals[is_rule] = draws.counts * draws.values
     y = np.array([instance.label for instance in corpus.instances], dtype=float)
     return _DesignMatrix(columns, np.repeat(np.arange(len(relations)), per_row), cols, vals, y), draws
-
-
-def _dense(codes: np.ndarray, n: int) -> bool:
-    """Whether a direct-address table over the span of the non-empty ``codes`` has under ``DENSE_SPAN * n`` entries."""
-    return int(codes.max()) - int(codes.min()) < DENSE_SPAN * n
-
-
-def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct ``codes`` in the order they first appear, and the number of each code among them.
-
-    A dense span numbers them through a direct-address table of first
-    positions, a sparse one through ``np.unique``; both give the same arrays.
-    """
-    if len(codes) and _dense(codes, len(codes)):
-        lo = codes.min()
-        first = np.full(int(codes.max() - lo) + 1, len(codes), dtype=np.intp)
-        np.minimum.at(first, codes - lo, np.arange(len(codes)))
-        distinct = codes[np.sort(first[first < len(codes)])]
-        first[distinct - lo] = np.arange(len(distinct))  # the table now numbers the distinct codes
-        return distinct, first[codes - lo]
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    appearance = np.argsort(first, kind="stable")
-    rank = np.empty(len(distinct), dtype=np.intp)
-    rank[appearance] = np.arange(len(distinct))
-    return distinct[appearance], rank[inverse]
 
 
 @dataclass

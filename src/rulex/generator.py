@@ -21,8 +21,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .core import (DEFAULT_MAX_RULE_LEN, DENSE_SPAN, RelationVocab, Rule, RuleSet, is_finite_number, pad_bodies,
-                   read_json, write_json)
+from .core import (DEFAULT_MAX_RULE_LEN, CodeIndex, RelationVocab, Rule, RuleSet, distinct, is_finite_number,
+                   pad_bodies, read_json, write_json)
 
 # Above this many enumerable bodies per head, ruleset sampling falls back to
 # token-wise ancestral draws instead of one multinomial over the rule space,
@@ -118,7 +118,7 @@ class RuleGenerator:
 
         Returns (support ids, probabilities with one row per prefix).  Each
         depth's context is coded as in the count store, the codes are looked
-        up with one ``searchsorted``, and the count rows of the stored ones
+        up in one ``core.CodeIndex``, and the count rows of the stored ones
         are gathered into one dense block of the support's width, one row for
         the empty context that every prefix shares; each row's total is
         numpy's pairwise sum along that contiguous block, zeros included.
@@ -494,7 +494,7 @@ class RuleGenerator:
         """
         enum = self._enumeration(head)
         if enum is None:
-            unique, inverse = np.unique(np.asarray(indices, dtype=np.intp), return_inverse=True)
+            unique, inverse = distinct(np.asarray(indices, dtype=np.intp))
             return self._body_log_probs(head, self.body_table()[unique])[inverse]
         return enum.log_probs[indices]
 
@@ -653,11 +653,10 @@ class RuleGenerator:
         (``0.0 + count`` is the count, as counts are positive), then its
         events in body order, so every count receives the same additions in
         the same order as one scalar update per event into a dense row.  The
-        sum runs over every cell of the count space while that space is
-        dense next to the stored counts and the events (``DENSE_SPAN``), and
-        otherwise over the stored and the touched cells, merged by sorting,
-        so the work and memory stay within a constant factor of the head's
-        nonzero counts and the events, whatever the vocabulary size.
+        cells and each entry's cell come from one ``core.distinct`` of the
+        stored and the touched cells, so the work and memory stay within a
+        constant factor of the head's nonzero counts and the events,
+        whatever the vocabulary size.
         """
         self.vocab.check_relation(head)
         size, max_len = self.vocab.size, self.max_len
@@ -697,16 +696,8 @@ class RuleGenerator:
         stored = np.repeat(old.codes, np.diff(old.starts)) * (size + 1) + old.tokens
         touched = codes * (size + 1) + np.stack(tokens, axis=1)[valid]
         amounts = np.concatenate([old.values, np.broadcast_to(weights[:, None], valid.shape)[valid]])
-        span = int(self._code_offsets[-1]) * (size + 1)
-        if span < DENSE_SPAN * len(amounts):
-            sums = np.bincount(np.concatenate([stored, touched]), amounts, minlength=span)
-            cells = np.flatnonzero(sums)  # a cell's sum is positive exactly when it is stored or touched
-            values = sums[cells]
-        else:
-            distinct, inverse = np.unique(touched, return_inverse=True)
-            cells = np.union1d(stored, distinct)
-            events = np.concatenate([np.searchsorted(cells, stored), np.searchsorted(cells, distinct)[inverse]])
-            values = np.bincount(events, amounts, minlength=len(cells))
+        cells, events = distinct(np.concatenate([stored, touched]))
+        values = np.bincount(events, amounts, minlength=len(cells))
         contexts = np.union1d(old.codes, cells // (size + 1))
         starts = np.append(np.searchsorted(cells // (size + 1), contexts), len(cells))
         self._counts[head] = _Counts(contexts, starts, (cells % (size + 1)).astype(np.int32), values)
@@ -905,15 +896,6 @@ def _steps(probs: np.ndarray) -> list[_Entry]:
             for cdf, start in zip(_cdf(probs), range(0, len(logs), width))]
 
 
-def _positions(keys: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """The index of each query in the sorted array ``keys``, or -1 where it is absent."""
-    pos = np.searchsorted(keys, queries)
-    inside = pos < len(keys)
-    hit = np.zeros(len(queries), dtype=bool)
-    hit[inside] = keys[pos[inside]] == queries[inside]
-    return np.where(hit, pos, -1)
-
-
 def _entries(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """The indices of the entries of CSR rows with the given starts and sizes, row after row."""
     return np.repeat(starts - np.cumsum(sizes) + sizes, sizes) + np.arange(int(sizes.sum()))
@@ -951,12 +933,12 @@ class _Counts:
 
     def find(self, codes: np.ndarray) -> np.ndarray:
         """The row of each context code, or -1 where the context is not stored."""
-        return _positions(self.codes, codes)
+        return CodeIndex(self.codes, len(codes)).find(codes)
 
     def at(self, rows: np.ndarray, tokens: np.ndarray) -> np.ndarray:
         """The count of each (row, token) pair, 0.0 where the row stores no count for the token."""
         cells = np.repeat(np.arange(len(self.codes), dtype=np.int64), np.diff(self.starts)) << 32 | self.tokens
-        entries = _positions(cells, rows.astype(np.int64) << 32 | tokens)
+        entries = CodeIndex(cells, len(tokens)).find(rows.astype(np.int64) << 32 | tokens)
         return np.append(self.values, 0.0)[entries]  # entry -1 reads the appended 0.0
 
     def dense(self, rows: np.ndarray, width: int) -> np.ndarray:

@@ -651,6 +651,21 @@ class TestEval:
         line = only_error_line(capsys.readouterr().err)
         assert "preds.jsonl:1:" in line and 'repeated key "triples"' in line
 
+    def test_doc_id_the_gold_lacks_names_both_files(self, tmp_path, corpus_dir, capsys):
+        line = self.eval_error(tmp_path, corpus_dir, capsys, [{"doc_id": "not-a-gold-doc", "triples": []}])
+        assert line == (f"error: {tmp_path / 'preds.jsonl'}: doc 'not-a-gold-doc' is not a document of the gold file "
+                        f"{corpus_dir / 'test.jsonl'}")
+
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400"])
+    def test_eval_rule_weight_that_is_not_finite_names_its_line(self, tmp_path, corpus_dir, capsys, weight):
+        preds, rules = tmp_path / "preds.jsonl", tmp_path / "rules.txt"
+        preds.write_text("")
+        rules.write_text(f"r0 <- r1 [0.5]\nr0 <- r1 [{weight}]\n")
+        rc = cli.main(["eval", "--predictions", str(preds), "--gold", str(corpus_dir / "test.jsonl"),
+                       "--vocab", str(corpus_dir / "vocab.txt"), "--eval-rules", str(rules)])
+        assert rc == 1
+        assert only_error_line(capsys.readouterr().err) == f"error: {rules}:2: rule weight '{weight}' is not finite"
+
     @pytest.mark.parametrize("doc_id", [5, ["a"], None], ids=["number", "list", "null"])
     def test_doc_id_that_is_not_a_string_names_its_line(self, tmp_path, corpus_dir, capsys, doc_id):
         line = self.eval_error(tmp_path, corpus_dir, capsys, [{"doc_id": doc_id, "triples": []}])

@@ -194,6 +194,11 @@ class TestRule:
         with pytest.raises(ValueError):
             parse_rule("a <- nope", pair_vocab)
 
+    @pytest.mark.parametrize("weight", ["nan", "inf", "-inf", "1e400", "-1e400"])
+    def test_weight_that_is_not_finite_is_refused(self, pair_vocab, weight):
+        with pytest.raises(ValueError, match=f"rule weight '{weight}' is not finite"):
+            parse_rule(f"a <- b [{weight}]", pair_vocab)
+
 
 class TestFiles:
     def test_vocab_file_round_trip(self, tmp_path):

@@ -5,8 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rulex.core import Corpus, LabeledInstance, Rule, RuleSet, build_vocab, format_rule, pad_bodies
+from rulex.core import CodeIndex, Corpus, LabeledInstance, Rule, RuleSet, build_vocab, distinct, format_rule, pad_bodies
 from rulex.datagen import SynthConfig, gen_corpus
+import rulex.core
 import rulex.em
 import rulex.extractor
 from rulex.em import (
@@ -280,18 +281,14 @@ def stored_codes(rng, count, span):
     return np.concatenate([[-1, -2, -3], rng.choice(span, count, replace=False)]).astype(np.intp)
 
 
-def first_appearance_reference(codes):
-    """The distinct codes in first-appearance order and each code's number, by ``np.unique`` and a stable sort."""
-    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-    appearance = np.argsort(first, kind="stable")
-    rank = np.empty(len(distinct), dtype=np.intp)
-    rank[appearance] = np.arange(len(distinct))
-    return distinct[appearance], rank[inverse]
+# DENSE_SPAN values that send every lookup of ``core.CodeIndex`` and
+# ``core.distinct`` to the sorted side, or to the table side.
+SIDES = (0, 10**9)
 
 
 class TestTrainingWeightsFind:
     @pytest.mark.parametrize("span,dense", [(3_000, True), (1_000_000, False)])
-    def test_table_and_binary_search_agree_bit_for_bit(self, rng, span, dense):
+    def test_table_and_binary_search_agree_bit_for_bit(self, rng, span, dense, monkeypatch):
         codes = stored_codes(rng, 1_000, span)
         weights = TrainingWeights(rng.permutation(codes), rng.normal(size=len(codes)))
         keys = np.concatenate([
@@ -299,34 +296,43 @@ class TestTrainingWeightsFind:
             rng.integers(-3, span, 500),  # mostly absent inside the span
             [-50, -4, span, span + 7, 2**40, -(2**40)],  # below and above the span
         ]).astype(np.intp)
-        found, positions = weights.find(keys)
-        assert (weights._table is not None) == dense and (weights._by_code is None) == dense
+        positions = weights.find(keys)
+        assert (weights._index._table is not None) == dense and (weights._index._order is None) == dense
+        found = positions >= 0
         assert np.array_equal(found, np.isin(keys, codes))
         assert np.array_equal(weights.codes[positions[found]], keys[found])
-        assert not positions[~found].any()
+        assert np.all(positions[~found] == -1)
         for part in (keys, keys[:0], keys[-6:]):  # all keys, no keys, keys outside the span only
-            table, search = weights._find_in_table(part), weights._find_sorted(part)
-            assert np.array_equal(table[0], search[0]) and np.array_equal(table[1], search[1])
-            assert table[0].dtype == search[0].dtype == bool and table[1].dtype == search[1].dtype == np.intp
+            sides = []
+            for dense_span in SIDES:
+                monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
+                index = CodeIndex(weights.codes, len(part))
+                assert (index._table is not None) == (dense_span > 0)
+                sides.append(index.find(part))
+            assert np.array_equal(sides[0], sides[1]) and sides[0].dtype == sides[1].dtype == np.intp
+            assert np.array_equal(sides[0], weights.find(part))
 
-    def test_no_stored_codes_finds_nothing(self, rng):
-        weights = TrainingWeights()
+    def test_no_stored_codes_finds_nothing(self, rng, monkeypatch):
         keys = rng.integers(-5, 100, 40).astype(np.intp)
-        for found, positions in (weights.find(keys), weights._find_sorted(keys)):
-            assert not found.any() and not positions.any() and len(found) == len(keys)
-        assert weights.find(keys[:0])[0].shape == (0,)
+        for dense_span in SIDES:
+            monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
+            weights = TrainingWeights()
+            assert np.array_equal(weights.find(keys), np.full(len(keys), -1)) and weights.find(keys).dtype == np.intp
+            assert TrainingWeights().find(keys[:0]).shape == (0,)
 
     @pytest.mark.parametrize("span", [50, 100, 10_000_000])
-    def test_first_appearance_numbering_equals_the_unique_reference(self, rng, span):
+    def test_distinct_equals_np_unique(self, rng, span, monkeypatch):
         # Codes with repeats: a dense span numbers them through a table, a
-        # sparse one through np.unique.
+        # sparse one through np.unique; either side may be forced.
         for count in (0, 1, 200):
             codes = rng.integers(-20, span, count).astype(np.intp)
             codes = np.concatenate([codes, codes[::3]])
-            got = rulex.em._first_appearance(codes)
-            want = first_appearance_reference(codes)
-            assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
-            assert np.array_equal(got[0][got[1]], codes)
+            want = np.unique(codes, return_inverse=True)
+            for dense_span in (*SIDES, 8):
+                monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
+                got = distinct(codes)
+                assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(got, want))
+                assert np.array_equal(got[0][got[1]], codes)
 
 
 class TestGroundingCache:
@@ -702,14 +708,17 @@ class TestMStepExtractor:
             outputs.append((dict(weights.bias), dict(weights.rule_weight)))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("dense_span", [rulex.core.DENSE_SPAN, *SIDES])
     @pytest.mark.parametrize("relations", [4, 24])
-    def test_two_warm_sampled_steps_equal_two_fits_on_the_same_draws(self, relations, monkeypatch):
+    def test_two_warm_sampled_steps_equal_two_fits_on_the_same_draws(self, relations, dense_span, monkeypatch):
         # The second step starts from the first one's stored weights, exact
         # zeros included.  Each step must build the design that from_batch
         # builds on the same grounded draws, column for column (stored
         # biases by relation, stored rules in (relation, body) order, then
         # new keys by first appearance), and train the same weights bit for
-        # bit.  24 base relations are past ENUM_LIMIT.
+        # bit, on either side of every integer lookup.  24 base relations
+        # are past ENUM_LIMIT.
+        monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
         result = tiny_synth(relations=relations, docs=8)
         train, vocab = result.splits["train"], result.vocab
         model = RuleGenerator(vocab)
@@ -787,6 +796,31 @@ class TestRunEm:
         engine = f1(predictions, gold_by_doc(dev.docs))
         # A bias-only extractor on sparse gold predicts nothing: F1 = 0.
         assert engine.f1 > 0.0
+
+    def test_either_side_of_every_integer_lookup_trains_the_same_model(self, monkeypatch):
+        # Both sides of core.CodeIndex and core.distinct, forced everywhere,
+        # on an enumerable space and on one past ENUM_LIMIT.  The second
+        # iteration's E-step and design look its keys up among the first
+        # one's stored weights.
+        for relations in (4, 24):
+            result = tiny_synth(relations=relations, docs=6, split=(1.0, 0.0, 0.0))
+            config = EMConfig(n_rules=6, iterations=2, seed=3, fit=FitConfig(lr=0.5, epochs=4),
+                              convergence_eps=0.0, beam=12)
+            runs = []
+            for dense_span in SIDES:
+                monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
+                sides = []
+
+                class Spy(CodeIndex):
+                    def __init__(self, codes, keys=0):
+                        super().__init__(codes, keys)
+                        sides.append((len(self.codes) > 0, self._table is None))
+
+                monkeypatch.setattr(rulex.em, "CodeIndex", Spy)
+                out = run_em(result.splits["train"], result.vocab, config)
+                assert (True, dense_span == 0) in sides  # stored weights looked up on the forced side
+                runs.append((out.diagnostics, list(out.weights.bias.items()), list(out.weights.rule_weight.items())))
+            assert runs[0] == runs[1] and runs[0][2]
 
     def test_past_enum_limit_runs_deterministically(self):
         # 24 base relations give 48 ids: sampling is ancestral, rule ids are

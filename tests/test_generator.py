@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import rulex.core
 import rulex.generator
 from rulex.core import Rule, build_vocab, pad_bodies
 from rulex.generator import ENUM_LIMIT, RuleGenerator
@@ -628,8 +629,8 @@ class TestMalformedFile:
             RuleGenerator.load(path)
 
 
-# DENSE_SPAN values that make fit_bodies sum over the stored and touched cells
-# only, or over every cell of the count space.
+# DENSE_SPAN values that make fit_bodies number the stored and touched cells
+# by sorting them, or through a table over their span (``core.distinct``).
 CELL_PATHS = pytest.mark.parametrize("dense_span", [0, 10**9], ids=["sorted-cells", "all-cells"])
 
 
@@ -637,7 +638,7 @@ class TestFitBodies:
     @CELL_PATHS
     @pytest.mark.parametrize("order,max_len", [(0, 3), (1, 2), (2, 3), (3, 4), (2, 1)])
     def test_equals_one_update_per_event_bit_for_bit(self, order, max_len, dense_span, monkeypatch):
-        monkeypatch.setattr(rulex.generator, "DENSE_SPAN", dense_span)
+        monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
         rng = np.random.default_rng(order * 10 + max_len)
         model = fresh(("a", "b"), order=order, lambdas=[0.5] * (order + 1), max_len=max_len)
         size = model.vocab.size
@@ -657,7 +658,7 @@ class TestFitBodies:
     def test_a_stored_count_takes_each_event_in_turn(self, dense_span, monkeypatch):
         # 1e16 + 1.0 rounds back to 1e16, so four events of weight 1.0 leave
         # the stored count as it is; their sum, 4.0, added at once would not.
-        monkeypatch.setattr(rulex.generator, "DENSE_SPAN", dense_span)
+        monkeypatch.setattr(rulex.core, "DENSE_SPAN", dense_span)
         model = fresh()
         model.fit_bodies(0, np.array([[1, -1, -1]]), np.array([1e16]))
         weighted = [((1,), 1.0)] * 4
