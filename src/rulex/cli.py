@@ -80,6 +80,19 @@ def _prepare_out_dir(path_text: str) -> Path:
     return out
 
 
+def _refuse_overwrite(out: str | Path | None, inputs) -> None:
+    """Refuse, before any work, an output path that names one of the ``inputs`` a command reads.
+
+    Paths compare by ``os.path.samefile``, so ``./x`` and symlinks are
+    caught; an output or input that does not exist yet names no other file.
+    """
+    if out is None or not os.path.exists(out):
+        return
+    for path in inputs:
+        if path is not None and os.path.exists(path) and os.path.samefile(out, path):
+            raise ValueError(f"output {out} is the input {path}; refusing to write over it")
+
+
 def _load_config_section(path: str | Path | None, section: str) -> dict:
     """The ``section`` object of the JSON config file at ``path``, or the whole file if it has none."""
     if path is None:
@@ -159,6 +172,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _refuse_overwrite(args.out, [args.corpus])
     section = _load_config_section(args.config, "em")
     if args.seed is not None:
         section["seed"] = args.seed
@@ -189,6 +203,7 @@ def cmd_train(args) -> int:
 
 def cmd_infer(args) -> int:
     run_dir = Path(args.run)
+    _refuse_overwrite(args.out, [args.documents, *(sorted(run_dir.iterdir()) if run_dir.is_dir() else ())])
     config = em.EMConfig.from_json(_load_config_section(run_dir / "config.json", "em"))
     vocab = core.read_vocab_file(run_dir / "vocab.txt")
     weights = ExtractorWeights.load(run_dir / "extractor.json", vocab)
@@ -220,6 +235,7 @@ def cmd_infer(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _refuse_overwrite(args.out, [args.predictions, args.gold, args.vocab, args.train_facts, args.eval_rules])
     vocab = core.read_vocab_file(args.vocab)
     resolved = {
         "predictions": args.predictions,

@@ -25,7 +25,9 @@ call, whose values equal the stack's cells bit for bit, and add the terms in
 the same order, so an explanation's contributions sum to the score bit for
 bit.  The rules shown get their witness paths from one ``ground_chain`` call
 per document.  Training and inference compose matrices through one
-max-product kernel (``_max_product``), in the same chunks by body length.
+max-product kernel (``_max_product``), in the same chunks by body length;
+on a document closed under inversion, the stack copies each mirrored
+length-2 body as its partner's transpose instead (``all_pairs_stack``).
 """
 
 from __future__ import annotations
@@ -631,6 +633,14 @@ class InferenceTerms(NamedTuple):
     product), the row ``body[k]`` of the distinct-body table ``bodies``
     (relation ids padded with -1), its text ``texts[k]`` (``format_rule``)
     and the rank ``rank[k]`` of that text among all the terms' texts.
+
+    ``plan`` is ``score_document``'s scoring plan, one ``(rows, coef, body)``
+    per rule-set position p: the heads with a term at p (``slice(None)``
+    when every head has one, else their row indices), those terms'
+    coefficients shaped ``(m, 1, 1)`` and their rows of ``bodies``.
+    ``mirror`` (``body_mirrors``) holds, for each row of ``bodies``, the
+    earlier row of its mirror or -1, and ``inverse_of`` the vocabulary's
+    inverse of each relation id; ``all_pairs_stack`` reads both.
     """
 
     heads: np.ndarray
@@ -644,6 +654,9 @@ class InferenceTerms(NamedTuple):
     texts: tuple[str, ...]
     rank: np.ndarray
     bodies: np.ndarray
+    plan: tuple[tuple[slice | np.ndarray, np.ndarray, np.ndarray], ...]
+    mirror: np.ndarray
+    inverse_of: np.ndarray
 
 
 def inference_terms(
@@ -669,37 +682,97 @@ def inference_terms(
     texts = [format_rule(rule, vocab) for rule in rules]
     rank = np.empty(len(texts), dtype=np.intp)
     rank[sorted(range(len(texts)), key=texts.__getitem__)] = np.arange(len(texts))
+    starts = np.array(starts, dtype=np.intp)
+    coef = np.array([m * w for m, w in zip(multiplicity, weight)], dtype=float)
+    body = np.array(body, dtype=np.intp)
+    sizes = np.diff(starts)
+    plan = []
+    for position in range(int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > position)
+        k = starts[rows] + position
+        plan.append((slice(None) if len(rows) == len(sizes) else rows, coef[k, None, None], body[k]))
+    bodies = pad_bodies(list(row_of), max((len(b) for b in row_of), default=1))
+    inverse_of = np.array(vocab.inverse_of, dtype=np.intp)
     return InferenceTerms(
         np.array(heads, dtype=np.intp),
         np.array(bias, dtype=float),
-        np.array(starts, dtype=np.intp),
+        starts,
         tuple(rules),
         tuple(multiplicity),
         tuple(weight),
-        np.array([m * w for m, w in zip(multiplicity, weight)], dtype=float),
-        np.array(body, dtype=np.intp),
+        coef,
+        body,
         tuple(texts),
         rank,
-        pad_bodies(list(row_of), max((len(b) for b in row_of), default=1)),
+        bodies,
+        tuple(plan),
+        body_mirrors(bodies, inverse_of),
+        inverse_of,
     )
 
 
-def all_pairs_stack(atoms: np.ndarray, bodies: np.ndarray) -> np.ndarray:
+def body_mirrors(bodies: np.ndarray, inverse_of: np.ndarray) -> np.ndarray:
+    """The earlier row of each length-2 body's mirror in the body table ``bodies``, -1 where there is none.
+
+    ``bodies`` holds distinct bodies, relation ids padded with -1.  The
+    mirror of (r1, r2) is (inverse r2, inverse r1).  A body that is its own
+    mirror, a body whose mirror comes later or is absent, and every body of
+    another length get -1.
+    """
+    inverse = inverse_of.tolist()
+    rows = [tuple(row) for row in bodies.tolist()]
+    row_of = {row: k for k, row in enumerate(rows)}
+    mirror = np.full(len(rows), -1, dtype=np.intp)
+    for k in np.flatnonzero(np.count_nonzero(bodies >= 0, axis=1) == 2).tolist():
+        r1, r2, *padding = rows[k]
+        j = row_of.get((inverse[r2], inverse[r1], *padding), k)
+        mirror[k] = j if j < k else -1
+    return mirror
+
+
+def _exactly_closed(atoms: np.ndarray, inverse_of: np.ndarray) -> bool:
+    """Whether each relation's matrix in ``atoms`` is its inverse's transpose, as int64 views: -0.0 is not 0.0."""
+    if len(atoms) != len(inverse_of):
+        return False
+    return np.array_equal(atoms[inverse_of].view(np.int64).transpose(0, 2, 1), atoms.view(np.int64))
+
+
+def all_pairs_stack(atoms: np.ndarray, bodies: np.ndarray, mirror: np.ndarray, inverse_of: np.ndarray) -> np.ndarray:
     """All-pairs groundings of many bodies on one document's ``atom_array``, shape ``(len(bodies), n, n)``.
 
-    ``bodies`` holds one body per row, relation ids padded with -1.  Row k
-    equals ``ground_rule_all_pairs`` of body k bit for bit: the bodies of one
-    length chain their relation matrices together, left to right, through
+    ``bodies`` holds one body per row, relation ids padded with -1, and
+    ``mirror`` the earlier row of each row's mirror or -1 (``body_mirrors``
+    over the vocabulary's ``inverse_of``).  Row k equals
+    ``ground_rule_all_pairs`` of body k bit for bit: the bodies of one length
+    chain their relation matrices together, left to right, through
     ``_max_product``, with temporaries near ``GATHER_CELLS * 8`` bytes.
+
+    When ``atoms[inverse_of[r]]`` is the transpose of ``atoms[r]`` for every
+    relation r, compared as int64 bits, each row k with ``mirror[k] >= 0`` is
+    instead copied as the transpose of row ``mirror[k]``, in chunks of at most
+    ``GATHER_CELLS`` cells.  That is exact for length-2 bodies only:
+    ``max_j A[inv r2][a, j] * A[inv r1][j, c]`` multiplies the same factors as
+    ``max_j A[r1][c, j] * A[r2][j, a]``, commuted, and maxes them in the same
+    j order.  A longer chain's transpose associates its products the other
+    way, so it may round differently.  Where the atoms are not closed bit for
+    bit (an inverse atom within 1e-9 of its forward one keeps its own value
+    on load), or their relation count is not the vocabulary's, every row is
+    computed.
     """
     n = atoms.shape[1]
     _check_relations(atoms, bodies)
+    copied = mirror >= 0
+    if copied.any() and not _exactly_closed(atoms, inverse_of):
+        copied[:] = False
     stack = np.empty((len(bodies), n, n))
-    for length, idx in _chunks_by_length(np.count_nonzero(bodies >= 0, axis=1), n):
+    lengths = np.count_nonzero(bodies >= 0, axis=1)
+    for length, idx in _chunks_by_length(np.where(copied, 0, lengths), n):
         mats = atoms[bodies[idx, 0]]
         for pos in range(1, length):
             mats = _max_product(mats, atoms[bodies[idx, pos]])
         stack[idx] = mats
+    for _, idx in _chunks_by_length(copied.astype(np.intp), n):  # the copied rows, as "length 1"
+        stack[idx] = stack[mirror[idx]].transpose(0, 2, 1)
     return stack
 
 
@@ -712,16 +785,14 @@ def score_document(stack: np.ndarray, terms: InferenceTerms) -> np.ndarray:
     """Logits ``[i, h, t]`` of head ``heads[i]`` from the document's ``all_pairs_stack`` of ``terms.bodies``.
 
     Each head adds its terms' ``coef[k] * stack[body[k]]`` to its bias in
-    rule-set order, one position at a time for every head at once, so the
-    stack is the only per-term array and the temporaries are a few (H, n, n).
+    rule-set order, one position of ``terms.plan`` at a time for every head
+    at once, so the stack is the only per-term array and the temporaries are
+    a few (H, n, n).
     """
     n = stack.shape[1]
     logits = np.repeat(terms.bias, n * n).reshape(len(terms.bias), n, n)
-    sizes = np.diff(terms.starts)
-    for position in range(int(sizes.max(initial=0))):
-        rows = np.flatnonzero(sizes > position)
-        k = terms.starts[rows] + position
-        logits[rows] += terms.coef[k, None, None] * stack[terms.body[k]]
+    for rows, coef, body in terms.plan:
+        logits[rows] += coef * stack[body]
     return logits
 
 
@@ -779,7 +850,7 @@ def explain_document(
     as ``explain`` gives them; ``top=0`` skips the explanations.
     """
     atoms = doc.atom_array()
-    stack = all_pairs_stack(atoms, terms.bodies)
+    stack = all_pairs_stack(atoms, terms.bodies, terms.mirror, terms.inverse_of)
     logits = score_document(stack, terms)
     n = doc.num_entities
     rows, hs, ts = np.nonzero((logits > 0) & ~np.eye(n, dtype=bool))

@@ -727,6 +727,69 @@ class TestDocumentRecords:
         assert not (tmp_path / "preds.jsonl").exists()
 
 
+class TestNoOutputOverAnInput:
+    # Each command refuses an output that names a file or directory it
+    # reads, before any work, in one error line naming both paths, and
+    # leaves every input byte for byte as it was.
+
+    @staticmethod
+    def refused(capsys, args, out, read):
+        before = {path: read_tree(path) if path.is_dir() else path.read_bytes() for path in read}
+        capsys.readouterr()
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        line = only_error_line(captured.err)
+        assert str(out) in line and any(str(path) in line for path in read)
+        assert captured.out == ""  # refused before the config echo
+        assert before == {path: read_tree(path) if path.is_dir() else path.read_bytes() for path in read}
+
+    @staticmethod
+    def alias(tmp_path, target, how):
+        """Another spelling of the existing path ``target``: itself, through a "." step, or a symlink."""
+        if how == "same":
+            return target
+        if how == "dot":
+            return target.parent / "." / target.name
+        link = tmp_path / f"link-to-{target.name}"
+        link.symlink_to(target)
+        return link
+
+    @pytest.mark.parametrize("how", ["same", "dot", "symlink"])
+    def test_infer_refuses_to_write_over_its_documents(self, tmp_path, run_dir, corpus_dir, capsys, how):
+        documents = corpus_dir / "test.jsonl"
+        out = self.alias(tmp_path, documents, how)
+        self.refused(capsys, ["infer", "--run", str(run_dir), "--documents", str(documents), "--out", str(out)],
+                     out, [documents])
+
+    @pytest.mark.parametrize("name", ["rules.txt", "extractor.json", "config.json", "vocab.txt", "generator.json",
+                                      "diagnostics.csv"])
+    def test_infer_refuses_to_write_over_a_file_of_its_run(self, tmp_path, run_dir, corpus_dir, capsys, name):
+        documents = corpus_dir / "test.jsonl"
+        out = self.alias(tmp_path, run_dir / name, "symlink" if name == "vocab.txt" else "same")
+        self.refused(capsys, ["infer", "--run", str(run_dir), "--documents", str(documents), "--out", str(out)],
+                     out, [run_dir / name, run_dir])
+        preds = tmp_path / "preds.jsonl"
+        assert cli.main(["infer", "--run", str(run_dir), "--documents", str(documents), "--out", str(preds)]) == 0
+
+    @pytest.mark.parametrize("how", ["same", "dot", "symlink"])
+    def test_train_refuses_to_write_into_its_corpus(self, tmp_path, config_file, corpus_dir, capsys, how):
+        out = self.alias(tmp_path, corpus_dir, how)
+        self.refused(capsys, ["train", "--corpus", str(corpus_dir), "--config", str(config_file), "--out", str(out)],
+                     out, [corpus_dir])
+
+    @pytest.mark.parametrize("name", ["predictions", "gold", "vocab", "train_facts", "eval_rules"])
+    def test_eval_refuses_to_write_over_an_input(self, tmp_path, run_dir, corpus_dir, capsys, name):
+        preds = tmp_path / "preds.jsonl"
+        assert cli.main(["infer", "--run", str(run_dir), "--documents", str(corpus_dir / "test.jsonl"),
+                         "--out", str(preds)]) == 0
+        inputs = {"predictions": preds, "gold": corpus_dir / "test.jsonl", "vocab": corpus_dir / "vocab.txt",
+                  "train_facts": corpus_dir / "train.jsonl", "eval_rules": corpus_dir / "rules.txt"}
+        args = ["eval", *(arg for key, path in inputs.items() for arg in ("--" + key.replace("_", "-"), str(path)))]
+        out = self.alias(tmp_path, inputs[name], "dot")
+        self.refused(capsys, [*args, "--out", str(out)], out, [inputs[name]])
+        assert cli.main([*args, "--out", str(tmp_path / "report.json")]) == 0
+
+
 class TestOracle:
     def test_all_oracles_pass_with_report_lines(self, capsys):
         assert cli.main(["oracle", "--scope", "all", "--seed", "1"]) == 0

@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rulex.core import CodeIndex, Corpus, LabeledInstance, Rule, RuleSet, build_vocab, distinct, format_rule, pad_bodies
+from rulex.core import (CodeIndex, Corpus, LabeledInstance, Rule, RuleSet, build_vocab, close_inverses, distinct,
+                        format_rule, pad_bodies)
 from rulex.datagen import SynthConfig, gen_corpus
 import rulex.core
 import rulex.em
@@ -1126,7 +1127,8 @@ class TestDocumentScoring:
         triples = zip(*(rng.integers(0, high, 500).tolist() for high in (n, vocab.size, n)))
         doc = make_doc({triple: float(rng.uniform(0.2, 1.0)) for triple in triples}, vocab.size, n_entities=n)
         terms = inference_terms(rulesets, weights, vocab)
-        logits = rulex.em.score_document(all_pairs_stack(doc.atom_array(), terms.bodies), terms)
+        stack = all_pairs_stack(doc.atom_array(), terms.bodies, terms.mirror, terms.inverse_of)
+        logits = rulex.em.score_document(stack, terms)
         positive = explain_document(doc, terms)
         assert 100 < len(positive) < len(rulesets) * n * (n - 1) / 4
         for (h, relation, t), result in positive.items():
@@ -1140,14 +1142,84 @@ class TestDocumentScoring:
 
     @pytest.mark.parametrize("cells", [16, 1 << 18])
     def test_stack_equals_ground_rule_all_pairs_bit_for_bit(self, rng, monkeypatch, cells):
-        # A small GATHER_CELLS splits every length into several chunks.
+        # A small GATHER_CELLS splits every length, and the mirror copies,
+        # into several chunks.
         monkeypatch.setattr(rulex.extractor, "GATHER_CELLS", cells)
-        bodies = [tuple(int(r) for r in rng.integers(0, 5, size=length)) for length in (1, 2, 3) for _ in range(12)]
-        for _ in range(10):
-            doc = random_doc(rng, num_relations=5, max_entities=8, density=0.4)
-            stack = all_pairs_stack(doc.atom_array(), pad_bodies(bodies, 3))
+        vocab = build_vocab(["a", "b", "c"], self_inverse=["c"])  # a, b, c, a⁻¹, b⁻¹
+        inverse_of = np.array(vocab.inverse_of, dtype=np.intp)
+        def reverse(body):  # its inverse relations in reverse order
+            return tuple(inverse_of[list(body[::-1])].tolist())
+
+        drawn = [tuple(rng.integers(0, vocab.size, size=length).tolist()) for length in (1, 2, 3) for _ in range(12)]
+        # Two mirrored pairs, every drawn body's mirror, and the self-mirror
+        # bodies (a, a⁻¹), (c, c) and (b⁻¹, b).
+        bodies = list(dict.fromkeys([(0, 1), (4, 3), (0, 2), (2, 3), *drawn, *map(reverse, drawn),
+                                     (0, 3), (2, 2), (4, 1)]))
+        table = pad_bodies(bodies, 3)
+        mirror = rulex.em.body_mirrors(table, inverse_of)
+        # Each length-2 body's mirror's row, where that row is earlier; -1 elsewhere.
+        assert mirror.tolist() == [bodies.index(reverse(body)) if len(body) == 2 and reverse(body) in bodies[:k] else -1
+                                   for k, body in enumerate(bodies)]
+        assert mirror[1] == 0 and mirror[3] == 2 and np.count_nonzero(mirror >= 0) > 5
+        assert any(len(body) == 3 and reverse(body) != body for body in bodies)
+
+        def closed_doc(n):
+            atoms = {}
+            for h, r, t in zip(*(rng.integers(0, high, 4 * n * n).tolist() for high in (n, vocab.size, n))):
+                if (t, vocab.inverse_of[r], h) not in atoms:
+                    atoms[h, r, t] = float(rng.random())
+            return close_inverses(make_doc(atoms, vocab.size, n_entities=n), vocab)
+
+        docs = [closed_doc(int(n)) for n in rng.integers(2, 9, size=6)]
+        # A -0.0 atom of the self-inverse c, the last factor of (a, c) at (0, 1).
+        docs.append(close_inverses(make_doc({(0, 0, 1): 0.5, (1, 2, 1): -0.0}, vocab.size, n_entities=2), vocab))
+        # Not closed bit for bit: the inverse of (0, a, 1) is listed 1e-10 off,
+        # which loading keeps, and it is the maximum of (b⁻¹, a⁻¹) at (2, 0).
+        off = {(h, r, t): float(rng.uniform(0.0, 0.4)) for h, r, t in [(0, 2, 2), (2, 1, 0), (1, 4, 2)]}
+        off.update({(0, 0, 1): 0.9, (1, 1, 2): 0.8, (1, 3, 0): 0.9 + 1e-10})
+        docs.append(close_inverses(make_doc(off, vocab.size, n_entities=3), vocab))
+        for doc in docs:
+            atoms = doc.atom_array()
+            assert rulex.em._exactly_closed(atoms, inverse_of) == (doc is not docs[-1])
+            stack = all_pairs_stack(atoms, table, mirror, inverse_of)
+            computed = all_pairs_stack(atoms, table, np.full(len(table), -1), inverse_of)
+            assert np.array_equal(stack.view(np.int64), computed.view(np.int64))
             for body, matrix in zip(bodies, stack):
-                assert np.array_equal(matrix, ground_rule_all_pairs(doc, Rule(0, body)))
+                assert np.array_equal(matrix.view(np.int64), ground_rule_all_pairs(doc, Rule(0, body)).view(np.int64))
+        assert np.signbit(docs[-2].atom_array()[2, 1, 1])
+        # On the off document, the computed (a, b) and the transposed (b⁻¹, a⁻¹) differ.
+        assert stack[0, 0, 2] == 0.9 * 0.8 and stack[1, 2, 0] == 0.8 * (0.9 + 1e-10)
+        # A document of fewer relation ids than the vocabulary computes every body it can hold.
+        sub = [body for body in bodies if max(body) < 4]
+        short = make_doc({(h, r, t): c for (h, r, t), c in docs[0].atoms.items() if r < 4}, 4,
+                         n_entities=docs[0].num_entities)
+        sub_table = pad_bodies(sub, 3)
+        stack = all_pairs_stack(short.atom_array(), sub_table, rulex.em.body_mirrors(sub_table, inverse_of), inverse_of)
+        for body, matrix in zip(sub, stack):
+            assert np.array_equal(matrix.view(np.int64), ground_rule_all_pairs(short, Rule(0, body)).view(np.int64))
+
+    @pytest.mark.parametrize("sizes", [(3, 0, 5, 1, 5), (2, 4, 1, 4)])
+    def test_score_document_adds_each_heads_terms_in_rule_set_order(self, rng, sizes):
+        vocab = build_vocab(["a", "b", "c"])
+        bodies = [(r,) for r in range(vocab.size)] + [(r, s) for r in range(vocab.size) for s in range(3)]
+        weights, rulesets = ExtractorWeights(), {}
+        for head, size in enumerate(sizes):
+            picked = rng.choice(len(bodies), size=max(size, 1), replace=False).tolist()
+            rulesets[head] = RuleSet([Rule(head, bodies[i]) for i in picked])
+            weights.bias[head] = float(rng.normal())
+            for rule in rulesets[head]:  # a head of size 0 has only zero weights
+                weights.set_rule_weight(head, rule, float(rng.normal()) if size else 0.0)
+        terms = inference_terms(rulesets, weights, vocab)
+        assert np.diff(terms.starts).tolist() == list(sizes)
+        full = [rows for rows, _, _ in terms.plan if isinstance(rows, slice)]
+        assert len(terms.plan) == max(sizes) and len(full) == min(sizes)
+        stack = rng.random((len(terms.bodies), 5, 5))
+        logits = rulex.em.score_document(stack, terms)
+        for i in range(len(sizes)):
+            want = np.full((5, 5), terms.bias[i])
+            for k in range(terms.starts[i], terms.starts[i + 1]):
+                want = want + terms.coef[k] * stack[terms.body[k]]
+            assert np.array_equal(logits[i].view(np.int64), want.view(np.int64))
 
     def test_memory_holds_one_matrix_per_distinct_body_not_per_term(self):
         # 20 heads share 10 bodies, 9 each: T = 180 terms over B = 10 bodies.

@@ -18,6 +18,7 @@ from rulex.extractor import (
     ground_rule_all_pairs,
     prob,
     _DesignMatrix,
+    _max_product,
 )
 from rulex.oracles import enumerate_grounding
 
@@ -457,6 +458,34 @@ def test_bincount_adds_in_entry_order_from_positive_zero():
         for i, v in zip(idx.tolist(), w.tolist()):
             loop[i] += v
         assert bits(np.bincount(idx, weights=w, minlength=5)) == bits(loop + [0.0])
+
+
+def test_max_product_of_transposes_in_reverse_is_the_transpose_bit_for_bit():
+    # all_pairs_stack copies a mirrored length-2 body as its partner's
+    # transpose and relies on _max_product(L, R) == _max_product(Rᵀ, Lᵀ)ᵀ
+    # bit for bit: the same products, commuted, maxed in the same j order.
+    # The blocks tie often and hold exact zeros, -0.0 and 5e-324.
+    rng = np.random.default_rng(3)
+    specials = np.array([0.0, -0.0, 5e-324, 0.5, 0.25, 1.0])
+
+    def block(m, n):
+        values = rng.random((m, n, n))
+        special = rng.random((m, n, n)) < 0.5
+        values[special] = rng.choice(specials, size=int(special.sum()))
+        return values
+
+    for m, n in [(1, 1), (3, 2), (4, 5), (2, 9)]:
+        for _ in range(20):
+            left, right = block(m, n), block(m, n)
+            got = _max_product(right.transpose(0, 2, 1), left.transpose(0, 2, 1)).transpose(0, 2, 1)
+            assert bits(got) == bits(_max_product(left, right))
+    # A length-3 chain's transpose associates the other way:
+    # ((X∘Y)∘Z)ᵀ = Zᵀ∘(Yᵀ∘Xᵀ), not the (Zᵀ∘Yᵀ)∘Xᵀ that the mirrored body
+    # chains left to right, and at seed 0 the two differ in bits.
+    x, y, z = np.random.default_rng(0).random((3, 1, 4, 4))
+    chained = _max_product(_max_product(x, y), z).transpose(0, 2, 1)
+    mirrored = _max_product(_max_product(z.transpose(0, 2, 1), y.transpose(0, 2, 1)), x.transpose(0, 2, 1))
+    assert np.allclose(chained, mirrored) and bits(chained) != bits(mirrored)
 
 
 class TestNonzeroDesign:
